@@ -10,16 +10,7 @@ from .engine import (
     query,
     saturate,
 )
-from .extnat import (
-    INF,
-    Contradiction,
-    Interval,
-    ext_add,
-    ext_ceil_div,
-    ext_monus,
-    ext_mul,
-    meet,
-)
+from .extnat import INF, Interval, ext_ceil_div, ext_monus, ext_mul
 from .model import BoundStore, InvariantKey, Justification, Kind, Side, replay
 from .parser import ParseError, SceneParseError, parse_scene, render_scene, try_parse_scene
 from .rules import Rule, RuleInstance, catalog, check_instance, fire, instantiate
@@ -40,7 +31,6 @@ __all__ = [
     "BoundDecl",
     "BoundStore",
     "CollectionProfile",
-    "Contradiction",
     "DecompositionCert",
     "DerivationTree",
     "ElaboratedScene",
@@ -65,13 +55,11 @@ __all__ = [
     "check_instance",
     "elaborate",
     "explain",
-    "ext_add",
     "ext_ceil_div",
     "ext_monus",
     "ext_mul",
     "fire",
     "instantiate",
-    "meet",
     "parse_scene",
     "query",
     "render_scene",

@@ -27,7 +27,7 @@ from .engine import (
 )
 from .extnat import extnat_to_json
 from .model import InvariantKey, Side
-from .parser import _Parser, _Cursor, _lex_line, try_parse_scene
+from .parser import SceneParseError, parse_invariant, try_parse_scene
 from .scene import Scene
 
 EXIT_OK = 0
@@ -44,22 +44,11 @@ def parse_target(text: str, scene: Scene) -> tuple[InvariantKey, Optional[Side]]
         text, _, side_text = text.rpartition(":")
         if side_text not in ("lo", "hi"):
             raise ValueError(f"side must be lo or hi, got {side_text!r}")
-        side = Side.LO if side_text == "lo" else Side.HI
-    helper = _Parser()
-    helper.profile = scene.profile
-    helper.spaces = list(scene.spaces)
-    helper.map_sigs = {m.id: (m.dom, m.cod) for m in scene.maps}
-    errors: list = []
-    tokens = _lex_line(text.strip(), 1, errors)
-    if errors:
-        raise ValueError(f"cannot parse target {text!r}")
-    cursor = _Cursor(tokens)
+        side = Side(side_text)
     try:
-        key = helper.parse_invariant(cursor)
-        cursor.expect_end()
-    except Exception as exc:
+        return parse_invariant(text, scene), side
+    except SceneParseError as exc:
         raise ValueError(f"cannot parse target {text!r}: {exc}") from exc
-    return key, side
 
 
 def result_payload(result: SaturationResult, targets: list[InvariantKey]) -> dict:
@@ -124,7 +113,14 @@ def exit_code_for(result: SaturationResult) -> int:
     return EXIT_OK
 
 
-def load_scene(path: Path, out_err) -> Optional[Scene]:
+def solve(path: Path, args, target: Optional[str], out_err):
+    """Load, parse, elaborate and saturate one scene file.
+
+    ``target``, when given, is resolved against the scene before any
+    elaboration.  Returns (scene, parsed target or None, result), or None
+    after printing the diagnostics of a read, parse, target or
+    elaboration error (all exit code 2).
+    """
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -135,57 +131,50 @@ def load_scene(path: Path, out_err) -> Optional[Scene]:
         for err in errors:
             print(f"{path.name}: {err}", file=out_err)
         return None
-    return scene
-
-
-def run_scene(scene: Scene, args) -> SaturationResult:
+    parsed = None
+    if target is not None:
+        try:
+            parsed = parse_target(target, scene)
+        except ValueError as exc:
+            print(str(exc), file=out_err)
+            return None
+    try:
+        elab = elaborate(scene)
+    except ElaborationError as exc:
+        for message in exc.messages:
+            print(f"{path.name}: {message}", file=out_err)
+        return None
     limits = Limits(max_rounds=args.max_rounds, max_finite=args.max_finite)
-    elab = elaborate(scene)
-    return saturate(elab, limits, rearrange=not args.no_rearrange)
+    return scene, parsed, saturate(elab, limits, rearrange=not args.no_rearrange)
 
 
 def cmd_check(args, out, out_err) -> int:
-    scene = load_scene(Path(args.scene), out_err)
-    if scene is None:
+    solved = solve(Path(args.scene), args, args.explain, out_err)
+    if solved is None:
         return EXIT_PARSE
-    try:
-        result = run_scene(scene, args)
-    except ElaborationError as exc:
-        for message in exc.messages:
-            print(f"{Path(args.scene).name}: {message}", file=out_err)
-        return EXIT_PARSE
+    scene, target, result = solved
     targets = [q.key for q in scene.queries]
+    tree = None
+    if target is not None and result.status == "fixpoint":
+        key, side = target
+        tree = explain(result, key, side or Side.HI)
     if args.format == "json":
         payload = result_payload(result, targets)
-        if args.explain and result.status == "fixpoint":
-            key, side = parse_target(args.explain, scene)
-            tree = explain(result, key, side or Side.HI)
+        if tree is not None:
             payload["explain"] = tree.to_json()
         print(json.dumps(payload, indent=2), file=out)
     else:
         print(render_text(result, targets), end="", file=out)
-        if args.explain and result.status == "fixpoint":
-            key, side = parse_target(args.explain, scene)
-            tree = explain(result, key, side or Side.HI)
+        if tree is not None:
             print(tree.render(), file=out)
     return exit_code_for(result)
 
 
 def cmd_query(args, out, out_err) -> int:
-    scene = load_scene(Path(args.scene), out_err)
-    if scene is None:
+    solved = solve(Path(args.scene), args, args.target, out_err)
+    if solved is None:
         return EXIT_PARSE
-    try:
-        key, _ = parse_target(args.target, scene)
-    except ValueError as exc:
-        print(str(exc), file=out_err)
-        return EXIT_PARSE
-    try:
-        result = run_scene(scene, args)
-    except ElaborationError as exc:
-        for message in exc.messages:
-            print(f"{Path(args.scene).name}: {message}", file=out_err)
-        return EXIT_PARSE
+    _, (key, _), result = solved
     if args.format == "json":
         print(json.dumps(result_payload(result, [key]), indent=2), file=out)
     else:
@@ -194,26 +183,13 @@ def cmd_query(args, out, out_err) -> int:
 
 
 def cmd_explain(args, out, out_err) -> int:
-    scene = load_scene(Path(args.scene), out_err)
-    if scene is None:
+    solved = solve(Path(args.scene), args, args.target, out_err)
+    if solved is None:
         return EXIT_PARSE
-    try:
-        key, side = parse_target(args.target, scene)
-    except ValueError as exc:
-        print(str(exc), file=out_err)
-        return EXIT_PARSE
-    try:
-        result = run_scene(scene, args)
-    except ElaborationError as exc:
-        for message in exc.messages:
-            print(f"{Path(args.scene).name}: {message}", file=out_err)
-        return EXIT_PARSE
-    if result.status == "contradiction":
+    _, (key, side), result = solved
+    if result.status != "fixpoint":
         print(render_text(result, []), end="", file=out)
-        return EXIT_CONTRADICTION
-    if result.status == "budget_exhausted":
-        print(render_text(result, []), end="", file=out)
-        return EXIT_BUDGET
+        return exit_code_for(result)
     sides = [side] if side is not None else [Side.LO, Side.HI]
     if args.format == "json":
         payload = {
@@ -240,15 +216,10 @@ def cmd_corpus(args, out, out_err) -> int:
     mismatches = 0
     for path in scene_paths:
         golden_path = path.with_suffix(".expected.json")
-        scene = load_scene(path, out_err)
-        if scene is None:
+        solved = solve(path, args, None, out_err)
+        if solved is None:
             return EXIT_PARSE
-        try:
-            result = run_scene(scene, args)
-        except ElaborationError as exc:
-            for message in exc.messages:
-                print(f"{path.name}: {message}", file=out_err)
-            return EXIT_PARSE
+        scene, _, result = solved
         got = json.dumps(result_payload(result, [q.key for q in scene.queries]),
                          indent=2) + "\n"
         if not golden_path.exists():

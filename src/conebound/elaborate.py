@@ -18,9 +18,9 @@ The result is idempotent: re-running the passes adds nothing new.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
-from .model import POINT, Justification, Kind, init_map, term_map
+from .model import POINT, Justification, Kind, canonical_space, init_map, term_map
 from .scene import (
     BoundDecl,
     CollectionProfile,
@@ -162,48 +162,45 @@ def _expand_pushouts(elab: ElaboratedScene) -> bool:
 def _expand_smash(elab: ElaboratedScene) -> bool:
     changed = False
     for _, fact in list(elab.facts_of("smash_decomp")):
-        x, y, wedge, prod, smash = fact.args
-        needed = [
-            Fact("wedge_space", (wedge, x, y)),
-            Fact("product_space", (prod, x, y)),
-            Fact("smash_space", (smash, x, y)),
-        ]
-        if any(not elab.has_fact(n) for n in needed):
-            continue  # reported by _validate_cross_facts
-        incl = _unique_map(elab, wedge, prod)
-        quot = _unique_map(elab, prod, smash)
-        if incl is None or quot is None:
-            continue
-        if elab.add_fact(Fact("cofiber", (incl, quot, smash)), "elab:smash") is not None:
+        maps = _smash_maps(elab, fact)
+        if isinstance(maps, str):
+            continue  # reported by _validate_smash
+        if elab.add_fact(Fact("cofiber", (*maps, fact.args[4])), "elab:smash") is not None:
             changed = True
     return changed
 
 
 def _validate_smash(elab: ElaboratedScene, errors: list[str]) -> None:
     for _, fact in elab.facts_of("smash_decomp"):
-        x, y, wedge, prod, smash = fact.args
-        needed = [
-            Fact("wedge_space", (wedge, x, y)),
-            Fact("product_space", (prod, x, y)),
-            Fact("smash_space", (smash, x, y)),
-        ]
-        missing = [n.render() for n in needed if not elab.has_fact(n)]
-        if missing:
-            errors.append(
-                f"smash_decomp({', '.join(fact.args)}) requires {', '.join(missing)}"
-            )
-            continue
-        if _unique_map(elab, wedge, prod) is None or _unique_map(elab, prod, smash) is None:
-            errors.append(
-                f"smash_decomp({', '.join(fact.args)}) needs unique declared maps "
-                f"{wedge} -> {prod} and {prod} -> {smash}"
-            )
+        maps = _smash_maps(elab, fact)
+        if isinstance(maps, str):
+            errors.append(maps)
+
+
+def _smash_maps(elab: ElaboratedScene, fact: Fact) -> Union[tuple[str, str], str]:
+    """The inclusion wedge -> product and the quotient product -> smash of
+    a smash_decomp fact, or the text of the error that prevents them."""
+    x, y, wedge, prod, smash = fact.args
+    needed = [
+        Fact("wedge_space", (wedge, x, y)),
+        Fact("product_space", (prod, x, y)),
+        Fact("smash_space", (smash, x, y)),
+    ]
+    missing = [n.render() for n in needed if not elab.has_fact(n)]
+    if missing:
+        return f"smash_decomp({', '.join(fact.args)}) requires {', '.join(missing)}"
+    incl = _unique_map(elab, wedge, prod)
+    quot = _unique_map(elab, prod, smash)
+    if incl is None or quot is None:
+        return (f"smash_decomp({', '.join(fact.args)}) needs unique declared maps "
+                f"{wedge} -> {prod} and {prod} -> {smash}")
+    return incl, quot
 
 
 def _unique_map(elab: ElaboratedScene, dom: str, cod: str) -> Optional[str]:
     found = [
         m.id for m in elab.maps.values()
-        if m.dom == dom and m.cod == cod and not m.id.startswith(("init(", "term("))
+        if m.dom == dom and m.cod == cod and canonical_space(m.id) is None
     ]
     return found[0] if len(found) == 1 else None
 
@@ -245,14 +242,12 @@ def _membership_closure(elab: ElaboratedScene) -> bool:
 
 
 def _expand_certs(elab: ElaboratedScene, expanded: set[int], errors: list[str]) -> bool:
-    changed = False
+    before = len(elab.facts)
     for idx, cert in enumerate(elab.certs):
-        if idx in expanded:
-            continue
-        expanded.add(idx)
-        changed = True
-        _expand_one_cert(elab, cert, errors)
-    return changed
+        if idx not in expanded:
+            expanded.add(idx)
+            _expand_one_cert(elab, cert, errors)
+    return len(elab.facts) != before
 
 
 def _expand_one_cert(elab: ElaboratedScene, cert: DecompositionCert,
@@ -265,24 +260,11 @@ def _expand_one_cert(elab: ElaboratedScene, cert: DecompositionCert,
     n = len(cert.cone_spaces)
     prefix = target.surface()
 
-    if cert.intermediates is not None and len(cert.intermediates) != n - 1:
-        errors.append(
-            f"decomposition {prefix}: expected {n - 1} intermediate spaces, "
-            f"got {len(cert.intermediates)}"
-        )
-        return
-    if cert.intermediates is not None:
-        stages = list(cert.intermediates)
-        unknown = [s for s in stages if s not in elab.spaces]
-        if unknown:
-            errors.append(f"decomposition {prefix}: unknown intermediates {unknown}")
-            return
-    else:
-        stages = []
-        for i in range(1, n):
-            name = f"{prefix}.stage{i}"
-            elab.add_space(name)
-            stages.append(name)
+    stages = []
+    for i in range(1, n):
+        name = f"{prefix}.stage{i}"
+        elab.add_space(name)
+        stages.append(name)
 
     if target.kind is Kind.CONE_LENGTH:
         # the final comparison map is an equivalence, so the chain may end
@@ -326,7 +308,7 @@ def _expand_one_cert(elab: ElaboratedScene, cert: DecompositionCert,
 def _auto_compose(elab: ElaboratedScene) -> bool:
     changed = False
     for decl in list(elab.maps.values()):
-        if decl.id.startswith(("init(", "term(")):
+        if canonical_space(decl.id) is not None:
             continue
         left = Fact("compose", (init_map(decl.cod), decl.id, init_map(decl.dom)))
         right = Fact("compose", (term_map(decl.dom), term_map(decl.cod), decl.id))
@@ -438,16 +420,7 @@ def elaborate(scene: Scene) -> ElaboratedScene:
     errors: list[str] = []
     expanded_certs: set[int] = set()
     guard = 0
-    while True:
-        changed = False
-        changed |= _expand_contractible(elab)
-        changed |= _expand_pushouts(elab)
-        changed |= _expand_smash(elab)
-        changed |= _membership_closure(elab)
-        changed |= _expand_certs(elab, expanded_certs, errors)
-        changed |= _auto_compose(elab)
-        if not changed:
-            break
+    while _expansion_pass(elab, expanded_certs, errors):
         guard += 1
         if guard > 1000:
             raise ElaborationError(["elaboration failed to stabilize"])
@@ -466,6 +439,22 @@ def elaborate(scene: Scene) -> ElaboratedScene:
     return elab
 
 
+def _expansion_pass(elab: ElaboratedScene, expanded_certs: set[int],
+                    errors: list[str]) -> bool:
+    """Run every fact pass once; True if a new fact appeared.
+
+    Certificates whose index is in ``expanded_certs`` are skipped; the
+    others are expanded and added to it.
+    """
+    changed = _expand_contractible(elab)
+    changed |= _expand_pushouts(elab)
+    changed |= _expand_smash(elab)
+    changed |= _membership_closure(elab)
+    changed |= _expand_certs(elab, expanded_certs, errors)
+    changed |= _auto_compose(elab)
+    return changed
+
+
 def run_expansion_passes(elab: ElaboratedScene) -> bool:
     """Re-run the fact passes once; True if anything new appeared.
 
@@ -473,16 +462,7 @@ def run_expansion_passes(elab: ElaboratedScene) -> bool:
     pass is a no-op, including re-expanding certificates from scratch.
     """
     errors: list[str] = []
-    changed = False
-    changed |= _expand_contractible(elab)
-    changed |= _expand_pushouts(elab)
-    changed |= _expand_smash(elab)
-    changed |= _membership_closure(elab)
-    for cert in elab.certs:
-        before = len(elab.facts)
-        _expand_one_cert(elab, cert, errors)
-        changed |= len(elab.facts) != before
-    changed |= _auto_compose(elab)
+    changed = _expansion_pass(elab, set(), errors)
     if errors:
         raise ElaborationError(errors)
     return changed

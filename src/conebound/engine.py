@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .elaborate import ElaboratedScene
-from .extnat import ExtNat, Interval, extnat_to_json, fmt_extnat, is_inf
+from .extnat import INF, ExtNat, Interval, extnat_to_json, fmt_extnat
 from .model import (
     BoundStore,
     InvariantKey,
@@ -25,7 +25,7 @@ from .model import (
     Side,
     StoreConflict,
 )
-from .rules import BoundUpdate, FactDerivation, RuleInstance, fire, instantiate
+from .rules import FactDerivation, RuleInstance, fire, instantiate
 
 ASSERTED = "asserted"
 
@@ -145,13 +145,8 @@ class TreeBuilder:
     def of_premise(self, premise: Premise) -> DerivationTree:
         if premise.source is not None:
             return self.of_justification(self.store.log[premise.source])
-        surface = premise.key.surface()
-        default = BoundStore.default_interval(premise.key)
-        return DerivationTree(
-            label=f"{premise.side.value} {surface} = "
-                  f"{fmt_extnat(premise.value)} (default {default})",
-            key=surface, side=premise.side.value, value=premise.value,
-        )
+        # a side with no justification still holds its default value
+        return self.default_leaf(premise.key, premise.side)
 
     def of_fact(self, fact_id: str) -> DerivationTree:
         derived = self.elab.fact_provenance.get(fact_id)
@@ -169,10 +164,10 @@ class TreeBuilder:
     def default_leaf(self, key: InvariantKey, side: Side) -> DerivationTree:
         default = BoundStore.default_interval(key)
         value = default.side(side.value)
+        surface = key.surface()
         return DerivationTree(
-            label=f"{side.value} {key.surface()} = {fmt_extnat(value)} "
-                  f"(default {default})",
-            key=key.surface(), side=side.value, value=value,
+            label=f"{side.value} {surface} = {fmt_extnat(value)} (default {default})",
+            key=surface, side=side.value, value=value,
         )
 
     def side_tree(self, key: InvariantKey, side: Side) -> DerivationTree:
@@ -213,7 +208,7 @@ class _Run:
         self.store = BoundStore()
         self.trees = TreeBuilder(self.store, elab)
         self.instances: list[RuleInstance] = []
-        self.instance_set: set[tuple] = set()
+        self.instance_set: set[RuleInstance] = set()
         self.subscribers: dict[InvariantKey, set[int]] = {}
         self.dirty: set[InvariantKey] = set()
         self.rounds = 0
@@ -221,23 +216,17 @@ class _Run:
         self.contradiction: Optional[ContradictionReport] = None
         self.budget: Optional[BudgetReport] = None
 
-    def apply_bound(self, update: BoundUpdate) -> Optional[StoreConflict]:
-        just = Justification(
-            rule_id=update.rule_id, key=update.key, side=update.side,
-            value=update.value, compute=update.compute, const=update.const,
-            premises=update.premises, facts=update.facts,
-        )
+    def apply_bound(self, just: Justification) -> Optional[StoreConflict]:
         result = self.store.apply(just)
         if isinstance(result, StoreConflict):
             return result
         if result:
             self.firings += 1
-            self.dirty.add(update.key)
-            if (update.side is Side.LO and not is_inf(update.value)
-                    and update.value > self.limits.max_finite):
+            self.dirty.add(just.key)
+            if just.side is Side.LO and INF > just.value > self.limits.max_finite:
                 self.budget = BudgetReport(
                     reason="max_finite",
-                    detail=f"lower bound on {update.key.surface()} climbed past "
+                    detail=f"lower bound on {just.key.surface()} climbed past "
                            f"{self.limits.max_finite}; pumping chain follows",
                     tree=self.trees.of_justification(just),
                 )
@@ -253,17 +242,12 @@ class _Run:
             compute="copy", premises=derivation.premises, facts=derivation.facts,
         )
 
-    @staticmethod
-    def _identity(inst: RuleInstance) -> tuple:
-        return (inst.rule_id, inst.facts, inst.conclusions)
-
     def add_instances(self, new: list[RuleInstance]) -> list[int]:
         added = []
         for inst in new:
-            ident = self._identity(inst)
-            if ident in self.instance_set:
+            if inst in self.instance_set:
                 continue
-            self.instance_set.add(ident)
+            self.instance_set.add(inst)
             self.instances.append(inst)
             idx = len(self.instances) - 1
             for key in inst.read_keys():
@@ -314,7 +298,7 @@ class _Run:
                                    rearrange=self.rearrange)
                     conflicts: list[StoreConflict] = []
                     for update in updates:
-                        if isinstance(update, BoundUpdate):
+                        if isinstance(update, Justification):
                             conflict = self.apply_bound(update)
                             if conflict is not None:
                                 conflicts.append(conflict)
@@ -373,7 +357,7 @@ def query(result: SaturationResult, key: InvariantKey) -> QueryAnswer:
         just = result.store.justification_of(key, side)
         if just is None:
             return "default"
-        return ASSERTED if just.rule_id == ASSERTED else just.rule_id
+        return just.rule_id
 
     return QueryAnswer(
         key=key,

@@ -1,73 +1,36 @@
-"""Saturating arithmetic on the extended naturals and the interval lattice.
+"""Saturating arithmetic on the extended naturals and the interval type.
 
-Every invariant handled by the engine takes values in N ∪ {inf}.  An
-``Interval`` records what is currently known about one such value: ``lo``
-is the best proven lower bound and ``hi`` the best proven upper bound.
-The unconstrained interval [0, inf] means "nothing known", not "the value
-is infinite".  Knowledge only ever grows (lo rises, hi falls); an update
-that would cross the bounds is a ``Contradiction``, which is ordinary
-data, not an exception.
+Every invariant handled by the engine takes values in N ∪ {inf}, and inf
+is ``math.inf``.  Python's comparisons, ``min``, ``max``, ``sum`` and
+``+`` are already exact on that set (n + inf == inf), so only the three
+operations where float arithmetic would give nan or a finite float keep
+a special case: ``ext_mul`` (0 * inf), ``ext_monus`` (inf - inf) and
+``ext_ceil_div`` (floor division by or of inf).
+
+An ``Interval`` records what is currently known about one such value:
+``lo`` is the best proven lower bound and ``hi`` the best proven upper
+bound.  The unconstrained interval [0, inf] means "nothing known", not
+"the value is infinite".  Knowledge only ever grows (lo rises, hi falls).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
+INF = math.inf
 
-class _Infinity:
-    """The unbounded value.  Compares above every natural number."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (_Infinity, int)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (_Infinity, int)):
-            return isinstance(other, _Infinity)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (_Infinity, int)):
-            return not isinstance(other, _Infinity)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (_Infinity, int)):
-            return True
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __hash__(self) -> int:
-        return hash("extnat.inf")
-
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __copy__(self) -> "_Infinity":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "_Infinity":
-        return self
-
-
-INF = _Infinity()
-
-ExtNat = Union[int, _Infinity]
-
-
-def is_inf(x: ExtNat) -> bool:
-    return isinstance(x, _Infinity)
+ExtNat = Union[int, float]  # a float only when it is INF
 
 
 def as_extnat(x: object) -> ExtNat:
-    """Validate an extended natural; raises on negatives and non-integers."""
-    if isinstance(x, _Infinity):
+    """Validate an extended natural; raises on negatives and non-integers.
+
+    This also rejects a finite float, which is what a missing special case
+    in the arithmetic below would leak.
+    """
+    if x == INF:
         return x
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"not an extended natural: {x!r}")
@@ -76,39 +39,10 @@ def as_extnat(x: object) -> ExtNat:
     return x
 
 
-def ext_le(a: ExtNat, b: ExtNat) -> bool:
-    if is_inf(a):
-        return is_inf(b)
-    if is_inf(b):
-        return True
-    return a <= b
-
-
-def ext_lt(a: ExtNat, b: ExtNat) -> bool:
-    return ext_le(a, b) and not (a == b)
-
-
-def ext_min(a: ExtNat, b: ExtNat) -> ExtNat:
-    return a if ext_le(a, b) else b
-
-
-def ext_max(a: ExtNat, b: ExtNat) -> ExtNat:
-    return b if ext_le(a, b) else a
-
-
-def ext_add(a: ExtNat, b: ExtNat) -> ExtNat:
-    """Saturating addition: the result is inf iff either argument is."""
-    if is_inf(a) or is_inf(b):
-        return INF
-    return a + b
-
-
 def ext_mul(a: ExtNat, b: ExtNat) -> ExtNat:
     """Saturating multiplication with the total convention 0 * inf = 0."""
-    if is_inf(a):
-        return 0 if b == 0 else INF
-    if is_inf(b):
-        return 0 if a == 0 else INF
+    if a == 0 or b == 0:
+        return 0
     return a * b
 
 
@@ -118,10 +52,8 @@ def ext_monus(a: ExtNat, b: ExtNat) -> ExtNat:
     Anything minus inf is 0 (including inf - inf): when the subtrahend is
     unbounded the only sound lower bound left is zero.
     """
-    if is_inf(b):
+    if b == INF:
         return 0
-    if is_inf(a):
-        return INF
     return max(a - b, 0)
 
 
@@ -130,37 +62,27 @@ def ext_ceil_div(a: ExtNat, b: ExtNat) -> ExtNat:
 
     ``b`` must be at least 1; passing 0 is a caller bug, not a domain case.
     """
-    if not is_inf(b) and b < 1:
+    if b < 1:
         raise ValueError("ext_ceil_div requires divisor >= 1")
-    if is_inf(b):
+    if b == INF:
         return 0
-    if is_inf(a):
+    if a == INF:
         return INF
     return -(-a // b)
 
 
 def fmt_extnat(x: ExtNat) -> str:
-    return "inf" if is_inf(x) else str(x)
+    return "inf" if x == INF else str(x)
 
 
 def extnat_to_json(x: ExtNat) -> object:
     """JSON has no infinity; the wire spelling is the string "inf"."""
-    return "inf" if is_inf(x) else x
-
-
-def extnat_from_json(v: object) -> ExtNat:
-    if v == "inf":
-        return INF
-    return as_extnat(v)
+    return "inf" if x == INF else x
 
 
 @dataclass(frozen=True)
 class Interval:
-    """A pair lo <= hi of extended naturals.
-
-    Construction with lo > hi is rejected outright; the empty meet is
-    represented by ``Contradiction`` instead.
-    """
+    """A pair lo <= hi of extended naturals; lo > hi is rejected outright."""
 
     lo: ExtNat
     hi: ExtNat
@@ -168,37 +90,14 @@ class Interval:
     def __post_init__(self) -> None:
         as_extnat(self.lo)
         as_extnat(self.hi)
-        if not ext_le(self.lo, self.hi):
+        if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: {self.lo!r} > {self.hi!r}")
 
     def side(self, side: str) -> ExtNat:
         return self.lo if side == "lo" else self.hi
-
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
 
     def __str__(self) -> str:
         return f"[{fmt_extnat(self.lo)}, {fmt_extnat(self.hi)}]"
 
 
 TOP = Interval(0, INF)
-
-
-@dataclass(frozen=True)
-class Contradiction:
-    """The empty intersection of two intervals; a first-class result."""
-
-    left: Interval
-    right: Interval
-
-    def __str__(self) -> str:
-        return f"contradiction: {self.left} has empty intersection with {self.right}"
-
-
-def meet(i: Interval, j: Interval) -> Union[Interval, Contradiction]:
-    """Lattice meet: intersect knowledge.  Empty intersection is Contradiction."""
-    lo = ext_max(i.lo, j.lo)
-    hi = ext_min(i.hi, j.hi)
-    if ext_le(lo, hi):
-        return Interval(lo, hi)
-    return Contradiction(i, j)

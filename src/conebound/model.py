@@ -20,19 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
 
-from .extnat import (
-    INF,
-    ExtNat,
-    Interval,
-    TOP,
-    ext_add,
-    ext_ceil_div,
-    ext_le,
-    ext_max,
-    ext_monus,
-    ext_mul,
-    extnat_to_json,
-)
+from .extnat import INF, TOP, ExtNat, Interval, ext_ceil_div, ext_monus, ext_mul, extnat_to_json
 
 POINT = "*"
 
@@ -58,11 +46,14 @@ def term_map(space: str) -> str:
 
 
 def canonical_space(map_id: str) -> Optional[tuple[str, str]]:
-    """Split a canonical map id into ("init"|"term", space), else None."""
-    for head in ("init", "term"):
-        prefix = head + "("
-        if map_id.startswith(prefix) and map_id.endswith(")"):
-            return head, map_id[len(prefix) : -1]
+    """Split a canonical map id into ("init"|"term", space), else None.
+
+    This is the only place that takes a canonical id apart.  No declared
+    or synthesized map id other than a canonical one starts with "init("
+    or "term(", so the closing parenthesis is not checked.
+    """
+    if map_id.startswith(("init(", "term(")):
+        return map_id[:4], map_id[5:-1]
     return None
 
 
@@ -144,54 +135,36 @@ class Premise:
 def recompute(kind: str, const: int, premises: Iterable[Premise]) -> ExtNat:
     premises = list(premises)
 
-    def roles(name: str) -> list[ExtNat]:
-        return [p.value for p in premises if p.role == name]
+    def roles(*names: str) -> list[ExtNat]:
+        return [p.value for p in premises if p.role in names]
+
+    def total() -> ExtNat:
+        return sum(roles("add"), const) + max(roles("max"), default=0)
 
     if kind == "const":
         return const
     if kind == "sum":
-        total: ExtNat = const
-        for v in roles("add"):
-            total = ext_add(total, v)
-        maxes = roles("max")
-        if maxes:
-            m: ExtNat = 0
-            for v in maxes:
-                m = ext_max(m, v)
-            total = ext_add(total, m)
-        return total
+        return total()
     if kind == "monus":
         (base,) = roles("base")
-        sub: ExtNat = const
-        for v in roles("add"):
-            sub = ext_add(sub, v)
-        maxes = roles("max")
-        if maxes:
-            m: ExtNat = 0
-            for v in maxes:
-                m = ext_max(m, v)
-            sub = ext_add(sub, m)
-        return ext_monus(base, sub)
+        return ext_monus(base, total())
     if kind == "prod1":
         (left,) = roles("left")
         (right,) = roles("right")
-        return ext_monus(ext_mul(ext_add(left, 1), ext_add(right, 1)), 1)
+        return ext_monus(ext_mul(left + 1, right + 1), 1)
     if kind == "prod0":
         (left,) = roles("left")
         (right,) = roles("right")
-        return ext_mul(left, ext_add(right, 1))
+        return ext_mul(left, right + 1)
     if kind == "ceil1":
         (base,) = roles("base")
         (div,) = roles("div")
-        return ext_monus(ext_ceil_div(ext_add(base, 1), ext_add(div, 1)), 1)
+        return ext_monus(ext_ceil_div(base + 1, div + 1), 1)
     if kind == "copy":
-        (v,) = [p.value for p in premises if p.role in ("base", "copy")]
+        (v,) = roles("base", "copy")
         return v
     if kind == "maxlo":
-        m: ExtNat = 0
-        for p in premises:
-            m = ext_max(m, p.value)
-        return m
+        return max((p.value for p in premises), default=0)
     if kind == "inf":
         return INF
     raise ValueError(f"unknown computation kind: {kind!r}")
@@ -272,8 +245,8 @@ class BoundStore:
     def would_tighten(self, key: InvariantKey, side: Side, value: ExtNat) -> bool:
         cur = self.interval(key)
         if side is Side.HI:
-            return not ext_le(cur.hi, value)
-        return not ext_le(value, cur.lo)
+            return value < cur.hi
+        return value > cur.lo
 
     def apply(self, just: Justification) -> Union[bool, StoreConflict]:
         """Meet one side with a justified value.
@@ -283,16 +256,16 @@ class BoundStore:
         """
         cur = self.interval(just.key)
         if just.side is Side.HI:
-            if ext_le(cur.hi, just.value):
+            if just.value >= cur.hi:
                 return False
-            if not ext_le(cur.lo, just.value):
+            if just.value < cur.lo:
                 return StoreConflict(just.key, cur, just,
                                      self.source_of(just.key, Side.LO))
             new = Interval(cur.lo, just.value)
         else:
-            if ext_le(just.value, cur.lo):
+            if just.value <= cur.lo:
                 return False
-            if not ext_le(just.value, cur.hi):
+            if just.value > cur.hi:
                 return StoreConflict(just.key, cur, just,
                                      self.source_of(just.key, Side.HI))
             new = Interval(just.value, cur.hi)
@@ -303,9 +276,6 @@ class BoundStore:
 
     def keys(self) -> list[InvariantKey]:
         return sorted(self._intervals, key=InvariantKey.sort_key)
-
-    def snapshot(self) -> dict[InvariantKey, Interval]:
-        return dict(self._intervals)
 
     def serialize(self) -> str:
         """Canonical JSON of all non-default intervals, for byte comparison."""

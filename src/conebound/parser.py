@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .extnat import INF, ExtNat, fmt_extnat
-from .model import POINT, InvariantKey, Kind, init_map, term_map
+from .model import POINT, InvariantKey, Kind, canonical_space, init_map, term_map
 from .scene import (
     FACT_SCHEMAS,
     BoundDecl,
@@ -189,9 +189,8 @@ class _Parser:
         if got is not None:
             return got
         # canonical maps resolve structurally
-        if map_id.startswith("init("):
-            return (POINT, map_id[5:-1])
-        return (map_id[5:-1], POINT)
+        head, space = canonical_space(map_id)
+        return (POINT, space) if head == "init" else (space, POINT)
 
     # -- statement parsers --------------------------------------------------
 
@@ -424,11 +423,25 @@ def parse_scene(text: str) -> Scene:
     return scene
 
 
+def parse_invariant(text: str, scene: Scene) -> InvariantKey:
+    """Parse one invariant such as ``kl(X)`` or ``L(f)`` against the
+    declarations of ``scene``; raises SceneParseError."""
+    parser = _Parser()
+    parser.spaces = list(scene.spaces)
+    parser.map_sigs = {m.id: (m.dom, m.cod) for m in scene.maps}
+    tokens = _lex_line(text.strip(), 1, parser.errors)
+    if not parser.errors:
+        cursor = _Cursor(tokens)
+        try:
+            key = parser.parse_invariant(cursor)
+            cursor.expect_end()
+            return key
+        except _StatementError as exc:
+            parser.errors.append(exc.error)
+    raise SceneParseError(parser.errors)
+
+
 # -- rendering ---------------------------------------------------------------
-
-
-def render_invariant(key: InvariantKey) -> str:
-    return key.surface()
 
 
 def render_scene(scene: Scene) -> str:
@@ -451,10 +464,10 @@ def render_scene(scene: Scene) -> str:
     for fact in scene.facts:
         lines.append(f"fact {fact.render()}")
     for bound in scene.bounds:
-        lines.append(f"bound {render_invariant(bound.key)} {bound.rel} {fmt_extnat(bound.value)}")
+        lines.append(f"bound {bound.key.surface()} {bound.rel} {fmt_extnat(bound.value)}")
     for cert in scene.certs:
         cones = ", ".join(cert.cone_spaces)
-        lines.append(f"decomposition {render_invariant(cert.target)} via [{cones}]")
+        lines.append(f"decomposition {cert.target.surface()} via [{cones}]")
     for query in scene.queries:
-        lines.append(f"query {render_invariant(query.key)}")
+        lines.append(f"query {query.key.surface()}")
     return "\n".join(lines) + "\n"

@@ -18,19 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from .elaborate import ElaboratedScene
-from .extnat import (
-    INF,
-    ExtNat,
-    ext_add,
-    ext_ceil_div,
-    ext_lt,
-    ext_max,
-    ext_monus,
-    ext_mul,
-)
+from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
 from .model import (
     BoundStore,
     InvariantKey,
+    Justification,
     Kind,
     Premise,
     Side,
@@ -60,6 +52,9 @@ class UpperSum:
     maxes: tuple[InvariantKey, ...] = ()
     const: int = 0
 
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (self.target, *self.adds, *self.maxes)
+
 
 @dataclass(frozen=True)
 class UpperProd:
@@ -77,6 +72,9 @@ class UpperProd:
     right: InvariantKey
     minus_one: bool = True
 
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (self.target, self.left, self.right)
+
 
 @dataclass(frozen=True)
 class Unify:
@@ -84,6 +82,9 @@ class Unify:
 
     a: InvariantKey
     b: InvariantKey
+
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,9 @@ class LowerMonus:
     subs: tuple[InvariantKey, ...] = ()
     const: int = 0
 
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (self.target, self.base, *self.subs)
+
 
 @dataclass(frozen=True)
 class LowerMax:
@@ -103,12 +107,18 @@ class LowerMax:
     target: InvariantKey
     sources: tuple[InvariantKey, ...]
 
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (self.target, *self.sources)
+
 
 @dataclass(frozen=True)
 class LowerInf:
     """lo(target) = inf."""
 
     target: InvariantKey
+
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (self.target,)
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,9 @@ class CondLower:
     gate: InvariantKey
     floor: InvariantKey
 
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (self.target, self.gate, self.floor)
+
 
 @dataclass(frozen=True)
 class DeriveEquiv:
@@ -130,6 +143,9 @@ class DeriveEquiv:
     equivalence; emits an equiv fact rather than a bound."""
 
     map_id: str
+
+    def reads(self) -> tuple[InvariantKey, ...]:
+        return (key_L(self.map_id), key_Lcat(self.map_id))
 
 
 Conclusion = Union[UpperSum, UpperProd, Unify, LowerMonus, LowerMax, LowerInf,
@@ -143,43 +159,7 @@ class RuleInstance:
     conclusions: tuple[Conclusion, ...]
 
     def read_keys(self) -> frozenset[InvariantKey]:
-        keys: set[InvariantKey] = set()
-        for c in self.conclusions:
-            if isinstance(c, UpperSum):
-                keys.add(c.target)
-                keys.update(c.adds)
-                keys.update(c.maxes)
-            elif isinstance(c, UpperProd):
-                keys.update((c.target, c.left, c.right))
-            elif isinstance(c, Unify):
-                keys.update((c.a, c.b))
-            elif isinstance(c, LowerMonus):
-                keys.add(c.target)
-                keys.add(c.base)
-                keys.update(c.subs)
-            elif isinstance(c, LowerMax):
-                keys.add(c.target)
-                keys.update(c.sources)
-            elif isinstance(c, LowerInf):
-                keys.add(c.target)
-            elif isinstance(c, CondLower):
-                keys.update((c.target, c.gate, c.floor))
-            elif isinstance(c, DeriveEquiv):
-                keys.update((key_L(c.map_id), key_Lcat(c.map_id)))
-        return frozenset(keys)
-
-
-@dataclass(frozen=True)
-class BoundUpdate:
-    key: InvariantKey
-    side: Side
-    value: ExtNat
-    rule_id: str
-    compute: str
-    const: int = 0
-    premises: tuple[Premise, ...] = ()
-    facts: tuple[str, ...] = ()
-    rearranged: bool = False
+        return frozenset(k for c in self.conclusions for k in c.reads())
 
 
 @dataclass(frozen=True)
@@ -190,7 +170,7 @@ class FactDerivation:
     facts: tuple[str, ...] = ()
 
 
-Update = Union[BoundUpdate, FactDerivation]
+Update = Union[Justification, FactDerivation]
 
 
 Matcher = Callable[[ElaboratedScene], Iterator[RuleInstance]]
@@ -228,40 +208,35 @@ def _space_keys(kind: Kind, space: str) -> tuple[InvariantKey, InvariantKey]:
     return key_cat(space), key_kit(space)
 
 
-def _fact_rule(rule_id: str, guard: frozenset[str], law: str, kind: str,
-               build: Callable[[ElaboratedScene, str, Fact], Optional[list[Conclusion]]],
-               ) -> Rule:
+def _rule(rule_id: str, guard: frozenset[str], law: str,
+          items: Callable[[ElaboratedScene], list[tuple[tuple[str, ...], object]]],
+          build: Callable[[ElaboratedScene, object], Optional[list[Conclusion]]]) -> Rule:
+    """One instance per item that ``build`` gives conclusions for;
+    ``items`` lists (fact ids bound by the match, item) pairs."""
+
     def match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
-        for fid, fact in elab.facts_of(kind):
-            built = build(elab, fid, fact)
+        for facts, item in items(elab):
+            built = build(elab, item)
             if built:
-                yield RuleInstance(rule_id, (fid,), tuple(built))
+                yield RuleInstance(rule_id, facts, tuple(built))
 
     return Rule(rule_id, guard, law, match)
+
+
+def _fact_rule(rule_id: str, guard: frozenset[str], law: str, kind: str,
+               build: Callable[[ElaboratedScene, Fact], Optional[list[Conclusion]]]) -> Rule:
+    return _rule(rule_id, guard, law,
+                 lambda elab: [((fid,), fact) for fid, fact in elab.facts_of(kind)], build)
 
 
 def _per_map_rule(rule_id: str, guard: frozenset[str], law: str,
-                  build: Callable[[ElaboratedScene, str], Optional[list[Conclusion]]],
-                  ) -> Rule:
-    def match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
-        for map_id in elab.maps:
-            built = build(elab, map_id)
-            if built:
-                yield RuleInstance(rule_id, (), tuple(built))
-
-    return Rule(rule_id, guard, law, match)
+                  build: Callable[[ElaboratedScene, str], Optional[list[Conclusion]]]) -> Rule:
+    return _rule(rule_id, guard, law, lambda elab: [((), m) for m in elab.maps], build)
 
 
 def _per_space_rule(rule_id: str, guard: frozenset[str], law: str,
-                    build: Callable[[ElaboratedScene, str], Optional[list[Conclusion]]],
-                    ) -> Rule:
-    def match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
-        for space in elab.spaces:
-            built = build(elab, space)
-            if built:
-                yield RuleInstance(rule_id, (), tuple(built))
-
-    return Rule(rule_id, guard, law, match)
+                    build: Callable[[ElaboratedScene, str], Optional[list[Conclusion]]]) -> Rule:
+    return _rule(rule_id, guard, law, lambda elab: [((), x) for x in elab.spaces], build)
 
 
 ANY = frozenset()
@@ -287,7 +262,7 @@ def _build_catalog() -> list[Rule]:
         "AX-HTPY", ANY,
         "homotopic(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
         "homotopic",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             Unify(_mk(k, fact.args[0]), _mk(k, fact.args[1])) for k in KINDS
         ],
     ))
@@ -296,7 +271,7 @@ def _build_catalog() -> list[Rule]:
         "AX-NORM", ANY,
         "equiv(f): L(f) = 0 and Lcat(f) = 0",
         "equiv",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(_mk(k, fact.args[0])) for k in KINDS
         ],
     ))
@@ -311,25 +286,19 @@ def _build_catalog() -> list[Rule]:
         "AX-COMP", ANY,
         "compose(h, g, f): L(h) <= L(f) + L(g); same for Lcat",
         "compose",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(_mk(k, fact.args[0]),
                      adds=(_mk(k, fact.args[2]), _mk(k, fact.args[1])))
             for k in KINDS
         ],
     ))
 
-    def mc_build(elab: ElaboratedScene, fid: str, fact: Fact) -> Optional[list[Conclusion]]:
-        cone = elab.sig(fact.args[0])[0]
-        if cone not in elab.members:
-            return None
-        return [UpperSum(key_L(fact.args[1]), const=1)]
-
     def mc_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
         for fid, fact in elab.facts_of("cofiber"):
-            built = mc_build(elab, fid, fact)
-            if built:
-                member_fid = elab.member_fact[elab.sig(fact.args[0])[0]]
-                yield RuleInstance("AX-MC", (fid, member_fid), tuple(built))
+            cone = elab.sig(fact.args[0])[0]
+            if cone in elab.members:
+                yield RuleInstance("AX-MC", (fid, elab.member_fact[cone]),
+                                   (UpperSum(key_L(fact.args[1]), const=1),))
 
     add(Rule("AX-MC", ANY,
              "cofiber(f, j, C) with member(dom f): L(j) <= 1", mc_match))
@@ -338,7 +307,7 @@ def _build_catalog() -> list[Rule]:
         "AX-DOM", ANY,
         "dominates(g, f): Lcat(f) <= Lcat(g), hence lo Lcat(g) >= lo Lcat(f)",
         "dominates",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_Lcat(fact.args[1]), adds=(key_Lcat(fact.args[0]),)),
             LowerMonus(key_Lcat(fact.args[0]), base=key_Lcat(fact.args[1])),
         ],
@@ -348,7 +317,7 @@ def _build_catalog() -> list[Rule]:
         "AX-EQM", ANY,
         "equiv_maps(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
         "equiv_maps",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             Unify(_mk(k, fact.args[0]), _mk(k, fact.args[1])) for k in KINDS
         ],
     ))
@@ -366,7 +335,7 @@ def _build_catalog() -> list[Rule]:
         "REL-PI0", ANY,
         "pi0_not_onto(f): L(f) = Lcat(f) = inf",
         "pi0_not_onto",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             LowerInf(key_L(fact.args[0])), LowerInf(key_Lcat(fact.args[0])),
         ],
     ))
@@ -375,7 +344,7 @@ def _build_catalog() -> list[Rule]:
         "REL-MEM", ANY,
         "member(A): kl(A) <= 1",
         "member",
-        lambda elab, fid, fact: [UpperSum(key_kl(fact.args[0]), const=1)],
+        lambda elab, fact: [UpperSum(key_kl(fact.args[0]), const=1)],
     ))
 
     add(_per_space_rule(
@@ -397,7 +366,7 @@ def _build_catalog() -> list[Rule]:
         "T32", WS,
         "pushout_map(A, A2, a, b, c, d): X(d) <= X(a) + max(X(b), X(c)) for X in {L, Lcat}",
         "pushout_map",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(pm_keys(fact, k)[3], adds=(pm_keys(fact, k)[0],),
                      maxes=(pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
             for k in KINDS
@@ -408,7 +377,7 @@ def _build_catalog() -> list[Rule]:
         "T32-W", W,
         "pushout_map with a an equivalence: X(d) <= max(X(b), X(c)) for X in {L, Lcat}",
         "pushout_map",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(pm_keys(fact, k)[3],
                      maxes=(pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
             for k in KINDS
@@ -419,7 +388,7 @@ def _build_catalog() -> list[Rule]:
         "T32-S", S,
         "pushout_map with b, c equivalences: X(d) <= X(a) for X in {L, Lcat}",
         "pushout_map",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(pm_keys(fact, k)[3], adds=(pm_keys(fact, k)[0],))
             for k in KINDS
         ] if fact.args[3] in elab.equivs and fact.args[4] in elab.equivs else None,
@@ -429,7 +398,7 @@ def _build_catalog() -> list[Rule]:
         "C34", S,
         "pushout_map: X(d) <= X(a) + X(b) + X(c) for X in {L, Lcat}",
         "pushout_map",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(pm_keys(fact, k)[3],
                      adds=(pm_keys(fact, k)[0], pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
             for k in KINDS
@@ -440,7 +409,7 @@ def _build_catalog() -> list[Rule]:
         "C34-NC", ANY,
         "pushout_map with a an equivalence: X(d) <= X(b) + X(c) for X in {L, Lcat}",
         "pushout_map",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(pm_keys(fact, k)[3],
                      adds=(pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
             for k in KINDS
@@ -449,18 +418,12 @@ def _build_catalog() -> list[Rule]:
 
     # -- single pushout squares ----------------------------------------------
 
-    def po_legs(elab: ElaboratedScene, fid: str, fact: Fact) -> list[RuleInstance]:
-        _, f, g, ib, ic, _ = fact.args
-        first = [UpperSum(_mk(k, ib), adds=(_mk(k, g),)) for k in KINDS]
-        second = [UpperSum(_mk(k, ic), adds=(_mk(k, f),)) for k in KINDS]
-        return [
-            RuleInstance("C41-1", (fid,), tuple(first)),
-            RuleInstance("C41-1", (fid,), tuple(second)),
-        ]
-
     def c411_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
         for fid, fact in elab.facts_of("pushout"):
-            yield from po_legs(elab, fid, fact)
+            _, f, g, ib, ic, _ = fact.args
+            for leg, opposite in ((ib, g), (ic, f)):
+                yield RuleInstance("C41-1", (fid,), tuple(
+                    UpperSum(_mk(k, leg), adds=(_mk(k, opposite),)) for k in KINDS))
 
     add(Rule("C41-1", ANY,
              "pushout(A, f, g, ib, ic, d): X(ib) <= X(g) and X(ic) <= X(f) for X in {L, Lcat}",
@@ -470,14 +433,14 @@ def _build_catalog() -> list[Rule]:
         "C41-4", W,
         "pushout(A, f, g, ib, ic, d): X(d) <= max(X(f), X(g)) for X in {L, Lcat}",
         "pushout",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(_mk(k, fact.args[5]),
                      maxes=(_mk(k, fact.args[1]), _mk(k, fact.args[2])))
             for k in KINDS
         ],
     ))
 
-    def c42_build(elab: ElaboratedScene, fid: str, fact: Fact) -> list[Conclusion]:
+    def c42_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         apex = fact.args[0]
         corner_b = elab.sig(fact.args[1])[1]
         corner_c = elab.sig(fact.args[2])[1]
@@ -511,7 +474,7 @@ def _build_catalog() -> list[Rule]:
         "C44-1", ANY,
         "cofiber(f, j, C): cl(C) <= L(f) and cat(C) <= Lcat(f)",
         "cofiber",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_cl(cof(fact, elab)[4]), adds=(key_L(fact.args[0]),)),
             UpperSum(key_cat(cof(fact, elab)[4]), adds=(key_Lcat(fact.args[0]),)),
         ],
@@ -521,7 +484,7 @@ def _build_catalog() -> list[Rule]:
         "C44-2", ANY,
         "cofiber(f, j, C) with cone A: L(j) <= kl(A) and Lcat(j) <= kit(A)",
         "cofiber",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_L(fact.args[1]), adds=(key_kl(cof(fact, elab)[2]),)),
             UpperSum(key_Lcat(fact.args[1]), adds=(key_kit(cof(fact, elab)[2]),)),
         ],
@@ -531,7 +494,7 @@ def _build_catalog() -> list[Rule]:
         "C44-3", ANY,
         "cofiber over A -> B -> C: cl(C) <= kl(A) + cl(B); cat analog",
         "cofiber",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_cl(cof(fact, elab)[4]),
                      adds=(key_kl(cof(fact, elab)[2]), key_cl(cof(fact, elab)[3]))),
             UpperSum(key_cat(cof(fact, elab)[4]),
@@ -543,7 +506,7 @@ def _build_catalog() -> list[Rule]:
         "C44-4", ANY,
         "cofiber over A -> B -> C: kl(B) <= kl(A) + kl(C); kit analog",
         "cofiber",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_kl(cof(fact, elab)[3]),
                      adds=(key_kl(cof(fact, elab)[2]), key_kl(cof(fact, elab)[4]))),
             UpperSum(key_kit(cof(fact, elab)[3]),
@@ -555,7 +518,7 @@ def _build_catalog() -> list[Rule]:
         "C46", S,
         "cofiber_map(f, f2, al, be, ga): X(ga) <= X(al) + X(be) for X in {L, Lcat}",
         "cofiber_map",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(_mk(k, fact.args[4]),
                      adds=(_mk(k, fact.args[2]), _mk(k, fact.args[3])))
             for k in KINDS
@@ -566,7 +529,7 @@ def _build_catalog() -> list[Rule]:
         "C48", ANY,
         "susp_space(S, B): cl(S) <= kl(B) and cat(S) <= kit(B)",
         "susp_space",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_cl(fact.args[0]), adds=(key_kl(fact.args[1]),)),
             UpperSum(key_cat(fact.args[0]), adds=(key_kit(fact.args[1]),)),
         ],
@@ -600,7 +563,7 @@ def _build_catalog() -> list[Rule]:
         "C410-3", S,
         "compose(h, g, f): X(g) <= X(f) + X(h) for X in {L, Lcat}",
         "compose",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(_mk(k, fact.args[1]),
                      adds=(_mk(k, fact.args[2]), _mk(k, fact.args[0])))
             for k in KINDS
@@ -611,7 +574,7 @@ def _build_catalog() -> list[Rule]:
         "C410-4", S,
         "section(f, g): Lcat(g) <= cat(dom g)",
         "section",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_Lcat(fact.args[1]),
                      adds=(key_cat(elab.sig(fact.args[1])[0]),)),
         ],
@@ -621,7 +584,7 @@ def _build_catalog() -> list[Rule]:
         "C410-5", S,
         "section(f, g): L(g) <= L(f) and Lcat(g) <= Lcat(f)",
         "section",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(_mk(k, fact.args[1]), adds=(_mk(k, fact.args[0]),)) for k in KINDS
         ],
     ))
@@ -646,7 +609,7 @@ def _build_catalog() -> list[Rule]:
 
     # -- products ---------------------------------------------------------------
 
-    def t51_build(elab: ElaboratedScene, fid: str, fact: Fact) -> list[Conclusion]:
+    def t51_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         h, f, g = fact.args
         dom_f = elab.sig(f)[0]
         dom_g = elab.sig(g)[0]
@@ -662,7 +625,7 @@ def _build_catalog() -> list[Rule]:
         "product_map", t51_build,
     ))
 
-    def c52_build(elab: ElaboratedScene, fid: str, fact: Fact) -> list[Conclusion]:
+    def c52_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         prod, x, y = fact.args
         return [
             UpperSum(key_cl(prod), adds=(key_cl(x), key_cl(y))),
@@ -684,7 +647,7 @@ def _build_catalog() -> list[Rule]:
         "P54", SMWS,
         "product_space(P, X, Y): kl(P) <= kl(X) + kl(Y) and kit(P) <= kit(X) + kit(Y)",
         "product_space",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_kl(fact.args[0]),
                      adds=(key_kl(fact.args[1]), key_kl(fact.args[2]))),
             UpperSum(key_kit(fact.args[0]),
@@ -696,7 +659,7 @@ def _build_catalog() -> list[Rule]:
         "P54-SM", SM,
         "smash_space(S, X, Y): kl(S) <= min(kl(X), kl(Y))",
         "smash_space",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_kl(fact.args[0]), adds=(key_kl(fact.args[1]),)),
             UpperSum(key_kl(fact.args[0]), adds=(key_kl(fact.args[2]),)),
         ],
@@ -729,7 +692,7 @@ def _build_catalog() -> list[Rule]:
         "pullback over fibration bd with fiber F: L(ab) <= L(cd) * (cl(F) + 1); "
         "Lcat analog with cat(F)",
         "pullback",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperProd(key_L(fact.args[4]), key_L(fact.args[7]),
                       key_cl(fact.args[8]), minus_one=False),
             UpperProd(key_Lcat(fact.args[4]), key_Lcat(fact.args[7]),
@@ -737,7 +700,7 @@ def _build_catalog() -> list[Rule]:
         ],
     ))
 
-    def c63_build(elab: ElaboratedScene, fid: str, fact: Fact) -> list[Conclusion]:
+    def c63_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         p, fiber = fact.args
         total, base = elab.sig(p)
         return [
@@ -757,13 +720,13 @@ def _build_catalog() -> list[Rule]:
         "P72-A", W,
         "wedge_map(w, f, g): L(w) <= max(L(f), L(g))",
         "wedge_map",
-        lambda elab, fid, fact: [
+        lambda elab, fact: [
             UpperSum(key_L(fact.args[0]),
                      maxes=(key_L(fact.args[1]), key_L(fact.args[2]))),
         ],
     ))
 
-    def p72b_build(elab: ElaboratedScene, fid: str, fact: Fact) -> list[Conclusion]:
+    def p72b_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         w, f, g = (key_Lcat(m) for m in fact.args)
         return [
             UpperSum(w, maxes=(f, g)),
@@ -781,7 +744,7 @@ def _build_catalog() -> list[Rule]:
         "wedge_map", p72b_build,
     ))
 
-    def c73_build(elab: ElaboratedScene, fid: str, fact: Fact) -> list[Conclusion]:
+    def c73_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         m = fact.args[0]
         dom, cod = elab.sig(m)
         lf, lcf = key_L(m), key_Lcat(m)
@@ -818,21 +781,14 @@ def catalog() -> list[Rule]:
     return _CATALOG
 
 
-def rules_by_id() -> dict[str, Rule]:
-    return {r.id: r for r in catalog()}
-
-
-def applicable_rules(profile_flags: frozenset[str]) -> list[Rule]:
-    return [r for r in catalog() if r.guard <= profile_flags]
-
-
 def instantiate(elab: ElaboratedScene) -> list[RuleInstance]:
     """All guard-satisfying, shape-correct rule instances, in deterministic
     order: rules by id, instances in fact/registry order."""
     flags = elab.profile.flags()
     instances: list[RuleInstance] = []
-    for rule in applicable_rules(flags):
-        instances.extend(rule.matcher(elab))
+    for rule in catalog():
+        if rule.guard <= flags:
+            instances.extend(rule.matcher(elab))
     return instances
 
 
@@ -848,17 +804,13 @@ def _premise(store: BoundStore, key: InvariantKey, side: Side, role: str) -> Pre
 
 def _sum_value(store: BoundStore, adds, maxes, const) -> tuple[ExtNat, list[Premise]]:
     premises = [_premise(store, k, Side.HI, "add") for k in adds]
-    premises += [_premise(store, k, Side.HI, "max") for k in maxes]
-    total: ExtNat = const
+    total = const
     for p in premises:
-        if p.role == "add":
-            total = ext_add(total, p.value)
+        total += p.value
     if maxes:
-        m: ExtNat = 0
-        for p in premises:
-            if p.role == "max":
-                m = ext_max(m, p.value)
-        total = ext_add(total, m)
+        tops = [_premise(store, k, Side.HI, "max") for k in maxes]
+        total += max([p.value for p in tops])
+        premises += tops
     return total, premises
 
 
@@ -869,12 +821,11 @@ def fire(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
     out: list[Update] = []
 
     def emit(key: InvariantKey, side: Side, value: ExtNat, compute: str,
-             premises: list[Premise], const: int = 0, rearranged: bool = False) -> None:
+             premises: list[Premise], const: int = 0) -> None:
         if store.would_tighten(key, side, value):
-            out.append(BoundUpdate(
-                key=key, side=side, value=value, rule_id=inst.rule_id,
-                compute=compute, const=const, premises=tuple(premises),
-                facts=inst.facts, rearranged=rearranged,
+            out.append(Justification(
+                rule_id=inst.rule_id, key=key, side=side, value=value,
+                compute=compute, const=const, premises=tuple(premises), facts=inst.facts,
             ))
 
     for c in inst.conclusions:
@@ -886,27 +837,23 @@ def fire(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
                     others = tuple(t for j, t in enumerate(c.adds) if j != i)
                     sub_value, sub_premises = _sum_value(store, others, c.maxes, c.const)
                     base = _premise(store, c.target, Side.LO, "base")
-                    lo_value = ext_monus(base.value, sub_value)
-                    emit(term, Side.LO, lo_value, "monus",
-                         [base] + sub_premises, c.const, rearranged=True)
+                    emit(term, Side.LO, ext_monus(base.value, sub_value), "monus",
+                         [base] + sub_premises, c.const)
         elif isinstance(c, UpperProd):
             left = _premise(store, c.left, Side.HI, "left")
             right = _premise(store, c.right, Side.HI, "right")
             if c.minus_one:
-                value = ext_monus(
-                    ext_mul(ext_add(left.value, 1), ext_add(right.value, 1)), 1)
+                value = ext_monus(ext_mul(left.value + 1, right.value + 1), 1)
                 emit(c.target, Side.HI, value, "prod1", [left, right])
             else:
-                value = ext_mul(left.value, ext_add(right.value, 1))
+                value = ext_mul(left.value, right.value + 1)
                 emit(c.target, Side.HI, value, "prod0", [left, right])
             if rearrange:
                 base = _premise(store, c.target, Side.LO, "base")
                 for factor, other in ((c.left, c.right), (c.right, c.left)):
                     div = _premise(store, other, Side.HI, "div")
-                    lo_value = ext_monus(
-                        ext_ceil_div(ext_add(base.value, 1), ext_add(div.value, 1)), 1)
-                    emit(factor, Side.LO, lo_value, "ceil1", [base, div],
-                         rearranged=True)
+                    lo_value = ext_monus(ext_ceil_div(base.value + 1, div.value + 1), 1)
+                    emit(factor, Side.LO, lo_value, "ceil1", [base, div])
         elif isinstance(c, Unify):
             for key, src in ((c.a, c.b), (c.b, c.a)):
                 hi_premise = _premise(store, src, Side.HI, "copy")
@@ -915,24 +862,18 @@ def fire(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
                 emit(key, Side.LO, lo_premise.value, "copy", [lo_premise])
         elif isinstance(c, LowerMonus):
             base = _premise(store, c.base, Side.LO, "base")
-            subs = [_premise(store, k, Side.HI, "add") for k in c.subs]
-            sub_total: ExtNat = c.const
-            for p in subs:
-                sub_total = ext_add(sub_total, p.value)
+            sub_total, subs = _sum_value(store, c.subs, (), c.const)
             emit(c.target, Side.LO, ext_monus(base.value, sub_total), "monus",
                  [base] + subs, c.const)
         elif isinstance(c, LowerMax):
             premises = [_premise(store, k, Side.LO, "lo") for k in c.sources]
-            value: ExtNat = 0
-            for p in premises:
-                value = ext_max(value, p.value)
-            emit(c.target, Side.LO, value, "maxlo", premises)
+            emit(c.target, Side.LO, max([p.value for p in premises]), "maxlo", premises)
         elif isinstance(c, LowerInf):
             emit(c.target, Side.LO, INF, "inf", [])
         elif isinstance(c, CondLower):
             gate = _premise(store, c.gate, Side.HI, "gate")
             floor = _premise(store, c.floor, Side.LO, "base")
-            if ext_lt(gate.value, floor.value):
+            if gate.value < floor.value:
                 emit(c.target, Side.LO, floor.value, "copy", [gate, floor])
         elif isinstance(c, DeriveEquiv):
             if c.map_id in elab.equivs:
@@ -962,7 +903,7 @@ def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
     """
     violations = []
     for update in fire(inst, store, elab, rearrange=rearrange):
-        if isinstance(update, BoundUpdate):
+        if isinstance(update, Justification):
             side = "upper" if update.side is Side.HI else "lower"
             violations.append(
                 f"{inst.rule_id}: {side} bound {update.value} on "

@@ -10,8 +10,6 @@ init(X): * -> X and term(X): X -> * are addressable without declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from .extnat import ExtNat
 from .model import POINT, InvariantKey
 
@@ -135,13 +133,13 @@ class QueryDecl:
 class DecompositionCert:
     """Witness that the target map factors through n cone attachments.
 
-    ``cone_spaces`` lists the attached cones in order; intermediates, when
-    not supplied, are synthesized deterministically during elaboration.
+    ``cone_spaces`` lists the attached cones in order.  Elaboration
+    synthesizes the n - 1 intermediate spaces deterministically, named
+    ``<target>.stage<i>``; the surface syntax has no way to name them.
     """
 
     target: InvariantKey
     cone_spaces: tuple[str, ...]
-    intermediates: Optional[tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import dataclasses
 from conebound.cli import corpus_dir
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
-from conebound.extnat import INF, Interval, ext_add, ext_max
+from conebound.extnat import INF, Interval
 from conebound.model import Side, key_L, key_Lcat, key_cl, key_kl, replay
 from conebound.parser import parse_scene, try_parse_scene
 from conebound.rules import UpperSum, catalog, check_instance, instantiate
@@ -104,13 +104,9 @@ def test_03_product_grid_exact():
                     continue
                 for c in inst.conclusions:
                     if isinstance(c, UpperSum) and c.target == key_kl("P") and c.maxes:
-                        total = 0
-                        for k in c.adds:
-                            total = ext_add(total, store.hi(k))
-                        peak = 0
-                        for k in c.maxes:
-                            peak = ext_max(peak, store.hi(k))
-                        emitted = ext_add(total, peak)
+                        total = sum(store.hi(k) for k in c.adds)
+                        peak = max(store.hi(k) for k in c.maxes)
+                        emitted = total + peak
             assert emitted == m + n + max(m, n), (m, n)
             assert store.interval(key_kl("P")).hi == m + n, (m, n)
     print(PASS.format(num=3, name="product grid 25/25 exact (cl and kl forms)"))

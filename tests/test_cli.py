@@ -4,7 +4,11 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import conebound
 from conebound.cli import corpus_dir, main
 
 HOPF = corpus_dir() / "hopf.scene"
@@ -116,6 +120,16 @@ def test_check_with_inline_explain_flag():
     assert "by C63" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_with_unparsable_explain_target(fmt):
+    # main() raising instead of returning is the traceback this guards against
+    code, out, err = run_cli(
+        ["check", str(HOPF), "--explain", "cl(NOPE):hi", "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert "cannot parse target 'cl(NOPE)'" in err
+
+
 def test_corpus_all_green():
     code, out, _ = run_cli(["corpus"])
     assert code == 0
@@ -151,6 +165,8 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "conebound", "check", str(HOPF)],
         capture_output=True, text=True, timeout=60,
+        # from the package's parent directory, `-m` finds it without an install
+        cwd=Path(conebound.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "cl(S3) = [0, 3]" in proc.stdout

@@ -146,49 +146,6 @@ def test_cert_unprovable_cone_membership_is_an_error():
     assert "not derivably in the collection" in str(excinfo.value)
 
 
-def test_cert_intermediate_arity_is_checked():
-    import dataclasses
-
-    from conebound.scene import DecompositionCert
-
-    scene = parse_scene(
-        "collection C { }\n"
-        "space X, A, B, M\n"
-        "fact member(A)\nfact member(B)\n"
-    )
-    from conebound.model import Kind, InvariantKey
-
-    cert = DecompositionCert(
-        target=InvariantKey("term(X)", Kind.CONE_LENGTH),
-        cone_spaces=("A", "B"),
-        intermediates=("M", "M"),  # a length-2 chain needs exactly 1
-    )
-    with pytest.raises(ElaborationError) as excinfo:
-        elaborate(dataclasses.replace(scene, certs=(cert,)))
-    assert "intermediate spaces" in str(excinfo.value)
-
-
-def test_cert_with_supplied_intermediates():
-    import dataclasses
-
-    from conebound.model import InvariantKey, Kind
-    from conebound.scene import DecompositionCert
-
-    scene = parse_scene(
-        "collection C { }\n"
-        "space X, A, B, M\n"
-        "fact member(A)\nfact member(B)\n"
-    )
-    cert = DecompositionCert(
-        target=InvariantKey("term(X)", Kind.CONE_LENGTH),
-        cone_spaces=("A", "B"),
-        intermediates=("M",),
-    )
-    elab = elaborate(dataclasses.replace(scene, certs=(cert,)))
-    cofibers = facts_of_kind(elab, "cofiber")
-    assert [f.args[2] for f in cofibers] == ["M", "*"]
-
-
 def test_smash_decomp_expands_to_cofiber():
     elab = elaborate(parse_scene(
         "collection C { }\n"

@@ -12,13 +12,11 @@ from conebound.extnat import INF
 from conebound.model import Side, key_L, key_Lcat, key_kl
 from conebound.parser import parse_scene
 from conebound.rules import (
-    BoundUpdate,
     UpperSum,
     catalog,
     fire,
     instantiate,
     render_rules_markdown,
-    rules_by_id,
 )
 
 RULE_ID_RE = re.compile(r"^[A-Z][A-Z0-9]*(-[A-Z0-9]+)*$")
