@@ -105,6 +105,14 @@ def render_text(result: SaturationResult, targets: list[InvariantKey]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def print_report(result: SaturationResult, targets: list[InvariantKey], fmt: str,
+                 out) -> None:
+    if fmt == "json":
+        print(json.dumps(result_payload(result, targets), indent=2), file=out)
+    else:
+        print(render_text(result, targets), end="", file=out)
+
+
 def exit_code_for(result: SaturationResult) -> int:
     if result.status == "contradiction":
         return EXIT_CONTRADICTION
@@ -175,10 +183,7 @@ def cmd_query(args, out, out_err) -> int:
     if solved is None:
         return EXIT_PARSE
     _, (key, _), result = solved
-    if args.format == "json":
-        print(json.dumps(result_payload(result, [key]), indent=2), file=out)
-    else:
-        print(render_text(result, [key]), end="", file=out)
+    print_report(result, [key], args.format, out)
     return exit_code_for(result)
 
 
@@ -188,7 +193,7 @@ def cmd_explain(args, out, out_err) -> int:
         return EXIT_PARSE
     _, (key, side), result = solved
     if result.status != "fixpoint":
-        print(render_text(result, []), end="", file=out)
+        print_report(result, [], args.format, out)
         return exit_code_for(result)
     sides = [side] if side is not None else [Side.LO, Side.HI]
     if args.format == "json":
@@ -239,6 +244,14 @@ def cmd_corpus(args, out, out_err) -> int:
     return EXIT_GOLDEN if mismatches else EXIT_OK
 
 
+def budget(text: str) -> int:
+    """A round or value budget: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conebound",
@@ -248,8 +261,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-rounds", type=int, default=Limits.max_rounds)
-        p.add_argument("--max-finite", type=int, default=Limits.max_finite)
+        p.add_argument("--max-rounds", type=budget, default=Limits.max_rounds)
+        p.add_argument("--max-finite", type=budget, default=Limits.max_finite)
         p.add_argument("--no-rearrange", action="store_true",
                        help="diagnostic: disable rearranged lower bounds")
 

@@ -1,26 +1,37 @@
 """Scene elaboration: canonical maps, derived facts, membership closure.
 
-Elaboration is a fact-level fixpoint that only ever adds:
+Elaboration only ever adds facts, maps and spaces.  It is one ordered
+pass of six steps, each run once:
 
-  (a) for every declared or synthesized map f: X -> Y, the two canonical
-      triangles compose(init(Y), f, init(X)) and compose(term(X), term(Y), f);
-  (b) contractible(X) yields equiv(init(X)) and equiv(term(X));
-  (c) wedge_space and susp_space expand to their defining pushout squares,
+  (1) contractible(X) yields equiv(init(X)) and equiv(term(X));
+  (2) wedge_space and susp_space expand to their defining pushout squares,
       synthesizing the inclusion maps deterministically;
-  (d) smash_decomp expands to the cofiber sequence wedge -> product -> smash
-      over user-declared maps;
-  (e) collection membership closes under the profile's closure flags;
-  (f) decomposition certificates expand to staged cofiber sequences plus a
-      compose chain tying the composite to the target map.
+  (3) smash_decomp expands to the cofiber sequence wedge -> product -> smash
+      over the unique declared (or step 2) maps between those spaces;
+  (4) decomposition certificates expand to staged cofiber sequences plus a
+      compose chain tying the composite to the target map;
+  (5) collection membership closes under the profile's closure flags;
+  (6) for every declared or synthesized map f: X -> Y, the two canonical
+      triangles compose(init(Y), f, init(X)) and compose(term(X), term(Y), f).
 
-The result is idempotent: re-running the passes adds nothing new.
+The order is forced by what each step reads.  Steps 1-3 read only user
+facts and the maps that step 2 synthesizes, so a certificate's maps are
+never taken for a smash inclusion.  Certificates add the stage spaces
+that membership marks under ``all`` and maps that step 6 triangulates,
+so they come before both.  No step reads a fact derived by a later
+one.  Membership is the one step that reads its own output (a
+suspension of a member is a member), so it alone repeats its sweep until
+nothing new is marked; the pass is a stratified program in the sense of
+Abiteboul, Hull & Vianu, *Foundations of Databases*.
+
+The result is idempotent: re-running the pass adds nothing new.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
-from .model import POINT, Justification, Kind, canonical_space, init_map, term_map
+from .model import POINT, Kind, canonical_space, init_map, term_map
 from .scene import (
     BoundDecl,
     CollectionProfile,
@@ -30,6 +41,9 @@ from .scene import (
     QueryDecl,
     Scene,
 )
+
+if TYPE_CHECKING:
+    from .rules import FactDerivation
 
 ORIGIN_USER = "user"
 
@@ -61,8 +75,8 @@ class ElaboratedScene:
         self.member_fact: dict[str, str] = {}
         self.equivs: set[str] = set()
         self.equiv_fact: dict[str, str] = {}
-        # provenance of facts derived at saturation time (rule id P7-EQ)
-        self.fact_provenance: dict[str, Justification] = {}
+        # derivations of facts added at saturation time (rule id P7-EQ)
+        self.fact_provenance: dict[str, FactDerivation] = {}
 
     # -- registries ----------------------------------------------------------
 
@@ -122,19 +136,15 @@ class ElaboratedScene:
         return self.origins[idx]
 
 
-def _expand_contractible(elab: ElaboratedScene) -> bool:
-    changed = False
-    for _, fact in list(elab.facts_of("contractible")):
+def _expand_contractible(elab: ElaboratedScene) -> None:
+    for _, fact in elab.facts_of("contractible"):
         space = fact.args[0]
         for m in (init_map(space), term_map(space)):
-            if elab.add_fact(Fact("equiv", (m,)), "elab:contractible") is not None:
-                changed = True
-    return changed
+            elab.add_fact(Fact("equiv", (m,)), "elab:contractible")
 
 
-def _expand_pushouts(elab: ElaboratedScene) -> bool:
-    changed = False
-    for _, fact in list(elab.facts_of("wedge_space")):
+def _expand_pushouts(elab: ElaboratedScene) -> None:
+    for _, fact in elab.facts_of("wedge_space"):
         wedge, left, right = fact.args
         inl = MapDecl(f"{wedge}.inl", left, wedge)
         inr = MapDecl(f"{wedge}.inr", right, wedge)
@@ -144,9 +154,8 @@ def _expand_pushouts(elab: ElaboratedScene) -> bool:
             "pushout",
             (POINT, init_map(left), init_map(right), inl.id, inr.id, init_map(wedge)),
         )
-        if elab.add_fact(pushout, "elab:wedge") is not None:
-            changed = True
-    for _, fact in list(elab.facts_of("susp_space")):
+        elab.add_fact(pushout, "elab:wedge")
+    for _, fact in elab.facts_of("susp_space"):
         susp, base = fact.args
         diag = MapDecl(f"{susp}.diag", base, susp)
         elab.add_map(diag)
@@ -154,47 +163,30 @@ def _expand_pushouts(elab: ElaboratedScene) -> bool:
             "pushout",
             (base, term_map(base), term_map(base), init_map(susp), init_map(susp), diag.id),
         )
-        if elab.add_fact(pushout, "elab:susp") is not None:
-            changed = True
-    return changed
+        elab.add_fact(pushout, "elab:susp")
 
 
-def _expand_smash(elab: ElaboratedScene) -> bool:
-    changed = False
-    for _, fact in list(elab.facts_of("smash_decomp")):
-        maps = _smash_maps(elab, fact)
-        if isinstance(maps, str):
-            continue  # reported by _validate_smash
-        if elab.add_fact(Fact("cofiber", (*maps, fact.args[4])), "elab:smash") is not None:
-            changed = True
-    return changed
-
-
-def _validate_smash(elab: ElaboratedScene, errors: list[str]) -> None:
+def _expand_smash(elab: ElaboratedScene, errors: list[str]) -> None:
+    """Add the cofiber sequence wedge -> product -> smash of each
+    smash_decomp fact, or report why it cannot be formed."""
     for _, fact in elab.facts_of("smash_decomp"):
-        maps = _smash_maps(elab, fact)
-        if isinstance(maps, str):
-            errors.append(maps)
-
-
-def _smash_maps(elab: ElaboratedScene, fact: Fact) -> Union[tuple[str, str], str]:
-    """The inclusion wedge -> product and the quotient product -> smash of
-    a smash_decomp fact, or the text of the error that prevents them."""
-    x, y, wedge, prod, smash = fact.args
-    needed = [
-        Fact("wedge_space", (wedge, x, y)),
-        Fact("product_space", (prod, x, y)),
-        Fact("smash_space", (smash, x, y)),
-    ]
-    missing = [n.render() for n in needed if not elab.has_fact(n)]
-    if missing:
-        return f"smash_decomp({', '.join(fact.args)}) requires {', '.join(missing)}"
-    incl = _unique_map(elab, wedge, prod)
-    quot = _unique_map(elab, prod, smash)
-    if incl is None or quot is None:
-        return (f"smash_decomp({', '.join(fact.args)}) needs unique declared maps "
-                f"{wedge} -> {prod} and {prod} -> {smash}")
-    return incl, quot
+        x, y, wedge, prod, smash = fact.args
+        needed = [
+            Fact("wedge_space", (wedge, x, y)),
+            Fact("product_space", (prod, x, y)),
+            Fact("smash_space", (smash, x, y)),
+        ]
+        missing = [n.render() for n in needed if not elab.has_fact(n)]
+        if missing:
+            errors.append(f"smash_decomp({', '.join(fact.args)}) requires {', '.join(missing)}")
+            continue
+        incl = _unique_map(elab, wedge, prod)
+        quot = _unique_map(elab, prod, smash)
+        if incl is None or quot is None:
+            errors.append(f"smash_decomp({', '.join(fact.args)}) needs unique declared maps "
+                          f"{wedge} -> {prod} and {prod} -> {smash}")
+            continue
+        elab.add_fact(Fact("cofiber", (incl, quot, smash)), "elab:smash")
 
 
 def _unique_map(elab: ElaboratedScene, dom: str, cod: str) -> Optional[str]:
@@ -205,53 +197,41 @@ def _unique_map(elab: ElaboratedScene, dom: str, cod: str) -> Optional[str]:
     return found[0] if len(found) == 1 else None
 
 
-def _membership_closure(elab: ElaboratedScene) -> bool:
-    profile = elab.profile
-    changed = False
+# (closure flag, composite space fact, whether all or any of its operands
+# must be members); the composite is the fact's first argument
+_CLOSURES = (
+    ("suspensions", "susp_space", all),
+    ("wedges", "wedge_space", all),
+    ("joins", "join_space", all),
+    ("smash_ideal", "smash_space", any),
+)
+
+
+def _membership_closure(elab: ElaboratedScene) -> None:
+    """Mark members under the profile's closure flags, sweeping until a
+    sweep marks nothing: the one step that reads its own output."""
+    flags = elab.profile.flags()
+    closures = [(kind, test) for flag, kind, test in _CLOSURES if flag in flags]
 
     def mark(space: str) -> None:
-        nonlocal changed
-        if elab.add_fact(Fact("member", (space,)), "elab:member") is not None:
-            changed = True
+        elab.add_fact(Fact("member", (space,)), "elab:member")
 
     mark(POINT)
-    if profile.all_spaces:
-        for space in list(elab.spaces):
+    if elab.profile.all_spaces:
+        for space in elab.spaces:
             mark(space)
-    if profile.suspensions:
-        for _, fact in elab.facts_of("susp_space"):
-            susp, base = fact.args
-            if base in elab.members:
-                mark(susp)
-    if profile.wedges:
-        for _, fact in elab.facts_of("wedge_space"):
-            wedge, left, right = fact.args
-            if left in elab.members and right in elab.members:
-                mark(wedge)
-    if profile.joins:
-        for _, fact in elab.facts_of("join_space"):
-            join, left, right = fact.args
-            if left in elab.members and right in elab.members:
-                mark(join)
-    if profile.smash_ideal:
-        for _, fact in elab.facts_of("smash_space"):
-            smash, left, right = fact.args
-            if left in elab.members or right in elab.members:
-                mark(smash)
-    return changed
+    grew = True
+    while grew:
+        grew = False
+        for kind, test in closures:
+            for _, fact in elab.facts_of(kind):
+                space, *operands = fact.args
+                if space not in elab.members and test(o in elab.members for o in operands):
+                    mark(space)
+                    grew = True
 
 
-def _expand_certs(elab: ElaboratedScene, expanded: set[int], errors: list[str]) -> bool:
-    before = len(elab.facts)
-    for idx, cert in enumerate(elab.certs):
-        if idx not in expanded:
-            expanded.add(idx)
-            _expand_one_cert(elab, cert, errors)
-    return len(elab.facts) != before
-
-
-def _expand_one_cert(elab: ElaboratedScene, cert: DecompositionCert,
-                     errors: list[str]) -> None:
+def _expand_cert(elab: ElaboratedScene, cert: DecompositionCert, errors: list[str]) -> None:
     target = cert.target
     if target.map_id not in elab.maps:
         errors.append(f"decomposition target {target.surface()} is not a known map")
@@ -260,22 +240,18 @@ def _expand_one_cert(elab: ElaboratedScene, cert: DecompositionCert,
     n = len(cert.cone_spaces)
     prefix = target.surface()
 
-    stages = []
-    for i in range(1, n):
-        name = f"{prefix}.stage{i}"
-        elab.add_space(name)
-        stages.append(name)
-
+    stages = [f"{prefix}.stage{i}" for i in range(1, n)]
     if target.kind is Kind.CONE_LENGTH:
         # the final comparison map is an equivalence, so the chain may end
         # at the codomain itself
-        top = cod
+        chain = [dom, *stages, cod]
     else:
         # a category decomposition only retracts onto the codomain; gluing
         # the top stage to it would smuggle in cone-length facts
-        top = f"{prefix}.stage{n}"
-        elab.add_space(top)
-    chain = [dom] + stages + [top]
+        stages.append(f"{prefix}.stage{n}")
+        chain = [dom, *stages]
+    for stage in stages:
+        elab.add_space(stage)
 
     steps: list[str] = []
     for i in range(n):
@@ -305,18 +281,14 @@ def _expand_one_cert(elab: ElaboratedScene, cert: DecompositionCert,
         elab.add_fact(Fact("dominates", (composite, target.map_id)), "elab:cert")
 
 
-def _auto_compose(elab: ElaboratedScene) -> bool:
-    changed = False
-    for decl in list(elab.maps.values()):
+def _auto_compose(elab: ElaboratedScene) -> None:
+    for decl in elab.maps.values():
         if canonical_space(decl.id) is not None:
             continue
-        left = Fact("compose", (init_map(decl.cod), decl.id, init_map(decl.dom)))
-        right = Fact("compose", (term_map(decl.dom), term_map(decl.cod), decl.id))
-        if elab.add_fact(left, "elab:compose") is not None:
-            changed = True
-        if elab.add_fact(right, "elab:compose") is not None:
-            changed = True
-    return changed
+        elab.add_fact(Fact("compose", (init_map(decl.cod), decl.id, init_map(decl.dom))),
+                      "elab:compose")
+        elab.add_fact(Fact("compose", (term_map(decl.dom), term_map(decl.cod), decl.id)),
+                      "elab:compose")
 
 
 def _validate_cross_facts(elab: ElaboratedScene, errors: list[str]) -> None:
@@ -418,13 +390,7 @@ def elaborate(scene: Scene) -> ElaboratedScene:
         elab.add_fact(fact, ORIGIN_USER)
 
     errors: list[str] = []
-    expanded_certs: set[int] = set()
-    guard = 0
-    while _expansion_pass(elab, expanded_certs, errors):
-        guard += 1
-        if guard > 1000:
-            raise ElaborationError(["elaboration failed to stabilize"])
-
+    _expand(elab, errors)
     for cert in elab.certs:
         for cone in cert.cone_spaces:
             if cone not in elab.members:
@@ -432,37 +398,33 @@ def elaborate(scene: Scene) -> ElaboratedScene:
                     f"decomposition {cert.target.surface()}: cone space {cone!r} "
                     f"is not derivably in the collection"
                 )
-    _validate_smash(elab, errors)
     _validate_cross_facts(elab, errors)
     if errors:
         raise ElaborationError(errors)
     return elab
 
 
-def _expansion_pass(elab: ElaboratedScene, expanded_certs: set[int],
-                    errors: list[str]) -> bool:
-    """Run every fact pass once; True if a new fact appeared.
-
-    Certificates whose index is in ``expanded_certs`` are skipped; the
-    others are expanded and added to it.
-    """
-    changed = _expand_contractible(elab)
-    changed |= _expand_pushouts(elab)
-    changed |= _expand_smash(elab)
-    changed |= _membership_closure(elab)
-    changed |= _expand_certs(elab, expanded_certs, errors)
-    changed |= _auto_compose(elab)
-    return changed
+def _expand(elab: ElaboratedScene, errors: list[str]) -> None:
+    """Run each derivation step once, in an order in which every step
+    comes after the steps whose output it reads."""
+    _expand_contractible(elab)
+    _expand_pushouts(elab)
+    _expand_smash(elab, errors)
+    for cert in elab.certs:
+        _expand_cert(elab, cert, errors)
+    _membership_closure(elab)
+    _auto_compose(elab)
 
 
 def run_expansion_passes(elab: ElaboratedScene) -> bool:
-    """Re-run the fact passes once; True if anything new appeared.
+    """Re-run the derivation steps once; True if a new fact appeared.
 
     Exposed for the idempotence property: on an elaborated scene every
-    pass is a no-op, including re-expanding certificates from scratch.
+    step is a no-op, including re-expanding certificates from scratch.
     """
     errors: list[str] = []
-    changed = _expansion_pass(elab, set(), errors)
+    before = len(elab.facts)
+    _expand(elab, errors)
     if errors:
         raise ElaborationError(errors)
-    return changed
+    return len(elab.facts) != before

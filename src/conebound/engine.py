@@ -234,13 +234,8 @@ class _Run:
 
     def apply_fact(self, derivation: FactDerivation) -> None:
         fid = self.elab.add_fact(derivation.fact, derivation.rule_id)
-        if fid is None:
-            return
-        self.elab.fact_provenance[fid] = Justification(
-            rule_id=derivation.rule_id,
-            key=derivation.premises[0].key, side=Side.HI, value=0,
-            compute="copy", premises=derivation.premises, facts=derivation.facts,
-        )
+        if fid is not None:
+            self.elab.fact_provenance[fid] = derivation
 
     def add_instances(self, new: list[RuleInstance]) -> list[int]:
         added = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Optional, Union
 
 from .extnat import INF, TOP, ExtNat, Interval, ext_ceil_div, ext_monus, ext_mul, extnat_to_json
@@ -57,6 +58,16 @@ def canonical_space(map_id: str) -> Optional[tuple[str, str]]:
     return None
 
 
+# The space invariants, each an alias for an invariant of a canonical map.
+SPACE_ALIASES: dict[str, tuple[str, Kind]] = {
+    "cl": ("init", Kind.CONE_LENGTH),
+    "cat": ("init", Kind.CATEGORY),
+    "kl": ("term", Kind.CONE_LENGTH),
+    "kit": ("term", Kind.CATEGORY),
+}
+_ALIAS_OF = {target: alias for alias, target in SPACE_ALIASES.items()}
+
+
 @dataclass(frozen=True)
 class InvariantKey:
     map_id: str
@@ -67,11 +78,7 @@ class InvariantKey:
         split = canonical_space(self.map_id)
         if split is not None:
             head, space = split
-            if head == "init":
-                name = "cl" if self.kind is Kind.CONE_LENGTH else "cat"
-            else:
-                name = "kl" if self.kind is Kind.CONE_LENGTH else "kit"
-            return f"{name}({space})"
+            return f"{_ALIAS_OF[head, self.kind]}({space})"
         return f"{self.kind.value}({self.map_id})"
 
     def sort_key(self) -> tuple[str, str]:
@@ -86,20 +93,16 @@ def key_Lcat(map_id: str) -> InvariantKey:
     return InvariantKey(map_id, Kind.CATEGORY)
 
 
-def key_cl(space: str) -> InvariantKey:
-    return key_L(init_map(space))
+def alias_key(alias: str, space: str) -> InvariantKey:
+    """The key a space invariant names: ``alias_key("kl", X)`` is L(term(X))."""
+    head, kind = SPACE_ALIASES[alias]
+    return InvariantKey(f"{head}({space})", kind)
 
 
-def key_cat(space: str) -> InvariantKey:
-    return key_Lcat(init_map(space))
-
-
-def key_kl(space: str) -> InvariantKey:
-    return key_L(term_map(space))
-
-
-def key_kit(space: str) -> InvariantKey:
-    return key_Lcat(term_map(space))
+key_cl = partial(alias_key, "cl")
+key_cat = partial(alias_key, "cat")
+key_kl = partial(alias_key, "kl")
+key_kit = partial(alias_key, "kit")
 
 
 @dataclass(frozen=True)
@@ -273,9 +276,6 @@ class BoundStore:
         self.log.append(just)
         self._last[(just.key, just.side)] = len(self.log) - 1
         return True
-
-    def keys(self) -> list[InvariantKey]:
-        return sorted(self._intervals, key=InvariantKey.sort_key)
 
     def serialize(self) -> str:
         """Canonical JSON of all non-default intervals, for byte comparison."""

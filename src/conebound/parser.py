@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .extnat import INF, ExtNat, fmt_extnat
-from .model import POINT, InvariantKey, Kind, canonical_space, init_map, term_map
+from .model import (POINT, SPACE_ALIASES, InvariantKey, Kind, alias_key, canonical_space,
+                    init_map, term_map)
 from .scene import (
     FACT_SCHEMAS,
     BoundDecl,
@@ -27,7 +28,7 @@ from .scene import (
 
 STATEMENT_HEADS = ("collection", "space", "map", "fact", "bound", "query", "decomposition")
 FLAG_NAMES = ("wedges", "suspensions", "joins", "smash_ideal")
-INVARIANT_HEADS = ("L", "Lcat", "cl", "cat", "kl", "kit")
+INVARIANT_HEADS = (*(kind.value for kind in Kind), *SPACE_ALIASES)
 
 RESERVED = frozenset(STATEMENT_HEADS) | frozenset(FLAG_NAMES) | frozenset(INVARIANT_HEADS) | {
     "via", "all", "inf", "init", "term",
@@ -199,18 +200,13 @@ class _Parser:
         head = tok.text
         if head not in INVARIANT_HEADS:
             raise _StatementError(
-                ParseError(tok.line, tok.col, "expected one of L, Lcat, cl, cat, kl, kit")
+                ParseError(tok.line, tok.col, f"expected one of {', '.join(INVARIANT_HEADS)}")
             )
         cur.expect_punct("(")
-        if head in ("L", "Lcat"):
-            map_id = self.map_ref(cur)
-            kind = Kind.CONE_LENGTH if head == "L" else Kind.CATEGORY
-            key = InvariantKey(map_id, kind)
+        if head in SPACE_ALIASES:
+            key = alias_key(head, self.space_ref(cur))
         else:
-            space = self.space_ref(cur)
-            map_id = init_map(space) if head in ("cl", "cat") else term_map(space)
-            kind = Kind.CONE_LENGTH if head in ("cl", "kl") else Kind.CATEGORY
-            key = InvariantKey(map_id, kind)
+            key = InvariantKey(self.map_ref(cur), Kind(head))
         cur.expect_punct(")")
         return key
 

@@ -23,7 +23,6 @@ from .model import (
     BoundStore,
     InvariantKey,
     Justification,
-    Kind,
     Premise,
     Side,
     key_L,
@@ -194,18 +193,10 @@ class Rule:
 
 # -- rule construction helpers -------------------------------------------------
 
-KINDS = (Kind.CONE_LENGTH, Kind.CATEGORY)
-
-
-def _mk(kind: Kind, map_id: str) -> InvariantKey:
-    return InvariantKey(map_id, kind)
-
-
-def _space_keys(kind: Kind, space: str) -> tuple[InvariantKey, InvariantKey]:
-    """(cl|cat, kl|kit) of a space for the given map-invariant kind."""
-    if kind is Kind.CONE_LENGTH:
-        return key_cl(space), key_kl(space)
-    return key_cat(space), key_kit(space)
+# The keys of each kind, named after the L case in the rules below: the
+# map invariant (L or Lcat), its init alias (cl or cat) and its term
+# alias (kl or kit).
+KIND_KEYS = ((key_L, key_cl, key_kl), (key_Lcat, key_cat, key_kit))
 
 
 def _rule(rule_id: str, guard: frozenset[str], law: str,
@@ -239,6 +230,41 @@ def _per_space_rule(rule_id: str, guard: frozenset[str], law: str,
     return _rule(rule_id, guard, law, lambda elab: [((), x) for x in elab.spaces], build)
 
 
+def _per_kind(rule_id: str, guard: frozenset[str], law: str, fact_kind: str, target: int,
+              adds: tuple[int, ...] = (), maxes: tuple[int, ...] = (),
+              equivs: tuple[int, ...] = ()) -> Rule:
+    """X(target) <= sum of X(adds) + max of X(maxes) for X in {L, Lcat},
+    per fact of ``fact_kind`` whose ``equivs`` maps are known equivalences.
+    Every other parameter is a position in the fact's arguments."""
+
+    def build(elab: ElaboratedScene, fact: Fact) -> Optional[list[Conclusion]]:
+        args = fact.args
+        if not all(args[i] in elab.equivs for i in equivs):
+            return None
+        return [UpperSum(L(args[target]), adds=tuple(L(args[i]) for i in adds),
+                         maxes=tuple(L(args[i]) for i in maxes))
+                for L, cl, kl in KIND_KEYS]
+
+    return _fact_rule(rule_id, guard, law, fact_kind, build)
+
+
+def _unify_rule(rule_id: str, law: str, fact_kind: str) -> Rule:
+    """L and Lcat of a fact's two maps are equal."""
+    return _fact_rule(rule_id, ANY, law, fact_kind, lambda elab, fact: [
+        Unify(L(fact.args[0]), L(fact.args[1])) for L, cl, kl in KIND_KEYS])
+
+
+def _cofiber_rule(rule_id: str, law: str,
+                  build: Callable[[str, str, str, str, str], list[Conclusion]]) -> Rule:
+    """Conclusions ``build(f, j, A, B, C)`` per cofiber(f, j, C) with f: A -> B."""
+
+    def conclusions(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+        f, j, cofiber = fact.args
+        return build(f, j, *elab.sig(f), cofiber)
+
+    return _fact_rule(rule_id, ANY, law, "cofiber", conclusions)
+
+
 ANY = frozenset()
 W = frozenset({"wedges"})
 S = frozenset({"suspensions"})
@@ -252,29 +278,13 @@ ALL_SPACES = frozenset({"all_spaces"})
 
 def _build_catalog() -> list[Rule]:
     rules: list[Rule] = []
-
-    def add(rule: Rule) -> None:
-        rules.append(rule)
+    add = rules.append
 
     # -- axioms and structural relations ------------------------------------
 
-    add(_fact_rule(
-        "AX-HTPY", ANY,
-        "homotopic(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
-        "homotopic",
-        lambda elab, fact: [
-            Unify(_mk(k, fact.args[0]), _mk(k, fact.args[1])) for k in KINDS
-        ],
-    ))
-
-    add(_fact_rule(
-        "AX-NORM", ANY,
-        "equiv(f): L(f) = 0 and Lcat(f) = 0",
-        "equiv",
-        lambda elab, fact: [
-            UpperSum(_mk(k, fact.args[0])) for k in KINDS
-        ],
-    ))
+    add(_unify_rule("AX-HTPY", "homotopic(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
+                    "homotopic"))
+    add(_per_kind("AX-NORM", ANY, "equiv(f): L(f) = 0 and Lcat(f) = 0", "equiv", 0))
 
     add(_per_map_rule(
         "P7-EQ", ANY,
@@ -282,16 +292,8 @@ def _build_catalog() -> list[Rule]:
         lambda elab, map_id: [DeriveEquiv(map_id)],
     ))
 
-    add(_fact_rule(
-        "AX-COMP", ANY,
-        "compose(h, g, f): L(h) <= L(f) + L(g); same for Lcat",
-        "compose",
-        lambda elab, fact: [
-            UpperSum(_mk(k, fact.args[0]),
-                     adds=(_mk(k, fact.args[2]), _mk(k, fact.args[1])))
-            for k in KINDS
-        ],
-    ))
+    add(_per_kind("AX-COMP", ANY, "compose(h, g, f): L(h) <= L(f) + L(g); same for Lcat",
+                  "compose", 0, adds=(2, 1)))
 
     def mc_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
         for fid, fact in elab.facts_of("cofiber"):
@@ -313,14 +315,8 @@ def _build_catalog() -> list[Rule]:
         ],
     ))
 
-    add(_fact_rule(
-        "AX-EQM", ANY,
-        "equiv_maps(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
-        "equiv_maps",
-        lambda elab, fact: [
-            Unify(_mk(k, fact.args[0]), _mk(k, fact.args[1])) for k in KINDS
-        ],
-    ))
+    add(_unify_rule("AX-EQM", "equiv_maps(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
+                    "equiv_maps"))
 
     add(_per_map_rule(
         "REL-CL", ANY,
@@ -335,9 +331,7 @@ def _build_catalog() -> list[Rule]:
         "REL-PI0", ANY,
         "pi0_not_onto(f): L(f) = Lcat(f) = inf",
         "pi0_not_onto",
-        lambda elab, fact: [
-            LowerInf(key_L(fact.args[0])), LowerInf(key_Lcat(fact.args[0])),
-        ],
+        lambda elab, fact: [LowerInf(L(fact.args[0])) for L, cl, kl in KIND_KEYS],
     ))
 
     add(_fact_rule(
@@ -350,70 +344,36 @@ def _build_catalog() -> list[Rule]:
     add(_per_space_rule(
         "REL-ALL", ALL_SPACES,
         "every space X: kl(X) <= 1 and kit(X) <= 1",
-        lambda elab, space: [
-            UpperSum(key_kl(space), const=1),
-            UpperSum(key_kit(space), const=1),
-        ],
+        lambda elab, space: [UpperSum(kl(space), const=1) for L, cl, kl in KIND_KEYS],
     ))
 
     # -- pushout-square mapping bounds ---------------------------------------
+    # pushout_map(A, A2, a, b, c, d): a, b, c, d are arguments 2 to 5
 
-    def pm_keys(fact: Fact, kind: Kind) -> tuple[InvariantKey, ...]:
-        a, b, c, d = (fact.args[i] for i in range(2, 6))
-        return _mk(kind, a), _mk(kind, b), _mk(kind, c), _mk(kind, d)
-
-    add(_fact_rule(
+    add(_per_kind(
         "T32", WS,
         "pushout_map(A, A2, a, b, c, d): X(d) <= X(a) + max(X(b), X(c)) for X in {L, Lcat}",
-        "pushout_map",
-        lambda elab, fact: [
-            UpperSum(pm_keys(fact, k)[3], adds=(pm_keys(fact, k)[0],),
-                     maxes=(pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
-            for k in KINDS
-        ],
+        "pushout_map", 5, adds=(2,), maxes=(3, 4),
     ))
-
-    add(_fact_rule(
+    add(_per_kind(
         "T32-W", W,
         "pushout_map with a an equivalence: X(d) <= max(X(b), X(c)) for X in {L, Lcat}",
-        "pushout_map",
-        lambda elab, fact: [
-            UpperSum(pm_keys(fact, k)[3],
-                     maxes=(pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
-            for k in KINDS
-        ] if fact.args[2] in elab.equivs else None,
+        "pushout_map", 5, maxes=(3, 4), equivs=(2,),
     ))
-
-    add(_fact_rule(
+    add(_per_kind(
         "T32-S", S,
         "pushout_map with b, c equivalences: X(d) <= X(a) for X in {L, Lcat}",
-        "pushout_map",
-        lambda elab, fact: [
-            UpperSum(pm_keys(fact, k)[3], adds=(pm_keys(fact, k)[0],))
-            for k in KINDS
-        ] if fact.args[3] in elab.equivs and fact.args[4] in elab.equivs else None,
+        "pushout_map", 5, adds=(2,), equivs=(3, 4),
     ))
-
-    add(_fact_rule(
+    add(_per_kind(
         "C34", S,
         "pushout_map: X(d) <= X(a) + X(b) + X(c) for X in {L, Lcat}",
-        "pushout_map",
-        lambda elab, fact: [
-            UpperSum(pm_keys(fact, k)[3],
-                     adds=(pm_keys(fact, k)[0], pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
-            for k in KINDS
-        ],
+        "pushout_map", 5, adds=(2, 3, 4),
     ))
-
-    add(_fact_rule(
+    add(_per_kind(
         "C34-NC", ANY,
         "pushout_map with a an equivalence: X(d) <= X(b) + X(c) for X in {L, Lcat}",
-        "pushout_map",
-        lambda elab, fact: [
-            UpperSum(pm_keys(fact, k)[3],
-                     adds=(pm_keys(fact, k)[1], pm_keys(fact, k)[2]))
-            for k in KINDS
-        ] if fact.args[2] in elab.equivs else None,
+        "pushout_map", 5, adds=(3, 4), equivs=(2,),
     ))
 
     # -- single pushout squares ----------------------------------------------
@@ -423,21 +383,16 @@ def _build_catalog() -> list[Rule]:
             _, f, g, ib, ic, _ = fact.args
             for leg, opposite in ((ib, g), (ic, f)):
                 yield RuleInstance("C41-1", (fid,), tuple(
-                    UpperSum(_mk(k, leg), adds=(_mk(k, opposite),)) for k in KINDS))
+                    UpperSum(L(leg), adds=(L(opposite),)) for L, cl, kl in KIND_KEYS))
 
     add(Rule("C41-1", ANY,
              "pushout(A, f, g, ib, ic, d): X(ib) <= X(g) and X(ic) <= X(f) for X in {L, Lcat}",
              c411_match))
 
-    add(_fact_rule(
+    add(_per_kind(
         "C41-4", W,
         "pushout(A, f, g, ib, ic, d): X(d) <= max(X(f), X(g)) for X in {L, Lcat}",
-        "pushout",
-        lambda elab, fact: [
-            UpperSum(_mk(k, fact.args[5]),
-                     maxes=(_mk(k, fact.args[1]), _mk(k, fact.args[2])))
-            for k in KINDS
-        ],
+        "pushout", 5, maxes=(1, 2),
     ))
 
     def c42_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
@@ -445,16 +400,8 @@ def _build_catalog() -> list[Rule]:
         corner_b = elab.sig(fact.args[1])[1]
         corner_c = elab.sig(fact.args[2])[1]
         out = elab.sig(fact.args[3])[1]
-        conclusions: list[Conclusion] = []
-        for kind in KINDS:
-            for pick in (0, 1):  # 0: cl/cat, 1: kl/kit
-                conclusions.append(UpperSum(
-                    _space_keys(kind, out)[pick],
-                    adds=(_space_keys(kind, apex)[pick],),
-                    maxes=(_space_keys(kind, corner_b)[pick],
-                           _space_keys(kind, corner_c)[pick]),
-                ))
-        return conclusions
+        return [UpperSum(key(out), adds=(key(apex),), maxes=(key(corner_b), key(corner_c)))
+                for L, cl, kl in KIND_KEYS for key in (cl, kl)]
 
     add(_fact_rule(
         "C42", WS,
@@ -465,64 +412,29 @@ def _build_catalog() -> list[Rule]:
 
     # -- cofiber sequence bounds ----------------------------------------------
 
-    def cof(fact: Fact, elab: ElaboratedScene) -> tuple[str, str, str, str, str]:
-        f, j, cofiber_space = fact.args
-        cone, total = elab.sig(f)
-        return f, j, cone, total, cofiber_space
-
-    add(_fact_rule(
-        "C44-1", ANY,
-        "cofiber(f, j, C): cl(C) <= L(f) and cat(C) <= Lcat(f)",
-        "cofiber",
-        lambda elab, fact: [
-            UpperSum(key_cl(cof(fact, elab)[4]), adds=(key_L(fact.args[0]),)),
-            UpperSum(key_cat(cof(fact, elab)[4]), adds=(key_Lcat(fact.args[0]),)),
-        ],
+    add(_cofiber_rule(
+        "C44-1", "cofiber(f, j, C): cl(C) <= L(f) and cat(C) <= Lcat(f)",
+        lambda f, j, a, b, c: [UpperSum(cl(c), adds=(L(f),)) for L, cl, kl in KIND_KEYS],
+    ))
+    add(_cofiber_rule(
+        "C44-2", "cofiber(f, j, C) with cone A: L(j) <= kl(A) and Lcat(j) <= kit(A)",
+        lambda f, j, a, b, c: [UpperSum(L(j), adds=(kl(a),)) for L, cl, kl in KIND_KEYS],
+    ))
+    add(_cofiber_rule(
+        "C44-3", "cofiber over A -> B -> C: cl(C) <= kl(A) + cl(B); cat analog",
+        lambda f, j, a, b, c: [
+            UpperSum(cl(c), adds=(kl(a), cl(b))) for L, cl, kl in KIND_KEYS],
+    ))
+    add(_cofiber_rule(
+        "C44-4", "cofiber over A -> B -> C: kl(B) <= kl(A) + kl(C); kit analog",
+        lambda f, j, a, b, c: [
+            UpperSum(kl(b), adds=(kl(a), kl(c))) for L, cl, kl in KIND_KEYS],
     ))
 
-    add(_fact_rule(
-        "C44-2", ANY,
-        "cofiber(f, j, C) with cone A: L(j) <= kl(A) and Lcat(j) <= kit(A)",
-        "cofiber",
-        lambda elab, fact: [
-            UpperSum(key_L(fact.args[1]), adds=(key_kl(cof(fact, elab)[2]),)),
-            UpperSum(key_Lcat(fact.args[1]), adds=(key_kit(cof(fact, elab)[2]),)),
-        ],
-    ))
-
-    add(_fact_rule(
-        "C44-3", ANY,
-        "cofiber over A -> B -> C: cl(C) <= kl(A) + cl(B); cat analog",
-        "cofiber",
-        lambda elab, fact: [
-            UpperSum(key_cl(cof(fact, elab)[4]),
-                     adds=(key_kl(cof(fact, elab)[2]), key_cl(cof(fact, elab)[3]))),
-            UpperSum(key_cat(cof(fact, elab)[4]),
-                     adds=(key_kit(cof(fact, elab)[2]), key_cat(cof(fact, elab)[3]))),
-        ],
-    ))
-
-    add(_fact_rule(
-        "C44-4", ANY,
-        "cofiber over A -> B -> C: kl(B) <= kl(A) + kl(C); kit analog",
-        "cofiber",
-        lambda elab, fact: [
-            UpperSum(key_kl(cof(fact, elab)[3]),
-                     adds=(key_kl(cof(fact, elab)[2]), key_kl(cof(fact, elab)[4]))),
-            UpperSum(key_kit(cof(fact, elab)[3]),
-                     adds=(key_kit(cof(fact, elab)[2]), key_kit(cof(fact, elab)[4]))),
-        ],
-    ))
-
-    add(_fact_rule(
+    add(_per_kind(
         "C46", S,
         "cofiber_map(f, f2, al, be, ga): X(ga) <= X(al) + X(be) for X in {L, Lcat}",
-        "cofiber_map",
-        lambda elab, fact: [
-            UpperSum(_mk(k, fact.args[4]),
-                     adds=(_mk(k, fact.args[2]), _mk(k, fact.args[3])))
-            for k in KINDS
-        ],
+        "cofiber_map", 4, adds=(2, 3),
     ))
 
     add(_fact_rule(
@@ -530,44 +442,28 @@ def _build_catalog() -> list[Rule]:
         "susp_space(S, B): cl(S) <= kl(B) and cat(S) <= kit(B)",
         "susp_space",
         lambda elab, fact: [
-            UpperSum(key_cl(fact.args[0]), adds=(key_kl(fact.args[1]),)),
-            UpperSum(key_cat(fact.args[0]), adds=(key_kit(fact.args[1]),)),
-        ],
+            UpperSum(cl(fact.args[0]), adds=(kl(fact.args[1]),)) for L, cl, kl in KIND_KEYS],
     ))
 
     # -- suspension-closed structural bounds -----------------------------------
 
-    def c4101_build(elab: ElaboratedScene, map_id: str) -> list[Conclusion]:
-        dom, cod = elab.sig(map_id)
-        return [
-            UpperSum(key_L(map_id), adds=(key_cl(dom), key_cl(cod))),
-            UpperSum(key_Lcat(map_id), adds=(key_cat(dom), key_cat(cod))),
-        ]
-
     add(_per_map_rule(
         "C410-1", S,
         "any f: A -> B: L(f) <= cl(A) + cl(B) and Lcat(f) <= cat(A) + cat(B)",
-        c4101_build,
+        lambda elab, map_id: [UpperSum(L(map_id), adds=tuple(map(cl, elab.sig(map_id))))
+                              for L, cl, kl in KIND_KEYS],
     ))
 
     add(_per_space_rule(
         "C410-2", S,
         "any space A: kl(A) <= cl(A) and kit(A) <= cat(A)",
-        lambda elab, space: [
-            UpperSum(key_kl(space), adds=(key_cl(space),)),
-            UpperSum(key_kit(space), adds=(key_cat(space),)),
-        ],
+        lambda elab, space: [UpperSum(kl(space), adds=(cl(space),)) for L, cl, kl in KIND_KEYS],
     ))
 
-    add(_fact_rule(
+    add(_per_kind(
         "C410-3", S,
         "compose(h, g, f): X(g) <= X(f) + X(h) for X in {L, Lcat}",
-        "compose",
-        lambda elab, fact: [
-            UpperSum(_mk(k, fact.args[1]),
-                     adds=(_mk(k, fact.args[2]), _mk(k, fact.args[0])))
-            for k in KINDS
-        ],
+        "compose", 1, adds=(2, 0),
     ))
 
     add(_fact_rule(
@@ -580,13 +476,9 @@ def _build_catalog() -> list[Rule]:
         ],
     ))
 
-    add(_fact_rule(
-        "C410-5", S,
-        "section(f, g): L(g) <= L(f) and Lcat(g) <= Lcat(f)",
-        "section",
-        lambda elab, fact: [
-            UpperSum(_mk(k, fact.args[1]), adds=(_mk(k, fact.args[0]),)) for k in KINDS
-        ],
+    add(_per_kind(
+        "C410-5", S, "section(f, g): L(g) <= L(f) and Lcat(g) <= Lcat(f)",
+        "section", 1, adds=(0,),
     ))
 
     def c411_build(elab: ElaboratedScene, map_id: str) -> list[Conclusion]:
@@ -613,11 +505,9 @@ def _build_catalog() -> list[Rule]:
         h, f, g = fact.args
         dom_f = elab.sig(f)[0]
         dom_g = elab.sig(g)[0]
-        return [
-            UpperSum(_mk(k, h), adds=(_mk(k, f), _mk(k, g)),
-                     maxes=(key_cl(dom_f), key_cl(dom_g)))
-            for k in KINDS
-        ]
+        # the max part is cl for both kinds
+        return [UpperSum(L(h), adds=(L(f), L(g)), maxes=(key_cl(dom_f), key_cl(dom_g)))
+                for L, cl, kl in KIND_KEYS]
 
     add(_fact_rule(
         "T51", WJ,
@@ -648,10 +538,8 @@ def _build_catalog() -> list[Rule]:
         "product_space(P, X, Y): kl(P) <= kl(X) + kl(Y) and kit(P) <= kit(X) + kit(Y)",
         "product_space",
         lambda elab, fact: [
-            UpperSum(key_kl(fact.args[0]),
-                     adds=(key_kl(fact.args[1]), key_kl(fact.args[2]))),
-            UpperSum(key_kit(fact.args[0]),
-                     adds=(key_kit(fact.args[1]), key_kit(fact.args[2]))),
+            UpperSum(kl(fact.args[0]), adds=(kl(fact.args[1]), kl(fact.args[2])))
+            for L, cl, kl in KIND_KEYS
         ],
     ))
 
@@ -693,20 +581,15 @@ def _build_catalog() -> list[Rule]:
         "Lcat analog with cat(F)",
         "pullback",
         lambda elab, fact: [
-            UpperProd(key_L(fact.args[4]), key_L(fact.args[7]),
-                      key_cl(fact.args[8]), minus_one=False),
-            UpperProd(key_Lcat(fact.args[4]), key_Lcat(fact.args[7]),
-                      key_cat(fact.args[8]), minus_one=False),
+            UpperProd(L(fact.args[4]), L(fact.args[7]), cl(fact.args[8]), minus_one=False)
+            for L, cl, kl in KIND_KEYS
         ],
     ))
 
     def c63_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         p, fiber = fact.args
         total, base = elab.sig(p)
-        return [
-            UpperProd(key_cl(total), key_cl(base), key_cl(fiber)),
-            UpperProd(key_cat(total), key_cat(base), key_cat(fiber)),
-        ]
+        return [UpperProd(cl(total), cl(base), cl(fiber)) for L, cl, kl in KIND_KEYS]
 
     add(_fact_rule(
         "C63", WJ,

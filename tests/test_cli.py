@@ -92,6 +92,14 @@ def test_budget_exit_code():
     assert "budget" in out
 
 
+@pytest.mark.parametrize("flag", ["--max-rounds", "--max-finite"])
+def test_negative_budget_is_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", str(HOPF), flag, "-1"])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be 0 or more, got -1" in capsys.readouterr().err
+
+
 def test_unknown_query_target():
     code, _, err = run_cli(["query", str(HOPF), "--target", "cl(Nope)"])
     assert code == 2
@@ -112,6 +120,18 @@ def test_explain_json():
     payload = json.loads(out)
     assert payload["target"] == "cl(S3)"
     assert payload["explain"]["hi"]["rule"] == "C63"
+
+
+@pytest.mark.parametrize("scene, argv, code, status", [
+    (EXAMPLE74, ["--target", "kl(X)"], 1, "contradiction"),
+    (HOPF, ["--target", "cl(S3)", "--max-rounds", "0"], 3, "budget_exhausted"),
+], ids=["contradiction", "budget"])
+def test_explain_json_without_fixpoint(scene, argv, code, status):
+    got, out, _ = run_cli(["explain", str(scene), *argv, "--format", "json"])
+    assert got == code
+    payload = json.loads(out)
+    assert payload["status"] == status
+    assert payload["bounds"] == {}
 
 
 def test_check_with_inline_explain_flag():

@@ -1,8 +1,13 @@
 """Elaboration: derived facts, membership closure, certificate expansion."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from helpers import random_scene
+
+from conebound.cli import corpus_dir
 from conebound.elaborate import ElaborationError, elaborate, run_expansion_passes
+from conebound.engine import saturate
 from conebound.parser import parse_scene
 from conebound.scene import FACT_SCHEMAS
 
@@ -95,6 +100,31 @@ def test_membership_closure_respects_flags():
     assert "SA" not in elab.members
 
 
+def test_top_down_suspension_tower_elaborates():
+    # facts listed top-down: each sweep of the membership closure reaches
+    # only one more level
+    n = 1001
+    text = "collection C { suspensions }\n"
+    text += "space " + ", ".join(f"S{i}" for i in range(n + 1)) + "\n"
+    text += "fact member(S0)\n"
+    text += "".join(f"fact susp_space(S{i + 1}, S{i})\n" for i in reversed(range(n)))
+    elab = elaborate(parse_scene(text))
+    assert f"S{n}" in elab.members
+    assert run_expansion_passes(elab) is False
+
+
+def test_fact_order_does_not_change_elaboration():
+    scenes = [parse_scene(path.read_text(encoding="utf-8"))
+              for path in sorted(corpus_dir().glob("*.scene"))]
+    scenes += [random_scene(seed) for seed in range(300)]
+    for index, scene in enumerate(scenes):
+        forward = elaborate(scene)
+        backward = elaborate(replace(scene, facts=scene.facts[::-1]))
+        assert set(forward.facts) == set(backward.facts), index
+        assert (saturate(forward).store.serialize()
+                == saturate(backward).store.serialize()), index
+
+
 def test_all_spaces_marks_everything():
     elab = elaborate(parse_scene("collection C { all }\nspace X, Y\n"))
     assert {"X", "Y", "*"} <= elab.members
@@ -169,6 +199,32 @@ def test_smash_decomp_missing_prerequisites_is_an_error():
             "fact smash_decomp(X, Y, W, P, S)\n"
         ))
     assert "requires" in str(excinfo.value)
+
+
+SMASH_WITH_CERT = (
+    "collection C { all }\n"
+    "space X, Y, W, P, S, Z\n"
+    "map v : P -> S\n"
+    "map g : P -> Z\n"
+    "INCLUSION"
+    "fact wedge_space(W, X, Y)\n"
+    "fact product_space(P, X, Y)\n"
+    "fact smash_space(S, X, Y)\n"
+    "fact smash_decomp(X, Y, W, P, S)\n"
+    "decomposition L(g) via [W]\n"
+)
+
+
+def test_smash_decomp_uses_the_declared_inclusion_beside_a_cert_map():
+    # the certificate attaches W to P by a map W -> P of its own
+    elab = elaborate(parse_scene(SMASH_WITH_CERT.replace("INCLUSION", "map u : W -> P\n")))
+    assert ("u", "v", "S") in [f.args for f in facts_of_kind(elab, "cofiber")]
+
+
+def test_smash_decomp_does_not_take_a_cert_map_as_inclusion():
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(parse_scene(SMASH_WITH_CERT.replace("INCLUSION", "")))
+    assert "needs unique declared maps W -> P" in str(excinfo.value)
 
 
 def test_projection_needs_matching_product():

@@ -165,6 +165,17 @@ def test_derived_equiv_reaches_fact_registry_and_trees():
     assert provenance.premises[0].key == key_L("f")
 
 
+def test_derived_fact_provenance_is_its_derivation():
+    from conebound.rules import FactDerivation
+    from conebound.scene import Fact
+
+    result = run("collection C { }\nspace X, Y\nmap f : X -> Y\nbound L(f) = 0\n")
+    derivation = result.elab.fact_provenance[result.elab.equiv_fact["f"]]
+    assert isinstance(derivation, FactDerivation)
+    assert derivation.fact == Fact("equiv", ("f",))
+    assert derivation.facts == ()
+
+
 def test_pi0_rule_sets_infinite_lower_bound():
     result = run(
         "collection C { }\nspace X, Y\nmap f : X -> Y\nfact pi0_not_onto(f)\n"
