@@ -29,7 +29,7 @@ The result is idempotent: re-running the pass adds nothing new.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .model import POINT, Kind, canonical_space, init_map, term_map
 from .scene import (
@@ -42,9 +42,6 @@ from .scene import (
     Scene,
 )
 
-if TYPE_CHECKING:
-    from .rules import FactDerivation
-
 ORIGIN_USER = "user"
 
 
@@ -55,7 +52,8 @@ class ElaborationError(Exception):
 
 
 class ElaboratedScene:
-    """A scene closed under elaboration, with ids on every fact."""
+    """A scene closed under elaboration.  A fact is named by its index in
+    ``facts`` (rendered ``F<index+1>``); saturation reads but never adds."""
 
     def __init__(self, profile: CollectionProfile,
                  bounds: tuple[BoundDecl, ...],
@@ -72,11 +70,7 @@ class ElaboratedScene:
         self._fact_set: set[Fact] = set()
         self._by_kind: dict[str, list[int]] = {}
         self.members: set[str] = set()
-        self.member_fact: dict[str, str] = {}
-        self.equivs: set[str] = set()
-        self.equiv_fact: dict[str, str] = {}
-        # derivations of facts added at saturation time (rule id P7-EQ)
-        self.fact_provenance: dict[str, FactDerivation] = {}
+        self.member_fact: dict[str, int] = {}
 
     # -- registries ----------------------------------------------------------
 
@@ -102,38 +96,22 @@ class ElaboratedScene:
     def has_fact(self, fact: Fact) -> bool:
         return fact in self._fact_set
 
-    def add_fact(self, fact: Fact, origin: str) -> Optional[str]:
-        """Append a fact unless structurally present; returns its id if new."""
+    def add_fact(self, fact: Fact, origin: str) -> None:
+        """Append a fact unless structurally present."""
         if fact in self._fact_set:
-            return None
+            return
+        idx = len(self.facts)
         self.facts.append(fact)
         self.origins.append(origin)
         self._fact_set.add(fact)
-        idx = len(self.facts) - 1
-        fid = self.fact_id(idx)
         self._by_kind.setdefault(fact.kind, []).append(idx)
         if fact.kind == "member":
             self.members.add(fact.args[0])
-            self.member_fact.setdefault(fact.args[0], fid)
-        elif fact.kind == "equiv":
-            self.equivs.add(fact.args[0])
-            self.equiv_fact.setdefault(fact.args[0], fid)
-        return fid
+            self.member_fact.setdefault(fact.args[0], idx)
 
-    @staticmethod
-    def fact_id(index: int) -> str:
-        return f"F{index + 1}"
-
-    def facts_of(self, kind: str) -> list[tuple[str, Fact]]:
-        return [(self.fact_id(i), self.facts[i]) for i in self._by_kind.get(kind, [])]
-
-    def describe_fact(self, fact_id: str) -> str:
-        idx = int(fact_id[1:]) - 1
-        return self.facts[idx].render()
-
-    def fact_origin(self, fact_id: str) -> str:
-        idx = int(fact_id[1:]) - 1
-        return self.origins[idx]
+    def facts_of(self, kind: str) -> list[tuple[int, Fact]]:
+        """(index, fact) for every fact of one kind, in fact order."""
+        return [(i, self.facts[i]) for i in self._by_kind.get(kind, [])]
 
 
 def _expand_contractible(elab: ElaboratedScene) -> None:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .elaborate import ElaboratedScene
+from .elaborate import ORIGIN_USER, ElaboratedScene
 from .extnat import INF, ExtNat, Interval, extnat_to_json, fmt_extnat
 from .model import (
     BoundStore,
@@ -25,7 +25,7 @@ from .model import (
     Side,
     StoreConflict,
 )
-from .rules import FactDerivation, RuleInstance, fire, instantiate
+from .rules import RuleInstance, fire, instantiate
 
 ASSERTED = "asserted"
 
@@ -121,7 +121,7 @@ class QueryAnswer:
 
 
 class TreeBuilder:
-    """Reconstructs derivation trees from the store log and fact registry."""
+    """Reconstructs derivation trees from the store log and the scene's facts."""
 
     def __init__(self, store: BoundStore, elab: ElaboratedScene):
         self.store = store
@@ -136,7 +136,7 @@ class TreeBuilder:
         else:
             label = f"{side} {surface} = {value} by {just.rule_id}"
         children = [self.of_premise(p) for p in just.premises]
-        children += [self.of_fact(fid) for fid in just.facts]
+        children += [self.of_fact(i) for i in just.facts]
         return DerivationTree(
             label=label, key=surface, side=side, value=just.value,
             rule_id=just.rule_id, children=tuple(children),
@@ -148,18 +148,10 @@ class TreeBuilder:
         # a side with no justification still holds its default value
         return self.default_leaf(premise.key, premise.side)
 
-    def of_fact(self, fact_id: str) -> DerivationTree:
-        derived = self.elab.fact_provenance.get(fact_id)
-        text = self.elab.describe_fact(fact_id)
-        if derived is not None:
-            children = tuple(self.of_premise(p) for p in derived.premises)
-            return DerivationTree(
-                label=f"fact {fact_id}: {text} by {derived.rule_id}",
-                rule_id=derived.rule_id, children=children,
-            )
-        origin = self.elab.fact_origin(fact_id)
-        tag = "" if origin == "user" else f" ({origin})"
-        return DerivationTree(label=f"fact {fact_id}: {text}{tag}")
+    def of_fact(self, index: int) -> DerivationTree:
+        origin = self.elab.origins[index]
+        tag = "" if origin == ORIGIN_USER else f" ({origin})"
+        return DerivationTree(label=f"fact F{index + 1}: {self.elab.facts[index].render()}{tag}")
 
     def default_leaf(self, key: InvariantKey, side: Side) -> DerivationTree:
         default = BoundStore.default_interval(key)
@@ -208,7 +200,6 @@ class _Run:
         self.store = BoundStore()
         self.trees = TreeBuilder(self.store, elab)
         self.instances: list[RuleInstance] = []
-        self.instance_set: set[RuleInstance] = set()
         self.subscribers: dict[InvariantKey, set[int]] = {}
         self.dirty: set[InvariantKey] = set()
         self.rounds = 0
@@ -232,27 +223,6 @@ class _Run:
                 )
         return None
 
-    def apply_fact(self, derivation: FactDerivation) -> None:
-        fid = self.elab.add_fact(derivation.fact, derivation.rule_id)
-        if fid is not None:
-            self.elab.fact_provenance[fid] = derivation
-
-    def add_instances(self, new: list[RuleInstance]) -> list[int]:
-        added = []
-        for inst in new:
-            if inst in self.instance_set:
-                continue
-            self.instance_set.add(inst)
-            self.instances.append(inst)
-            idx = len(self.instances) - 1
-            for key in inst.read_keys():
-                self.subscribers.setdefault(key, set()).add(idx)
-            added.append(idx)
-        return added
-
-    def refresh_instances(self) -> list[int]:
-        return self.add_instances(instantiate(self.elab))
-
     def apply_asserted(self) -> None:
         for bound in self.elab.bounds:
             if bound.rel == "<=":
@@ -274,7 +244,11 @@ class _Run:
     def run(self) -> SaturationResult:
         self.apply_asserted()
         if self.contradiction is None:
-            self.refresh_instances()
+            # saturation never adds facts, so one instantiation serves the run
+            self.instances = list(dict.fromkeys(instantiate(self.elab)))
+            for idx, inst in enumerate(self.instances):
+                for key in inst.read_keys():
+                    self.subscribers.setdefault(key, set()).add(idx)
             agenda = list(range(len(self.instances)))
             while agenda:
                 if self.rounds >= self.limits.max_rounds:
@@ -287,18 +261,14 @@ class _Run:
                 self.dirty = set()
                 if self.shuffle is not None:
                     self.shuffle.shuffle(agenda)
-                facts_before = len(self.elab.facts)
                 for idx in agenda:
                     updates = fire(self.instances[idx], self.store, self.elab,
                                    rearrange=self.rearrange)
                     conflicts: list[StoreConflict] = []
                     for update in updates:
-                        if isinstance(update, Justification):
-                            conflict = self.apply_bound(update)
-                            if conflict is not None:
-                                conflicts.append(conflict)
-                        else:
-                            self.apply_fact(update)
+                        conflict = self.apply_bound(update)
+                        if conflict is not None:
+                            conflicts.append(conflict)
                         if self.budget is not None:
                             break
                     if conflicts:
@@ -317,8 +287,6 @@ class _Run:
                 scheduled: set[int] = set()
                 for key in self.dirty:
                     scheduled.update(self.subscribers.get(key, ()))
-                if len(self.elab.facts) != facts_before:
-                    scheduled.update(self.refresh_instances())
                 agenda = sorted(scheduled)
         status = "fixpoint"
         if self.contradiction is not None:

@@ -127,6 +127,7 @@ class Premise:
 #   const   -> const
 #   sum     -> sum of "add" roles + max of "max" roles + const
 #   monus   -> "base" role  minus  (sum of "add" + max of "max" + const)
+#              (sum and monus ignore "gate" roles: hi = 0 conditions, not terms)
 #   prod1   -> ("left"+1) * ("right"+1) - 1
 #   prod0   -> "left" * ("right"+1)
 #   ceil1   -> ceil(("base"+1) / ("div"+1)) - 1

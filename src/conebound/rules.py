@@ -44,15 +44,18 @@ class UpperSum:
     Rearrangement emits, for each summed term t,
     lo(t) >= lo(target) - (other adds + max part + const).
     The max operands admit no sound individual lower bound.
+    The bound and its rearrangements hold only while hi(g) = 0 for every
+    gate g: hi L(m) = 0 is how the store says that m is an equivalence.
     """
 
     target: InvariantKey
     adds: tuple[InvariantKey, ...] = ()
     maxes: tuple[InvariantKey, ...] = ()
     const: int = 0
+    gates: tuple[InvariantKey, ...] = ()
 
     def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.target, *self.adds, *self.maxes)
+        return (self.target, *self.adds, *self.maxes, *self.gates)
 
 
 @dataclass(frozen=True)
@@ -136,40 +139,17 @@ class CondLower:
         return (self.target, self.gate, self.floor)
 
 
-@dataclass(frozen=True)
-class DeriveEquiv:
-    """If either invariant of the map has upper bound 0, the map is an
-    equivalence; emits an equiv fact rather than a bound."""
-
-    map_id: str
-
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (key_L(self.map_id), key_Lcat(self.map_id))
-
-
-Conclusion = Union[UpperSum, UpperProd, Unify, LowerMonus, LowerMax, LowerInf,
-                   CondLower, DeriveEquiv]
+Conclusion = Union[UpperSum, UpperProd, Unify, LowerMonus, LowerMax, LowerInf, CondLower]
 
 
 @dataclass(frozen=True)
 class RuleInstance:
     rule_id: str
-    facts: tuple[str, ...]  # fact ids bound by the match
+    facts: tuple[int, ...]  # indices of the facts bound by the match
     conclusions: tuple[Conclusion, ...]
 
     def read_keys(self) -> frozenset[InvariantKey]:
         return frozenset(k for c in self.conclusions for k in c.reads())
-
-
-@dataclass(frozen=True)
-class FactDerivation:
-    fact: Fact
-    rule_id: str
-    premises: tuple[Premise, ...]
-    facts: tuple[str, ...] = ()
-
-
-Update = Union[Justification, FactDerivation]
 
 
 Matcher = Callable[[ElaboratedScene], Iterator[RuleInstance]]
@@ -200,33 +180,31 @@ KIND_KEYS = ((key_L, key_cl, key_kl), (key_Lcat, key_cat, key_kit))
 
 
 def _rule(rule_id: str, guard: frozenset[str], law: str,
-          items: Callable[[ElaboratedScene], list[tuple[tuple[str, ...], object]]],
-          build: Callable[[ElaboratedScene, object], Optional[list[Conclusion]]]) -> Rule:
-    """One instance per item that ``build`` gives conclusions for;
-    ``items`` lists (fact ids bound by the match, item) pairs."""
+          items: Callable[[ElaboratedScene], list[tuple[tuple[int, ...], object]]],
+          build: Callable[[ElaboratedScene, object], list[Conclusion]]) -> Rule:
+    """One instance per item, with conclusions ``build(elab, item)``;
+    ``items`` lists (fact indices bound by the match, item) pairs."""
 
     def match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
         for facts, item in items(elab):
-            built = build(elab, item)
-            if built:
-                yield RuleInstance(rule_id, facts, tuple(built))
+            yield RuleInstance(rule_id, facts, tuple(build(elab, item)))
 
     return Rule(rule_id, guard, law, match)
 
 
 def _fact_rule(rule_id: str, guard: frozenset[str], law: str, kind: str,
-               build: Callable[[ElaboratedScene, Fact], Optional[list[Conclusion]]]) -> Rule:
+               build: Callable[[ElaboratedScene, Fact], list[Conclusion]]) -> Rule:
     return _rule(rule_id, guard, law,
-                 lambda elab: [((fid,), fact) for fid, fact in elab.facts_of(kind)], build)
+                 lambda elab: [((i,), fact) for i, fact in elab.facts_of(kind)], build)
 
 
 def _per_map_rule(rule_id: str, guard: frozenset[str], law: str,
-                  build: Callable[[ElaboratedScene, str], Optional[list[Conclusion]]]) -> Rule:
+                  build: Callable[[ElaboratedScene, str], list[Conclusion]]) -> Rule:
     return _rule(rule_id, guard, law, lambda elab: [((), m) for m in elab.maps], build)
 
 
 def _per_space_rule(rule_id: str, guard: frozenset[str], law: str,
-                    build: Callable[[ElaboratedScene, str], Optional[list[Conclusion]]]) -> Rule:
+                    build: Callable[[ElaboratedScene, str], list[Conclusion]]) -> Rule:
     return _rule(rule_id, guard, law, lambda elab: [((), x) for x in elab.spaces], build)
 
 
@@ -234,15 +212,15 @@ def _per_kind(rule_id: str, guard: frozenset[str], law: str, fact_kind: str, tar
               adds: tuple[int, ...] = (), maxes: tuple[int, ...] = (),
               equivs: tuple[int, ...] = ()) -> Rule:
     """X(target) <= sum of X(adds) + max of X(maxes) for X in {L, Lcat},
-    per fact of ``fact_kind`` whose ``equivs`` maps are known equivalences.
-    Every other parameter is a position in the fact's arguments."""
+    per fact of ``fact_kind``, once its ``equivs`` maps are equivalences
+    (gated on hi L = 0).  Every other parameter is a position in the
+    fact's arguments."""
 
-    def build(elab: ElaboratedScene, fact: Fact) -> Optional[list[Conclusion]]:
+    def build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
         args = fact.args
-        if not all(args[i] in elab.equivs for i in equivs):
-            return None
+        gates = tuple(key_L(args[i]) for i in equivs)
         return [UpperSum(L(args[target]), adds=tuple(L(args[i]) for i in adds),
-                         maxes=tuple(L(args[i]) for i in maxes))
+                         maxes=tuple(L(args[i]) for i in maxes), gates=gates)
                 for L, cl, kl in KIND_KEYS]
 
     return _fact_rule(rule_id, guard, law, fact_kind, build)
@@ -288,18 +266,18 @@ def _build_catalog() -> list[Rule]:
 
     add(_per_map_rule(
         "P7-EQ", ANY,
-        "hi L(f) = 0 or hi Lcat(f) = 0: f is an equivalence (derived fact)",
-        lambda elab, map_id: [DeriveEquiv(map_id)],
+        "hi Lcat(f) = 0: f is an equivalence, so L(f) = 0",
+        lambda elab, map_id: [UpperSum(key_L(map_id), gates=(key_Lcat(map_id),))],
     ))
 
     add(_per_kind("AX-COMP", ANY, "compose(h, g, f): L(h) <= L(f) + L(g); same for Lcat",
                   "compose", 0, adds=(2, 1)))
 
     def mc_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
-        for fid, fact in elab.facts_of("cofiber"):
+        for i, fact in elab.facts_of("cofiber"):
             cone = elab.sig(fact.args[0])[0]
             if cone in elab.members:
-                yield RuleInstance("AX-MC", (fid, elab.member_fact[cone]),
+                yield RuleInstance("AX-MC", (i, elab.member_fact[cone]),
                                    (UpperSum(key_L(fact.args[1]), const=1),))
 
     add(Rule("AX-MC", ANY,
@@ -379,10 +357,10 @@ def _build_catalog() -> list[Rule]:
     # -- single pushout squares ----------------------------------------------
 
     def c411_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
-        for fid, fact in elab.facts_of("pushout"):
+        for i, fact in elab.facts_of("pushout"):
             _, f, g, ib, ic, _ = fact.args
             for leg, opposite in ((ib, g), (ic, f)):
-                yield RuleInstance("C41-1", (fid,), tuple(
+                yield RuleInstance("C41-1", (i,), tuple(
                     UpperSum(L(leg), adds=(L(opposite),)) for L, cl, kl in KIND_KEYS))
 
     add(Rule("C41-1", ANY,
@@ -554,19 +532,18 @@ def _build_catalog() -> list[Rule]:
     ))
 
     def l61_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
-        for fid, fact in elab.facts_of("projection"):
+        for i, fact in elab.facts_of("projection"):
             p = fact.args[0]
             dom, cod = elab.sig(p)
             for _, prod_fact in elab.facts_of("product_space"):
                 prod, first, second = prod_fact.args
                 if prod != dom or second != cod or first not in elab.members:
                     continue
-                member_fid = elab.member_fact[first]
                 conclusions = (
                     UpperSum(key_L(p), adds=(key_cl(cod),), const=1),
                     UpperSum(key_Lcat(p), adds=(key_cat(cod),), const=1),
                 )
-                yield RuleInstance("L61", (fid, member_fid), conclusions)
+                yield RuleInstance("L61", (i, elab.member_fact[first]), conclusions)
                 break
 
     add(Rule("L61", J,
@@ -698,10 +675,10 @@ def _sum_value(store: BoundStore, adds, maxes, const) -> tuple[ExtNat, list[Prem
 
 
 def fire(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
-         rearrange: bool = True) -> list[Update]:
+         rearrange: bool = True) -> list[Justification]:
     """Evaluate an instance against the store; returns only updates that
     would strictly tighten (no-ops are dropped)."""
-    out: list[Update] = []
+    out: list[Justification] = []
 
     def emit(key: InvariantKey, side: Side, value: ExtNat, compute: str,
              premises: list[Premise], const: int = 0) -> None:
@@ -713,15 +690,18 @@ def fire(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
 
     for c in inst.conclusions:
         if isinstance(c, UpperSum):
+            gates = [_premise(store, k, Side.HI, "gate") for k in c.gates]
+            if any(g.value != 0 for g in gates):
+                continue
             value, premises = _sum_value(store, c.adds, c.maxes, c.const)
-            emit(c.target, Side.HI, value, "sum", premises, c.const)
+            emit(c.target, Side.HI, value, "sum", premises + gates, c.const)
             if rearrange and c.adds:
                 for i, term in enumerate(c.adds):
                     others = tuple(t for j, t in enumerate(c.adds) if j != i)
                     sub_value, sub_premises = _sum_value(store, others, c.maxes, c.const)
                     base = _premise(store, c.target, Side.LO, "base")
                     emit(term, Side.LO, ext_monus(base.value, sub_value), "monus",
-                         [base] + sub_premises, c.const)
+                         [base] + sub_premises + gates, c.const)
         elif isinstance(c, UpperProd):
             left = _premise(store, c.left, Side.HI, "left")
             right = _premise(store, c.right, Side.HI, "right")
@@ -758,19 +738,6 @@ def fire(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
             floor = _premise(store, c.floor, Side.LO, "base")
             if gate.value < floor.value:
                 emit(c.target, Side.LO, floor.value, "copy", [gate, floor])
-        elif isinstance(c, DeriveEquiv):
-            if c.map_id in elab.equivs:
-                continue
-            for key in (key_L(c.map_id), key_Lcat(c.map_id)):
-                if store.hi(key) == 0:
-                    witness = _premise(store, key, Side.HI, "base")
-                    out.append(FactDerivation(
-                        fact=Fact("equiv", (c.map_id,)),
-                        rule_id=inst.rule_id,
-                        premises=(witness,),
-                        facts=inst.facts,
-                    ))
-                    break
     return out
 
 
@@ -786,16 +753,11 @@ def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
     """
     violations = []
     for update in fire(inst, store, elab, rearrange=rearrange):
-        if isinstance(update, Justification):
-            side = "upper" if update.side is Side.HI else "lower"
-            violations.append(
-                f"{inst.rule_id}: {side} bound {update.value} on "
-                f"{update.key.surface()} not satisfied by {store.interval(update.key)}"
-            )
-        else:
-            violations.append(
-                f"{inst.rule_id}: derived fact {update.fact.render()} missing"
-            )
+        side = "upper" if update.side is Side.HI else "lower"
+        violations.append(
+            f"{inst.rule_id}: {side} bound {update.value} on "
+            f"{update.key.surface()} not satisfied by {store.interval(update.key)}"
+        )
     return violations
 
 

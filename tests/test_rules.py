@@ -7,7 +7,7 @@ from pathlib import Path
 from helpers import PROBE_SCENE
 
 from conebound.elaborate import elaborate
-from conebound.engine import saturate
+from conebound.engine import explain, query, saturate
 from conebound.extnat import INF
 from conebound.model import Side, key_L, key_Lcat, key_kl
 from conebound.parser import parse_scene
@@ -216,7 +216,7 @@ def test_fibration_bound_is_noop_at_infinity():
 
 
 def test_equiv_detection_feeds_equality_guarded_rules():
-    # a = id via a derived equivalence: T32-W applies once hi L(a) hits 0
+    # va is an equivalence: T32-W applies once hi L(va) hits 0
     text = (
         "collection C { wedges }\n"
         "space A, B, C2, D, B2, C3, D2\n"
@@ -231,10 +231,38 @@ def test_equiv_detection_feeds_equality_guarded_rules():
         "bound Lcat(vb) <= 2\nbound Lcat(vc) <= 1\n"
     )
     result = saturated(text)
-    assert "va" in result.elab.equivs
+    assert interval_of(result, key_L("va")).hi == 0
     assert interval_of(result, key_L("vd")).hi == 2
     # the equivalence also zeroed the category side
     assert interval_of(result, key_Lcat("va")).hi == 0
+
+
+def test_category_zero_opens_the_equivalence_gate():
+    # va becomes an equivalence only through hi Lcat(va) = 0: P7-EQ zeroes
+    # L(va), which opens the gate of T32-W
+    text = (
+        "collection C { wedges }\n"
+        "space A, B, C2, D, B2, C3, D2\n"
+        "map f : A -> B\nmap g : A -> C2\nmap ib : B -> D\nmap ic : C2 -> D\nmap dg : A -> D\n"
+        "map f2 : A -> B2\nmap g2 : A -> C3\nmap ib2 : B2 -> D2\nmap ic2 : C3 -> D2\nmap dg2 : A -> D2\n"
+        "map va : A -> A\nmap vb : B -> B2\nmap vc : C2 -> C3\nmap vd : D -> D2\n"
+        "fact pushout(A, f, g, ib, ic, dg)\n"
+        "fact pushout(A, f2, g2, ib2, ic2, dg2)\n"
+        "fact pushout_map(A, A, va, vb, vc, vd)\n"
+        "bound L(vb) <= 2\nbound L(vc) <= 1\n"
+    )
+    closed = saturated(text)
+    # without the equivalence, T32-W and C34-NC stay gated
+    assert interval_of(closed, key_L("vd")).hi == INF
+    result = saturated(text + "bound Lcat(va) <= 0\n")
+    assert result.status == "fixpoint"
+    assert interval_of(result, key_L("va")).hi == 0
+    assert interval_of(result, key_L("vd")).hi == 2
+    assert query(result, key_L("vd")).hi_rule == "T32-W"
+    tree = explain(result, key_L("vd"), Side.HI)
+    gate = [c for c in tree.children if c.key == "L(va)"]
+    assert [c.label for c in gate] == ["hi L(va) = 0 by P7-EQ"]
+    assert [c.label for c in gate[0].children] == ["hi Lcat(va) = 0 (asserted)"]
 
 
 def test_p72b_conditional_fires_strictly():
