@@ -20,7 +20,7 @@ never taken for a smash inclusion.  Certificates add the stage spaces
 that membership marks under ``all`` and maps that step 6 triangulates,
 so they come before both.  No step reads a fact derived by a later
 one.  Membership is the one step that reads its own output (a
-suspension of a member is a member), so it alone repeats its sweep until
+suspension of a member is a member), so it alone runs a worklist until
 nothing new is marked; the pass is a stratified program in the sense of
 Abiteboul, Hull & Vianu, *Foundations of Databases*.
 
@@ -29,6 +29,7 @@ The result is idempotent: re-running the pass adds nothing new.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from .model import POINT, Kind, canonical_space, init_map, term_map
@@ -64,6 +65,7 @@ class ElaboratedScene:
         self.queries = queries
         self.certs = certs
         self.spaces: list[str] = []
+        self._space_set: set[str] = set()
         self.maps: dict[str, MapDecl] = {}
         self.facts: list[Fact] = []
         self.origins: list[str] = []
@@ -75,9 +77,10 @@ class ElaboratedScene:
     # -- registries ----------------------------------------------------------
 
     def add_space(self, space: str) -> None:
-        if space in self.spaces:
+        if space in self._space_set:
             return
         self.spaces.append(space)
+        self._space_set.add(space)
         self.maps[init_map(space)] = MapDecl(init_map(space), POINT, space)
         self.maps[term_map(space)] = MapDecl(term_map(space), space, POINT)
 
@@ -186,10 +189,43 @@ _CLOSURES = (
 
 
 def _membership_closure(elab: ElaboratedScene) -> None:
-    """Mark members under the profile's closure flags, sweeping until a
-    sweep marks nothing: the one step that reads its own output."""
+    """Mark members under the profile's closure flags.
+
+    The marks, and so the order of the member facts, are those of
+    sweeping the composite facts (closure by closure, each in fact order)
+    until a sweep marks nothing.  A worklist keyed by operand finds them
+    without sweeping: a space marked at position q of sweep s is first
+    seen by the fact at position p in sweep s if q < p, else in sweep
+    s + 1, so each fact's sweep follows from its operands' marks.  Marks
+    are taken off a heap in (sweep, position) order, and every fact is
+    looked at once per operand.
+    """
     flags = elab.profile.flags()
-    closures = [(kind, test) for flag, kind, test in _CLOSURES if flag in flags]
+    spaces: list[str] = []  # the composite of each fact, in sweep order
+    unmarked: list[int] = []  # how many more operands each fact needs
+    sweep_of: list[int] = []  # the first sweep in which each fact's test holds
+    waiting: dict[str, list[int]] = {}  # operand -> positions of its facts
+    for flag, kind, test in _CLOSURES:
+        if flag not in flags:
+            continue
+        for _, fact in elab.facts_of(kind):
+            space, *operands = fact.args
+            operands = list(dict.fromkeys(operands))
+            for operand in operands:
+                waiting.setdefault(operand, []).append(len(spaces))
+            spaces.append(space)
+            unmarked.append(len(operands) if test is all else 1)
+            sweep_of.append(1)
+    heap: list[tuple[int, int]] = []
+
+    def marked(space: str, sweep: int, position: int) -> None:
+        for p in waiting.get(space, ()):
+            if unmarked[p] == 0:
+                continue  # an ``any`` fact that another operand queued
+            sweep_of[p] = max(sweep_of[p], sweep if position < p else sweep + 1)
+            unmarked[p] -= 1
+            if unmarked[p] == 0:
+                heapq.heappush(heap, (sweep_of[p], p))
 
     def mark(space: str) -> None:
         elab.add_fact(Fact("member", (space,)), "elab:member")
@@ -198,15 +234,13 @@ def _membership_closure(elab: ElaboratedScene) -> None:
     if elab.profile.all_spaces:
         for space in elab.spaces:
             mark(space)
-    grew = True
-    while grew:
-        grew = False
-        for kind, test in closures:
-            for _, fact in elab.facts_of(kind):
-                space, *operands = fact.args
-                if space not in elab.members and test(o in elab.members for o in operands):
-                    mark(space)
-                    grew = True
+    for space in elab.members:
+        marked(space, 1, -1)  # members before the first sweep
+    while heap:
+        sweep, p = heapq.heappop(heap)
+        if spaces[p] not in elab.members:
+            mark(spaces[p])
+            marked(spaces[p], sweep, p)
 
 
 def _expand_cert(elab: ElaboratedScene, cert: DecompositionCert, errors: list[str]) -> None:

@@ -1,10 +1,11 @@
 """Chaotic iteration of the rule catalog to a fixpoint over the bound store.
 
 Asserted bounds are applied first, then instances fire in deterministic
-order (rules by id, instances in match order).  After the first full pass
-a worklist keyed by dirty invariant keys re-fires only the instances that
-read a changed key; the meet lattice makes the fixpoint independent of
-firing order.  Termination is enforced, not assumed: upper chains are
+order (rules by id, instances in match order).  Each instance is compiled
+once against the store's slots.  After the first full pass each round
+re-fires, in instance order, only the instances that read a slot the
+previous round tightened; the meet lattice makes the fixpoint independent
+of firing order.  Termination is enforced, not assumed: upper chains are
 well founded, lower chains are capped at ``max_finite`` and tripping the
 cap reports the pumping chain instead of spinning.
 """
@@ -25,7 +26,7 @@ from .model import (
     Side,
     StoreConflict,
 )
-from .rules import RuleInstance, fire, instantiate
+from .rules import CompiledInstance, RuleInstance, fire, instantiate
 
 ASSERTED = "asserted"
 
@@ -200,8 +201,7 @@ class _Run:
         self.store = BoundStore()
         self.trees = TreeBuilder(self.store, elab)
         self.instances: list[RuleInstance] = []
-        self.subscribers: dict[InvariantKey, set[int]] = {}
-        self.dirty: set[InvariantKey] = set()
+        self.dirty: set[int] = set()  # slots tightened in this round
         self.rounds = 0
         self.firings = 0
         self.contradiction: Optional[ContradictionReport] = None
@@ -213,7 +213,7 @@ class _Run:
             return result
         if result:
             self.firings += 1
-            self.dirty.add(just.key)
+            self.dirty.add(self.store.slots[just.key])
             if just.side is Side.LO and INF > just.value > self.limits.max_finite:
                 self.budget = BudgetReport(
                     reason="max_finite",
@@ -246,10 +246,13 @@ class _Run:
         if self.contradiction is None:
             # saturation never adds facts, so one instantiation serves the run
             self.instances = list(dict.fromkeys(instantiate(self.elab)))
-            for idx, inst in enumerate(self.instances):
-                for key in inst.read_keys():
-                    self.subscribers.setdefault(key, set()).add(idx)
-            agenda = list(range(len(self.instances)))
+            compiled = [CompiledInstance(inst, self.store) for inst in self.instances]
+            # subscribers[slot]: the instances that read the slot, ascending
+            subscribers: list[list[int]] = [[] for _ in self.store.keys]
+            for idx, inst in enumerate(compiled):
+                for slot in inst.reads:
+                    subscribers[slot].append(idx)
+            agenda = list(range(len(compiled)))
             while agenda:
                 if self.rounds >= self.limits.max_rounds:
                     self.budget = BudgetReport(
@@ -262,7 +265,7 @@ class _Run:
                 if self.shuffle is not None:
                     self.shuffle.shuffle(agenda)
                 for idx in agenda:
-                    updates = fire(self.instances[idx], self.store, self.elab,
+                    updates = fire(compiled[idx], self.store, self.elab,
                                    rearrange=self.rearrange)
                     conflicts: list[StoreConflict] = []
                     for update in updates:
@@ -285,8 +288,8 @@ class _Run:
                 if self.contradiction is not None or self.budget is not None:
                     break
                 scheduled: set[int] = set()
-                for key in self.dirty:
-                    scheduled.update(self.subscribers.get(key, ()))
+                for slot in self.dirty:
+                    scheduled.update(subscribers[slot])
                 agenda = sorted(scheduled)
         status = "fixpoint"
         if self.contradiction is not None:

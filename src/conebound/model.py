@@ -19,9 +19,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
-from .extnat import INF, TOP, ExtNat, Interval, ext_ceil_div, ext_monus, ext_mul, extnat_to_json
+from .extnat import (INF, TOP, ExtNat, Interval, as_extnat, ext_ceil_div, ext_monus, ext_mul,
+                     extnat_to_json)
 
 POINT = "*"
 
@@ -31,6 +32,10 @@ class Kind(Enum):
 
     CONE_LENGTH = "L"
     CATEGORY = "Lcat"
+
+    # members are singletons, so hash by identity; Enum's own __hash__ is a
+    # Python-level call, and every key hash goes through it
+    __hash__ = object.__hash__
 
 
 class Side(Enum):
@@ -68,8 +73,10 @@ SPACE_ALIASES: dict[str, tuple[str, Kind]] = {
 _ALIAS_OF = {target: alias for alias, target in SPACE_ALIASES.items()}
 
 
-@dataclass(frozen=True)
-class InvariantKey:
+class InvariantKey(NamedTuple):
+    """One bound's identity.  A tuple, so that hashing and comparing keys,
+    which the store and the engine do on every lookup, runs in C."""
+
     map_id: str
     kind: Kind
 
@@ -208,14 +215,21 @@ class StoreConflict:
 class BoundStore:
     """Interval per key, with the full monotone tightening log.
 
-    The canonical maps of the point are exact by definition, so their keys
-    default to [0, 0]; everything else defaults to the unconstrained
-    [0, inf].
+    Each key the store has seen owns an int slot.  The lo and hi of a slot
+    and the log indices of the justifications behind them live in flat
+    per-slot lists, which compiled rule instances read directly
+    (``rules.CompiledInstance``).  The canonical maps of the point are
+    exact by definition, so their keys default to [0, 0]; everything else
+    defaults to the unconstrained [0, inf].
     """
 
     def __init__(self) -> None:
-        self._intervals: dict[InvariantKey, Interval] = {}
-        self._last: dict[tuple[InvariantKey, Side], int] = {}
+        self.slots: dict[InvariantKey, int] = {}
+        self.keys: list[InvariantKey] = []
+        self.lo_values: list[ExtNat] = []
+        self.hi_values: list[ExtNat] = []
+        self.lo_sources: list[Optional[int]] = []
+        self.hi_sources: list[Optional[int]] = []
         self.log: list[Justification] = []
 
     @staticmethod
@@ -225,32 +239,35 @@ class BoundStore:
             return Interval(0, 0)
         return TOP
 
-    def interval(self, key: InvariantKey) -> Interval:
-        got = self._intervals.get(key)
-        return got if got is not None else self.default_interval(key)
+    def slot(self, key: InvariantKey) -> int:
+        """The key's slot; a key seen for the first time starts at its default."""
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.keys)
+            self.keys.append(key)
+            default = self.default_interval(key)
+            self.lo_values.append(default.lo)
+            self.hi_values.append(default.hi)
+            self.lo_sources.append(None)
+            self.hi_sources.append(None)
+        return slot
 
-    def lo(self, key: InvariantKey) -> ExtNat:
-        return self.interval(key).lo
+    def interval(self, key: InvariantKey) -> Interval:
+        slot = self.slots.get(key)
+        if slot is None:
+            return self.default_interval(key)
+        return Interval(self.lo_values[slot], self.hi_values[slot])
 
     def hi(self, key: InvariantKey) -> ExtNat:
         return self.interval(key).hi
 
-    def value(self, key: InvariantKey, side: Side) -> ExtNat:
-        return self.lo(key) if side is Side.LO else self.hi(key)
-
-    def source_of(self, key: InvariantKey, side: Side) -> Optional[int]:
-        """Log index of the justification backing the current value, if any."""
-        return self._last.get((key, side))
-
     def justification_of(self, key: InvariantKey, side: Side) -> Optional[Justification]:
-        idx = self.source_of(key, side)
+        """The justification backing the current value of one side, if any."""
+        slot = self.slots.get(key)
+        if slot is None:
+            return None
+        idx = (self.lo_sources if side is Side.LO else self.hi_sources)[slot]
         return self.log[idx] if idx is not None else None
-
-    def would_tighten(self, key: InvariantKey, side: Side, value: ExtNat) -> bool:
-        cur = self.interval(key)
-        if side is Side.HI:
-            return value < cur.hi
-        return value > cur.lo
 
     def apply(self, just: Justification) -> Union[bool, StoreConflict]:
         """Meet one side with a justified value.
@@ -258,31 +275,39 @@ class BoundStore:
         Returns True if the store tightened, False for a no-op, or a
         StoreConflict when the new bound crosses the opposite side.
         """
-        cur = self.interval(just.key)
+        slot = self.slot(just.key)
+        lo, hi = self.lo_values[slot], self.hi_values[slot]
         if just.side is Side.HI:
-            if just.value >= cur.hi:
+            if just.value >= hi:
                 return False
-            if just.value < cur.lo:
-                return StoreConflict(just.key, cur, just,
-                                     self.source_of(just.key, Side.LO))
-            new = Interval(cur.lo, just.value)
+            if just.value < lo:
+                return StoreConflict(just.key, Interval(lo, hi), just, self.lo_sources[slot])
+            self.hi_values[slot] = as_extnat(just.value)
+            self.hi_sources[slot] = len(self.log)
         else:
-            if just.value <= cur.lo:
+            if just.value <= lo:
                 return False
-            if just.value > cur.hi:
-                return StoreConflict(just.key, cur, just,
-                                     self.source_of(just.key, Side.HI))
-            new = Interval(just.value, cur.hi)
-        self._intervals[just.key] = new
+            if just.value > hi:
+                return StoreConflict(just.key, Interval(lo, hi), just, self.hi_sources[slot])
+            self.lo_values[slot] = as_extnat(just.value)
+            self.lo_sources[slot] = len(self.log)
         self.log.append(just)
-        self._last[(just.key, just.side)] = len(self.log) - 1
         return True
 
     def serialize(self) -> str:
-        """Canonical JSON of all non-default intervals, for byte comparison."""
+        """Canonical JSON of all non-default intervals, for byte comparison.
+
+        An interval is non-default exactly when one of its sides has a
+        justification: every tightening moves it off its default.
+        """
+        tightened = sorted(
+            ((key, slot) for key, slot in self.slots.items()
+             if self.lo_sources[slot] is not None or self.hi_sources[slot] is not None),
+            key=lambda pair: pair[0].sort_key())
         payload = {
-            f"{k.kind.value}({k.map_id})": [extnat_to_json(v.lo), extnat_to_json(v.hi)]
-            for k, v in sorted(self._intervals.items(), key=lambda kv: kv[0].sort_key())
+            f"{k.kind.value}({k.map_id})": [extnat_to_json(self.lo_values[slot]),
+                                            extnat_to_json(self.hi_values[slot])]
+            for k, slot in tightened
         }
         return json.dumps(payload, separators=(",", ":"))
 

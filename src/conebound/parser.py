@@ -142,7 +142,9 @@ class _Parser:
     def __init__(self) -> None:
         self.errors: list[ParseError] = []
         self.profile: Optional[CollectionProfile] = None
-        self.spaces: list[str] = []
+        self.spaces: set[str] = set()  # Scene.build sorts them
+        # the spaces of a parsed scene that an invariant is resolved against
+        self.scene_spaces: tuple[str, ...] = ()
         self.maps: list[MapDecl] = []
         self.map_sigs: dict[str, tuple[str, str]] = {}
         self.facts: list[Fact] = []
@@ -153,7 +155,7 @@ class _Parser:
     # -- identifier helpers -------------------------------------------------
 
     def has_space(self, name: str) -> bool:
-        return name == POINT or name in self.spaces
+        return name == POINT or name in self.spaces or name in self.scene_spaces
 
     def declare_name(self, cur: _Cursor, tok: Token) -> str:
         name = tok.text
@@ -247,7 +249,7 @@ class _Parser:
         while True:
             tok = cur.expect_ident("space name")
             name = self.declare_name(cur, tok)
-            self.spaces.append(name)
+            self.spaces.add(name)
             if not cur.accept_punct(","):
                 break
         cur.expect_end()
@@ -423,7 +425,7 @@ def parse_invariant(text: str, scene: Scene) -> InvariantKey:
     """Parse one invariant such as ``kl(X)`` or ``L(f)`` against the
     declarations of ``scene``; raises SceneParseError."""
     parser = _Parser()
-    parser.spaces = list(scene.spaces)
+    parser.scene_spaces = scene.spaces
     parser.map_sigs = {m.id: (m.dom, m.cod) for m in scene.maps}
     tokens = _lex_line(text.strip(), 1, parser.errors)
     if not parser.errors:

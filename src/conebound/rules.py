@@ -15,26 +15,28 @@ files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from functools import lru_cache
+from typing import Callable, Iterator, Optional, Sequence, Union
 
+from . import model
 from .elaborate import ElaboratedScene
 from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
-from .model import (
-    BoundStore,
-    InvariantKey,
-    Justification,
-    Premise,
-    Side,
-    key_L,
-    key_Lcat,
-    key_cat,
-    key_cl,
-    key_kit,
-    key_kl,
-)
+from .model import BoundStore, InvariantKey, Justification, Premise, Side
 from .scene import Fact
 
+# Every key the catalog names is built by one of these.  Each remembers its
+# keys until ``instantiate`` returns, so the thousands of instances that
+# name one key share one object instead of each holding a copy.
+_KEY_BUILDERS = tuple(lru_cache(maxsize=None)(build) for build in (
+    model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl, model.key_kit))
+key_L, key_Lcat, key_cl, key_cat, key_kl, key_kit = _KEY_BUILDERS
+
 # -- conclusion shapes ---------------------------------------------------------
+# Each shape's ``compile(slot)`` gives the step that ``fire`` evaluates: the
+# shape's class, then its fields in order with every key replaced by
+# ``slot(key)``.
+
+Slot = Callable[[InvariantKey], int]
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,9 @@ class UpperSum:
     const: int = 0
     gates: tuple[InvariantKey, ...] = ()
 
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.target, *self.adds, *self.maxes, *self.gates)
+    def compile(self, slot: Slot) -> tuple:
+        return (UpperSum, slot(self.target), tuple(map(slot, self.adds)),
+                tuple(map(slot, self.maxes)), self.const, tuple(map(slot, self.gates)))
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,9 @@ class UpperProd:
     right: InvariantKey
     minus_one: bool = True
 
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.target, self.left, self.right)
+    def compile(self, slot: Slot) -> tuple:
+        return (UpperProd, slot(self.target), slot(self.left), slot(self.right),
+                self.minus_one)
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,8 @@ class Unify:
     a: InvariantKey
     b: InvariantKey
 
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.a, self.b)
+    def compile(self, slot: Slot) -> tuple:
+        return (Unify, slot(self.a), slot(self.b))
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,9 @@ class LowerMonus:
     subs: tuple[InvariantKey, ...] = ()
     const: int = 0
 
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.target, self.base, *self.subs)
+    def compile(self, slot: Slot) -> tuple:
+        return (LowerMonus, slot(self.target), slot(self.base), tuple(map(slot, self.subs)),
+                self.const)
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,8 @@ class LowerMax:
     target: InvariantKey
     sources: tuple[InvariantKey, ...]
 
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.target, *self.sources)
+    def compile(self, slot: Slot) -> tuple:
+        return (LowerMax, slot(self.target), tuple(map(slot, self.sources)))
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,8 @@ class LowerInf:
 
     target: InvariantKey
 
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.target,)
+    def compile(self, slot: Slot) -> tuple:
+        return (LowerInf, slot(self.target))
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,8 @@ class CondLower:
     gate: InvariantKey
     floor: InvariantKey
 
-    def reads(self) -> tuple[InvariantKey, ...]:
-        return (self.target, self.gate, self.floor)
+    def compile(self, slot: Slot) -> tuple:
+        return (CondLower, slot(self.target), slot(self.gate), slot(self.floor))
 
 
 Conclusion = Union[UpperSum, UpperProd, Unify, LowerMonus, LowerMax, LowerInf, CondLower]
@@ -147,9 +152,6 @@ class RuleInstance:
     rule_id: str
     facts: tuple[int, ...]  # indices of the facts bound by the match
     conclusions: tuple[Conclusion, ...]
-
-    def read_keys(self) -> frozenset[InvariantKey]:
-        return frozenset(k for c in self.conclusions for k in c.reads())
 
 
 Matcher = Callable[[ElaboratedScene], Iterator[RuleInstance]]
@@ -646,98 +648,156 @@ def instantiate(elab: ElaboratedScene) -> list[RuleInstance]:
     order: rules by id, instances in fact/registry order."""
     flags = elab.profile.flags()
     instances: list[RuleInstance] = []
-    for rule in catalog():
-        if rule.guard <= flags:
-            instances.extend(rule.matcher(elab))
+    try:
+        for rule in catalog():
+            if rule.guard <= flags:
+                instances.extend(rule.matcher(elab))
+    finally:
+        for build in _KEY_BUILDERS:
+            build.cache_clear()
     return instances
 
 
-# -- firing --------------------------------------------------------------------
+# -- compiled instances and firing ---------------------------------------------
 
 
-def _premise(store: BoundStore, key: InvariantKey, side: Side, role: str) -> Premise:
+class CompiledInstance:
+    """A rule instance with every key replaced by its slot in one store.
+
+    ``steps`` holds one tuple per conclusion, ``(conclusion class, fields
+    with slots for keys...)``; ``reads`` lists the distinct slots that the
+    steps name, which is what the engine subscribes the instance to.
+    """
+
+    __slots__ = ("rule_id", "facts", "steps", "reads")
+
+    def __init__(self, inst: RuleInstance, store: BoundStore):
+        self.rule_id = inst.rule_id
+        self.facts = inst.facts
+        slots = store.slots
+        read: dict[int, None] = {}
+
+        def slot(key: InvariantKey) -> int:
+            index = slots.get(key)
+            if index is None:
+                index = store.slot(key)
+            read[index] = None
+            return index
+
+        self.steps = tuple(c.compile(slot) for c in inst.conclusions)
+        self.reads = tuple(read)
+
+
+def _sum(hi: list[ExtNat], adds: Sequence[int], maxes: Sequence[int], const: int) -> ExtNat:
+    total = const
+    for s in adds:
+        total += hi[s]
+    if maxes:
+        total += max([hi[s] for s in maxes])
+    return total
+
+
+def _premises(store: BoundStore, slots: Sequence[int], side: Side, role: str) -> list[Premise]:
     # Snapshot both the value and the provenance pointer at read time, so a
     # later tightening of the same key cannot detach the derivation tree.
-    return Premise(key, side, store.value(key, side), role,
-                   store.source_of(key, side))
+    if side is Side.HI:
+        values, sources = store.hi_values, store.hi_sources
+    else:
+        values, sources = store.lo_values, store.lo_sources
+    keys = store.keys
+    return [Premise(keys[s], side, values[s], role, sources[s]) for s in slots]
 
 
-def _sum_value(store: BoundStore, adds, maxes, const) -> tuple[ExtNat, list[Premise]]:
-    premises = [_premise(store, k, Side.HI, "add") for k in adds]
-    total = const
-    for p in premises:
-        total += p.value
-    if maxes:
-        tops = [_premise(store, k, Side.HI, "max") for k in maxes]
-        total += max([p.value for p in tops])
-        premises += tops
-    return total, premises
-
-
-def fire(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
-         rearrange: bool = True) -> list[Justification]:
+def fire(inst: Union[RuleInstance, CompiledInstance], store: BoundStore,
+         elab: ElaboratedScene, rearrange: bool = True) -> list[Justification]:
     """Evaluate an instance against the store; returns only updates that
-    would strictly tighten (no-ops are dropped)."""
+    would strictly tighten (no-ops are dropped).
+
+    A raw ``RuleInstance`` is compiled against ``store`` first.  Values are
+    read from the store's slot lists; the premises and the justification
+    are built only for a conclusion that tightens.
+    """
+    if not isinstance(inst, CompiledInstance):
+        inst = CompiledInstance(inst, store)
+    lo, hi = store.lo_values, store.hi_values
+    HI, LO = Side.HI, Side.LO
     out: list[Justification] = []
 
-    def emit(key: InvariantKey, side: Side, value: ExtNat, compute: str,
+    def emit(slot: int, side: Side, value: ExtNat, compute: str,
              premises: list[Premise], const: int = 0) -> None:
-        if store.would_tighten(key, side, value):
-            out.append(Justification(
-                rule_id=inst.rule_id, key=key, side=side, value=value,
-                compute=compute, const=const, premises=tuple(premises), facts=inst.facts,
-            ))
+        out.append(Justification(
+            rule_id=inst.rule_id, key=store.keys[slot], side=side, value=value,
+            compute=compute, const=const, premises=tuple(premises), facts=inst.facts,
+        ))
 
-    for c in inst.conclusions:
-        if isinstance(c, UpperSum):
-            gates = [_premise(store, k, Side.HI, "gate") for k in c.gates]
-            if any(g.value != 0 for g in gates):
+    for step in inst.steps:
+        shape = step[0]
+        if shape is UpperSum:
+            _, target, adds, maxes, const, gates = step
+            if gates and any(hi[g] != 0 for g in gates):
                 continue
-            value, premises = _sum_value(store, c.adds, c.maxes, c.const)
-            emit(c.target, Side.HI, value, "sum", premises + gates, c.const)
-            if rearrange and c.adds:
-                for i, term in enumerate(c.adds):
-                    others = tuple(t for j, t in enumerate(c.adds) if j != i)
-                    sub_value, sub_premises = _sum_value(store, others, c.maxes, c.const)
-                    base = _premise(store, c.target, Side.LO, "base")
-                    emit(term, Side.LO, ext_monus(base.value, sub_value), "monus",
-                         [base] + sub_premises + gates, c.const)
-        elif isinstance(c, UpperProd):
-            left = _premise(store, c.left, Side.HI, "left")
-            right = _premise(store, c.right, Side.HI, "right")
-            if c.minus_one:
-                value = ext_monus(ext_mul(left.value + 1, right.value + 1), 1)
-                emit(c.target, Side.HI, value, "prod1", [left, right])
+            value = _sum(hi, adds, maxes, const)
+            if value < hi[target]:
+                emit(target, HI, value, "sum",
+                     _premises(store, adds, HI, "add") + _premises(store, maxes, HI, "max")
+                     + _premises(store, gates, HI, "gate"), const)
+            # lo(target) = 0 leaves every term at lo 0, which never tightens
+            if rearrange and lo[target]:
+                for i, term in enumerate(adds):
+                    others = adds[:i] + adds[i + 1:]
+                    value = ext_monus(lo[target], _sum(hi, others, maxes, const))
+                    if value > lo[term]:
+                        emit(term, LO, value, "monus",
+                             _premises(store, (target,), LO, "base")
+                             + _premises(store, others, HI, "add")
+                             + _premises(store, maxes, HI, "max")
+                             + _premises(store, gates, HI, "gate"), const)
+        elif shape is UpperProd:
+            _, target, left, right, minus_one = step
+            if minus_one:
+                value = ext_monus(ext_mul(hi[left] + 1, hi[right] + 1), 1)
             else:
-                value = ext_mul(left.value, right.value + 1)
-                emit(c.target, Side.HI, value, "prod0", [left, right])
+                value = ext_mul(hi[left], hi[right] + 1)
+            if value < hi[target]:
+                emit(target, HI, value, "prod1" if minus_one else "prod0",
+                     _premises(store, (left,), HI, "left")
+                     + _premises(store, (right,), HI, "right"))
             if rearrange:
-                base = _premise(store, c.target, Side.LO, "base")
-                for factor, other in ((c.left, c.right), (c.right, c.left)):
-                    div = _premise(store, other, Side.HI, "div")
-                    lo_value = ext_monus(ext_ceil_div(base.value + 1, div.value + 1), 1)
-                    emit(factor, Side.LO, lo_value, "ceil1", [base, div])
-        elif isinstance(c, Unify):
-            for key, src in ((c.a, c.b), (c.b, c.a)):
-                hi_premise = _premise(store, src, Side.HI, "copy")
-                emit(key, Side.HI, hi_premise.value, "copy", [hi_premise])
-                lo_premise = _premise(store, src, Side.LO, "copy")
-                emit(key, Side.LO, lo_premise.value, "copy", [lo_premise])
-        elif isinstance(c, LowerMonus):
-            base = _premise(store, c.base, Side.LO, "base")
-            sub_total, subs = _sum_value(store, c.subs, (), c.const)
-            emit(c.target, Side.LO, ext_monus(base.value, sub_total), "monus",
-                 [base] + subs, c.const)
-        elif isinstance(c, LowerMax):
-            premises = [_premise(store, k, Side.LO, "lo") for k in c.sources]
-            emit(c.target, Side.LO, max([p.value for p in premises]), "maxlo", premises)
-        elif isinstance(c, LowerInf):
-            emit(c.target, Side.LO, INF, "inf", [])
-        elif isinstance(c, CondLower):
-            gate = _premise(store, c.gate, Side.HI, "gate")
-            floor = _premise(store, c.floor, Side.LO, "base")
-            if gate.value < floor.value:
-                emit(c.target, Side.LO, floor.value, "copy", [gate, floor])
+                for factor, other in ((left, right), (right, left)):
+                    value = ext_monus(ext_ceil_div(lo[target] + 1, hi[other] + 1), 1)
+                    if value > lo[factor]:
+                        emit(factor, LO, value, "ceil1",
+                             _premises(store, (target,), LO, "base")
+                             + _premises(store, (other,), HI, "div"))
+        elif shape is Unify:
+            _, a, b = step
+            for key, src in ((a, b), (b, a)):
+                if hi[src] < hi[key]:
+                    emit(key, HI, hi[src], "copy", _premises(store, (src,), HI, "copy"))
+                if lo[src] > lo[key]:
+                    emit(key, LO, lo[src], "copy", _premises(store, (src,), LO, "copy"))
+        elif shape is LowerMonus:
+            _, target, base, subs, const = step
+            value = ext_monus(lo[base], _sum(hi, subs, (), const))
+            if value > lo[target]:
+                emit(target, LO, value, "monus",
+                     _premises(store, (base,), LO, "base") + _premises(store, subs, HI, "add"),
+                     const)
+        elif shape is LowerMax:
+            _, target, sources = step
+            value = max([lo[s] for s in sources])
+            if value > lo[target]:
+                emit(target, LO, value, "maxlo", _premises(store, sources, LO, "lo"))
+        elif shape is LowerInf:
+            _, target = step
+            if INF > lo[target]:
+                emit(target, LO, INF, "inf", [])
+        elif shape is CondLower:
+            _, target, gate, floor = step
+            if hi[gate] < lo[floor] and lo[floor] > lo[target]:
+                emit(target, LO, lo[floor], "copy",
+                     _premises(store, (gate,), HI, "gate")
+                     + _premises(store, (floor,), LO, "base"))
     return out
 
 

@@ -1,12 +1,13 @@
 """Elaboration: derived facts, membership closure, certificate expansion."""
 
+import random
 from dataclasses import replace
 
 import pytest
 from helpers import random_scene
 
 from conebound.cli import corpus_dir
-from conebound.elaborate import ElaborationError, elaborate, run_expansion_passes
+from conebound.elaborate import _CLOSURES, ElaborationError, elaborate, run_expansion_passes
 from conebound.engine import saturate
 from conebound.parser import parse_scene
 from conebound.scene import FACT_SCHEMAS, Fact
@@ -115,6 +116,50 @@ def test_top_down_suspension_tower_elaborates():
     elab = elaborate(parse_scene(text))
     assert f"S{n}" in elab.members
     assert run_expansion_passes(elab) is False
+
+
+def _closure_scene(seed):
+    rng = random.Random(seed)
+    flags = rng.sample(["suspensions", "wedges", "joins", "smash_ideal"], rng.randint(1, 4))
+    spaces = [f"A{i}" for i in range(12)]
+    facts = [f"fact member({space})" for space in rng.sample(spaces, 2)]
+    for target in rng.sample(spaces, 8):
+        kind = rng.choice(["susp_space", "wedge_space", "join_space", "smash_space"])
+        operands = rng.sample(spaces, 1 if kind == "susp_space" else 2)
+        facts.append(f"fact {kind}({target}, {', '.join(operands)})")
+    rng.shuffle(facts)
+    return parse_scene(f"collection C {{ {', '.join(flags)} }}\nspace {', '.join(spaces)}\n"
+                       + "\n".join(facts) + "\n")
+
+
+def _sweep_marks(elab, members):
+    """The membership closure as repeated sweeps, kept as the reference for
+    the order in which the worklist must mark."""
+    flags = elab.profile.flags()
+    members, marks = set(members), []
+    grew = True
+    while grew:
+        grew = False
+        for flag, kind, test in _CLOSURES:
+            if flag not in flags:
+                continue
+            for _, fact in elab.facts_of(kind):
+                space, *operands = fact.args
+                if space not in members and test(o in members for o in operands):
+                    members.add(space)
+                    marks.append(space)
+                    grew = True
+    return marks
+
+
+def test_membership_worklist_marks_in_sweep_order():
+    for seed in range(300):
+        scene = _closure_scene(seed)
+        elab = elaborate(scene)
+        given = {"*"} | {f.args[0] for f in scene.facts if f.kind == "member"}
+        marks = [fact.args[0] for fact, origin in zip(elab.facts, elab.origins)
+                 if fact.kind == "member" and origin == "elab:member"]
+        assert marks == ["*"] + _sweep_marks(elab, given), seed
 
 
 def test_fact_order_does_not_change_elaboration():

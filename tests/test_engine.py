@@ -1,9 +1,11 @@
 """Saturation behavior: fixpoints, contradictions, budgets, provenance."""
 
+import hashlib
 import random
 
 from helpers import random_scene
 
+from conebound import engine
 from conebound.elaborate import elaborate
 from conebound.engine import Limits, explain, query, saturate
 from conebound.extnat import INF, Interval
@@ -301,3 +303,39 @@ def test_rendered_scene_saturates_identically():
         assert via_text.status == direct.status, seed
         if direct.status == "fixpoint":
             assert via_text.store.serialize() == direct.store.serialize(), seed
+
+
+def _chain_scene(n):
+    lines = ["collection Chain { suspensions }",
+             "space " + ", ".join(f"X{i}" for i in range(n + 1))]
+    lines += [f"map f{i} : X{i - 1} -> X{i}" for i in range(1, n + 1)]
+    lines += [f"bound L(f{i}) <= 1" for i in range(1, n + 1)]
+    lines += ["bound cl(X0) = 1"]
+    return "\n".join(lines) + "\n"
+
+
+def test_chain_firing_schedule_is_pinned(monkeypatch):
+    # Recorded with the dict-keyed store that built premises on every
+    # firing.  The slot-indexed core must fire the same instances in the
+    # same order: same rounds, fire calls and log, under shuffle= too.
+    calls = []
+    real = engine.fire
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "fire", counted)
+    runs = [({}, 3, 2478, "9f83b3d6cc017099"),
+            ({"rearrange": False}, 3, 2478, "9f83b3d6cc017099"),
+            ({"shuffle": random.Random(7)}, 61, 3058, "c8fd1f171d8ad8cc")]
+    for kwargs, rounds, fire_calls, digest in runs:
+        calls.clear()
+        result = run(_chain_scene(60), **kwargs)
+        log = "\n".join(f"{j.rule_id} {j.side.value} {j.key.surface()} {j.value}"
+                        for j in result.store.log)
+        assert result.status == "fixpoint"
+        assert len(result.instances) == 1041
+        assert (result.rounds, result.firings, len(result.store.log), len(calls)) == (
+            rounds, 303, 365, fire_calls), kwargs
+        assert hashlib.sha256(log.encode()).hexdigest()[:16] == digest, kwargs

@@ -9,11 +9,12 @@ from helpers import PROBE_SCENE
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
 from conebound.extnat import INF
-from conebound.model import Side, key_L, key_Lcat, key_kl
+from conebound.model import BoundStore, Justification, Side, key_L, key_Lcat, key_kl
 from conebound.parser import parse_scene
 from conebound.rules import (
     UpperSum,
     catalog,
+    check_instance,
     fire,
     instantiate,
     render_rules_markdown,
@@ -531,3 +532,23 @@ def test_trivial_map_bounds():
     assert interval_of(result, key_L("z")).hi == 2  # max(kl X, cl Y)
     assert interval_of(result, key_Lcat("z")).hi == 1  # max(kit X, cat Y)
     assert interval_of(result, key_Lcat("z")).lo == 1  # floor from kit(X)
+
+
+def test_check_instance_on_raw_instances_reports_violations():
+    # the benchmark oracle's path: fresh instantiate() output checked
+    # against a store that no compiled instance has seen
+    elab = elaborate(parse_scene("collection C { }\nspace X, Y\nmap f : X -> Y\n"))
+    store = BoundStore()
+    store.apply(Justification("asserted", key_L("f"), Side.HI, 2, "asserted"))
+    store.apply(Justification("asserted", key_Lcat("f"), Side.LO, 3, "asserted"))
+    before = store.serialize()
+    violations = {inst.rule_id: check_instance(inst, store, elab)
+                  for inst in instantiate(elab)}
+    assert violations.pop("REL-CL") == [
+        "REL-CL: upper bound 2 on Lcat(f) not satisfied by [3, inf]",
+        "REL-CL: lower bound 3 on L(f) not satisfied by [0, 2]",
+        "REL-CL: lower bound 3 on L(f) not satisfied by [0, 2]",
+    ]
+    assert all(found == [] for found in violations.values())
+    assert store.serialize() == before
+    assert len(store.log) == 2
