@@ -265,8 +265,7 @@ class _Run:
                 if self.shuffle is not None:
                     self.shuffle.shuffle(agenda)
                 for idx in agenda:
-                    updates = fire(compiled[idx], self.store, self.elab,
-                                   rearrange=self.rearrange)
+                    updates = fire(compiled[idx], self.store, rearrange=self.rearrange)
                     conflicts: list[StoreConflict] = []
                     for update in updates:
                         conflict = self.apply_bound(update)

@@ -192,7 +192,7 @@ class Justification:
     compute: str  # computation kind, see recompute()
     const: int = 0
     premises: tuple[Premise, ...] = ()
-    facts: tuple[str, ...] = ()  # fact ids this firing consumed
+    facts: tuple[int, ...] = ()  # indices into ElaboratedScene.facts of the facts consumed
 
     def check(self) -> bool:
         """The recorded value matches re-running the computation."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import model
 from .elaborate import ElaboratedScene
@@ -32,15 +32,12 @@ _KEY_BUILDERS = tuple(lru_cache(maxsize=None)(build) for build in (
 key_L, key_Lcat, key_cl, key_cat, key_kl, key_kit = _KEY_BUILDERS
 
 # -- conclusion shapes ---------------------------------------------------------
-# Each shape's ``compile(slot)`` gives the step that ``fire`` evaluates: the
-# shape's class, then its fields in order with every key replaced by
-# ``slot(key)``.
+# A shape's field order is its compiled step layout: ``CompiledInstance``
+# turns a conclusion into (its class, its fields in order with slots for
+# keys), and ``fire`` unpacks that tuple.  Shapes are named tuples, so two
+# conclusions with equal fields compare equal whatever their class.
 
-Slot = Callable[[InvariantKey], int]
-
-
-@dataclass(frozen=True)
-class UpperSum:
+class UpperSum(NamedTuple):
     """hi(target) <= sum(adds) + max(maxes) + const.
 
     Rearrangement emits, for each summed term t,
@@ -56,13 +53,8 @@ class UpperSum:
     const: int = 0
     gates: tuple[InvariantKey, ...] = ()
 
-    def compile(self, slot: Slot) -> tuple:
-        return (UpperSum, slot(self.target), tuple(map(slot, self.adds)),
-                tuple(map(slot, self.maxes)), self.const, tuple(map(slot, self.gates)))
 
-
-@dataclass(frozen=True)
-class UpperProd:
+class UpperProd(NamedTuple):
     """Multiplicative upper bound from a fibration-style product.
 
     minus_one=True:  hi(target) <= (hi(left)+1) * (hi(right)+1) - 1
@@ -77,24 +69,15 @@ class UpperProd:
     right: InvariantKey
     minus_one: bool = True
 
-    def compile(self, slot: Slot) -> tuple:
-        return (UpperProd, slot(self.target), slot(self.left), slot(self.right),
-                self.minus_one)
 
-
-@dataclass(frozen=True)
-class Unify:
+class Unify(NamedTuple):
     """interval(a) == interval(b): both sides meet both ways."""
 
     a: InvariantKey
     b: InvariantKey
 
-    def compile(self, slot: Slot) -> tuple:
-        return (Unify, slot(self.a), slot(self.b))
 
-
-@dataclass(frozen=True)
-class LowerMonus:
+class LowerMonus(NamedTuple):
     """lo(target) >= lo(base) - (sum of hi(subs) + const), truncated."""
 
     target: InvariantKey
@@ -102,34 +85,21 @@ class LowerMonus:
     subs: tuple[InvariantKey, ...] = ()
     const: int = 0
 
-    def compile(self, slot: Slot) -> tuple:
-        return (LowerMonus, slot(self.target), slot(self.base), tuple(map(slot, self.subs)),
-                self.const)
 
-
-@dataclass(frozen=True)
-class LowerMax:
+class LowerMax(NamedTuple):
     """lo(target) >= max over lo(sources)."""
 
     target: InvariantKey
     sources: tuple[InvariantKey, ...]
 
-    def compile(self, slot: Slot) -> tuple:
-        return (LowerMax, slot(self.target), tuple(map(slot, self.sources)))
 
-
-@dataclass(frozen=True)
-class LowerInf:
+class LowerInf(NamedTuple):
     """lo(target) = inf."""
 
     target: InvariantKey
 
-    def compile(self, slot: Slot) -> tuple:
-        return (LowerInf, slot(self.target))
 
-
-@dataclass(frozen=True)
-class CondLower:
+class CondLower(NamedTuple):
     """If hi(gate) < lo(floor) then lo(target) >= lo(floor).
 
     The guard is stable: upper bounds only fall and lower bounds only
@@ -140,15 +110,11 @@ class CondLower:
     gate: InvariantKey
     floor: InvariantKey
 
-    def compile(self, slot: Slot) -> tuple:
-        return (CondLower, slot(self.target), slot(self.gate), slot(self.floor))
-
 
 Conclusion = Union[UpperSum, UpperProd, Unify, LowerMonus, LowerMax, LowerInf, CondLower]
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     rule_id: str
     facts: tuple[int, ...]  # indices of the facts bound by the match
     conclusions: tuple[Conclusion, ...]
@@ -664,9 +630,11 @@ def instantiate(elab: ElaboratedScene) -> list[RuleInstance]:
 class CompiledInstance:
     """A rule instance with every key replaced by its slot in one store.
 
-    ``steps`` holds one tuple per conclusion, ``(conclusion class, fields
-    with slots for keys...)``; ``reads`` lists the distinct slots that the
-    steps name, which is what the engine subscribes the instance to.
+    ``steps`` holds one tuple per conclusion: the conclusion's class, then
+    its fields in order, a key as its slot, a tuple of keys as the tuple of
+    their slots and any other field as is.  ``reads`` lists the distinct
+    slots that the steps name, in first-appearance order; the engine
+    subscribes the instance to them.
     """
 
     __slots__ = ("rule_id", "facts", "steps", "reads")
@@ -684,7 +652,10 @@ class CompiledInstance:
             read[index] = None
             return index
 
-        self.steps = tuple(c.compile(slot) for c in inst.conclusions)
+        self.steps = tuple(
+            (type(c), *[slot(f) if type(f) is InvariantKey
+                        else tuple(map(slot, f)) if type(f) is tuple else f for f in c])
+            for c in inst.conclusions)
         self.reads = tuple(read)
 
 
@@ -708,17 +679,14 @@ def _premises(store: BoundStore, slots: Sequence[int], side: Side, role: str) ->
     return [Premise(keys[s], side, values[s], role, sources[s]) for s in slots]
 
 
-def fire(inst: Union[RuleInstance, CompiledInstance], store: BoundStore,
-         elab: ElaboratedScene, rearrange: bool = True) -> list[Justification]:
-    """Evaluate an instance against the store; returns only updates that
-    would strictly tighten (no-ops are dropped).
+def fire(inst: CompiledInstance, store: BoundStore,
+         rearrange: bool = True) -> list[Justification]:
+    """Evaluate an instance compiled against ``store``; returns only updates
+    that would strictly tighten (no-ops are dropped).
 
-    A raw ``RuleInstance`` is compiled against ``store`` first.  Values are
-    read from the store's slot lists; the premises and the justification
-    are built only for a conclusion that tightens.
+    Values are read from the store's slot lists; the premises and the
+    justification are built only for a conclusion that tightens.
     """
-    if not isinstance(inst, CompiledInstance):
-        inst = CompiledInstance(inst, store)
     lo, hi = store.lo_values, store.hi_values
     HI, LO = Side.HI, Side.LO
     out: list[Justification] = []
@@ -809,10 +777,13 @@ def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
     """Inequalities of this instance violated by the store's current values.
 
     At a fixpoint this must be empty for every instance: firing anything
-    would be a no-op.
+    would be a no-op.  The raw instance is compiled against ``store`` here,
+    which gives unseen keys a slot at their default but no bound.  ``elab``
+    is not read; it stays because ``perfbench/oracle.py`` passes it
+    positionally.
     """
     violations = []
-    for update in fire(inst, store, elab, rearrange=rearrange):
+    for update in fire(CompiledInstance(inst, store), store, rearrange=rearrange):
         side = "upper" if update.side is Side.HI else "lower"
         violations.append(
             f"{inst.rule_id}: {side} bound {update.value} on "

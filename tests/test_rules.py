@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import typing
 from pathlib import Path
 
 from helpers import PROBE_SCENE
@@ -9,9 +10,18 @@ from helpers import PROBE_SCENE
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
 from conebound.extnat import INF
-from conebound.model import BoundStore, Justification, Side, key_L, key_Lcat, key_kl
+from conebound.model import (
+    BoundStore,
+    InvariantKey,
+    Justification,
+    Side,
+    key_L,
+    key_Lcat,
+    key_kl,
+)
 from conebound.parser import parse_scene
 from conebound.rules import (
+    CompiledInstance,
     UpperSum,
     catalog,
     check_instance,
@@ -155,6 +165,44 @@ def test_bare_scene_structural_instances_under_guards():
     everything = elaborate(parse_scene("collection C { all }\n" + base))
     ids_all = {inst.rule_id for inst in instantiate(everything)}
     assert "REL-ALL" in ids_all
+
+
+# -- deduplication and compiled steps ------------------------------------------------
+
+
+def test_dedup_never_merges_instances_of_different_shapes():
+    # conclusions are named tuples, and named-tuple equality ignores the
+    # class: the engine's dedup must still keep every distinct shape
+    instances = instantiate(elaborate(parse_scene(PROBE_SCENE)))
+    shaped = {(inst.rule_id, inst.facts, tuple((type(c), *c) for c in inst.conclusions))
+              for inst in instances}
+    assert len(dict.fromkeys(instances)) == len(shaped)
+
+
+def test_compiled_steps_follow_conclusion_fields():
+    # every rule instantiates on the probe scene, so this covers the compile
+    # of rules that random scenes never reach
+    store = BoundStore()
+    for inst in dict.fromkeys(instantiate(elaborate(parse_scene(PROBE_SCENE)))):
+        compiled = CompiledInstance(inst, store)
+        assert (compiled.rule_id, compiled.facts) == (inst.rule_id, inst.facts)
+        assert len(compiled.steps) == len(inst.conclusions)
+        reads = []
+        for step, conclusion in zip(compiled.steps, inst.conclusions):
+            assert step[0] is type(conclusion)
+            assert len(step) == 1 + len(conclusion)
+            hints = typing.get_type_hints(type(conclusion))
+            for name, got in zip(conclusion._fields, step[1:]):
+                field = getattr(conclusion, name)
+                if hints[name] is InvariantKey:
+                    assert got == store.slots[field], (inst.rule_id, name)
+                    reads.append(got)
+                elif hints[name] == tuple[InvariantKey, ...]:
+                    assert got == tuple(store.slots[k] for k in field), (inst.rule_id, name)
+                    reads.extend(got)
+                else:
+                    assert got == field and type(got) is type(field), (inst.rule_id, name)
+        assert compiled.reads == tuple(dict.fromkeys(reads)), inst.rule_id
 
 
 # -- firing semantics ---------------------------------------------------------------
