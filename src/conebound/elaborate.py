@@ -150,7 +150,13 @@ def _expand_pushouts(elab: ElaboratedScene) -> None:
 def _expand_smash(elab: ElaboratedScene, errors: list[str]) -> None:
     """Add the cofiber sequence wedge -> product -> smash of each
     smash_decomp fact, or report why it cannot be formed."""
-    for _, fact in elab.facts_of("smash_decomp"):
+    decomps = elab.facts_of("smash_decomp")
+    between: dict[tuple[str, str], list[str]] = {}  # (dom, cod) -> declared or step 2 maps
+    if decomps:
+        for m in elab.maps.values():
+            if canonical_space(m.id) is None:
+                between.setdefault((m.dom, m.cod), []).append(m.id)
+    for _, fact in decomps:
         x, y, wedge, prod, smash = fact.args
         needed = [
             Fact("wedge_space", (wedge, x, y)),
@@ -161,21 +167,13 @@ def _expand_smash(elab: ElaboratedScene, errors: list[str]) -> None:
         if missing:
             errors.append(f"smash_decomp({', '.join(fact.args)}) requires {', '.join(missing)}")
             continue
-        incl = _unique_map(elab, wedge, prod)
-        quot = _unique_map(elab, prod, smash)
-        if incl is None or quot is None:
+        incl = between.get((wedge, prod), ())
+        quot = between.get((prod, smash), ())
+        if len(incl) != 1 or len(quot) != 1:
             errors.append(f"smash_decomp({', '.join(fact.args)}) needs unique declared maps "
                           f"{wedge} -> {prod} and {prod} -> {smash}")
             continue
-        elab.add_fact(Fact("cofiber", (incl, quot, smash)), "elab:smash")
-
-
-def _unique_map(elab: ElaboratedScene, dom: str, cod: str) -> Optional[str]:
-    found = [
-        m.id for m in elab.maps.values()
-        if m.dom == dom and m.cod == cod and canonical_space(m.id) is None
-    ]
-    return found[0] if len(found) == 1 else None
+        elab.add_fact(Fact("cofiber", (incl[0], quot[0], smash)), "elab:smash")
 
 
 # (closure flag, composite space fact, whether all or any of its operands
@@ -334,7 +332,9 @@ def _validate_cross_facts(elab: ElaboratedScene, errors: list[str]) -> None:
             errors.append(
                 f"projection({p}): {pd} must be a declared product with second factor {pc}"
             )
-    pushouts = [f for _, f in elab.facts_of("pushout")]
+    pushouts: dict[str, list[Fact]] = {}  # apex -> its pushout facts
+    for _, fact in elab.facts_of("pushout"):
+        pushouts.setdefault(fact.args[0], []).append(fact)
     for _, fact in elab.facts_of("pushout_map"):
         apex, apex2, a, b, c, d = fact.args
         if not _pushout_pair_exists(elab, pushouts, fact):
@@ -358,14 +358,11 @@ def _validate_cross_facts(elab: ElaboratedScene, errors: list[str]) -> None:
             errors.append(f"cofiber_map({', '.join(fact.args)}) is not shape-consistent")
 
 
-def _pushout_pair_exists(elab: ElaboratedScene, pushouts: list[Fact], fact: Fact) -> bool:
+def _pushout_pair_exists(elab: ElaboratedScene, pushouts: dict[str, list[Fact]],
+                         fact: Fact) -> bool:
     apex, apex2, a, b, c, d = fact.args
-    for po in pushouts:
-        if po.args[0] != apex:
-            continue
-        for po2 in pushouts:
-            if po2.args[0] != apex2:
-                continue
+    for po in pushouts.get(apex, ()):
+        for po2 in pushouts.get(apex2, ()):
             corners = (
                 elab.sig(po.args[1])[1], elab.sig(po.args[2])[1], elab.sig(po.args[3])[1],
             )

@@ -1,13 +1,22 @@
 """Chaotic iteration of the rule catalog to a fixpoint over the bound store.
 
-Asserted bounds are applied first, then instances fire in deterministic
-order (rules by id, instances in match order).  Each instance is compiled
-once against the store's slots.  After the first full pass each round
-re-fires, in instance order, only the instances that read a slot the
-previous round tightened; the meet lattice makes the fixpoint independent
-of firing order.  Termination is enforced, not assumed: upper chains are
-well founded, lower chains are capped at ``max_finite`` and tripping the
-cap reports the pumping chain instead of spinning.
+Asserted bounds are applied first.  One ``instantiate`` call then gives
+every rule instance compiled against the store's slots, and instances fire
+in deterministic order (rules by id, instances in match order).  After
+the first full pass each round re-fires, in instance order, only the
+instances that read a slot the previous round tightened; the meet lattice
+makes the fixpoint independent of firing order.
+
+Termination rests on well-foundedness, not on a round cap.  The keys are
+fixed once ``instantiate`` has interned them, and every round after the
+first follows a round that tightened a side, so there is at most one more
+round than tightenings.  A hi is a natural or inf and only falls: it
+leaves inf at most once and then descends through the naturals.  A lo only
+rises: it jumps to inf at most once, and a finite lo above ``max_finite``
+stops the run and reports the pumping chain instead of spinning.  So each
+side of each key tightens finitely often, and every run ends at a
+fixpoint, a contradiction or the ``max_finite`` stop.  ``max_rounds`` is
+an opt-in budget, off by default.
 """
 
 from __future__ import annotations
@@ -26,14 +35,14 @@ from .model import (
     Side,
     StoreConflict,
 )
-from .rules import CompiledInstance, RuleInstance, fire, instantiate
+from .rules import CompiledInstance, fire, instantiate
 
 ASSERTED = "asserted"
 
 
 @dataclass(frozen=True)
 class Limits:
-    max_rounds: int = 10_000
+    max_rounds: Optional[int] = None  # no cap by default, see the module docstring
     max_finite: int = 65_536
 
 
@@ -107,7 +116,7 @@ class SaturationResult:
     rounds: int
     firings: int
     elab: ElaboratedScene
-    instances: list[RuleInstance]
+    instances: list[CompiledInstance]
     contradiction: Optional[ContradictionReport] = None
     budget: Optional[BudgetReport] = None
 
@@ -200,7 +209,7 @@ class _Run:
         self.shuffle = shuffle
         self.store = BoundStore()
         self.trees = TreeBuilder(self.store, elab)
-        self.instances: list[RuleInstance] = []
+        self.instances: list[CompiledInstance] = []
         self.dirty: set[int] = set()  # slots tightened in this round
         self.rounds = 0
         self.firings = 0
@@ -245,8 +254,7 @@ class _Run:
         self.apply_asserted()
         if self.contradiction is None:
             # saturation never adds facts, so one instantiation serves the run
-            self.instances = list(dict.fromkeys(instantiate(self.elab)))
-            compiled = [CompiledInstance(inst, self.store) for inst in self.instances]
+            self.instances = compiled = instantiate(self.elab, self.store)
             # subscribers[slot]: the instances that read the slot, ascending
             subscribers: list[list[int]] = [[] for _ in self.store.keys]
             for idx, inst in enumerate(compiled):
@@ -254,7 +262,7 @@ class _Run:
                     subscribers[slot].append(idx)
             agenda = list(range(len(compiled)))
             while agenda:
-                if self.rounds >= self.limits.max_rounds:
+                if self.limits.max_rounds is not None and self.rounds >= self.limits.max_rounds:
                     self.budget = BudgetReport(
                         reason="max_rounds",
                         detail=f"no fixpoint after {self.limits.max_rounds} rounds",

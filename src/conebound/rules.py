@@ -8,15 +8,21 @@ multiplicative bound of the shape p + 1 <= (q+1)(r+1) yields the ceiling
 division rearrangements.  Rearrangement can be switched off
 diagnostically; the conclusions listed per rule are its direct content.
 
+The rows compile as they match: a key builder returns the key's slot in
+the store being instantiated, interning the key there, and a step
+constructor returns a plain step tuple.  The named-tuple shapes and
+``RuleInstance`` are only the decoded view of those steps.
+
 Rule ids are stable public strings that appear in traces and golden
 files.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
 
 from . import model
 from .elaborate import ElaboratedScene
@@ -24,18 +30,37 @@ from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
 from .model import BoundStore, InvariantKey, Justification, Premise, Side
 from .scene import Fact
 
-# Every key the catalog names is built by one of these.  Each remembers its
-# keys until ``instantiate`` returns, so the thousands of instances that
-# name one key share one object instead of each holding a copy.
-_KEY_BUILDERS = tuple(lru_cache(maxsize=None)(build) for build in (
+
+class _Slots(dict):
+    """name -> slot of one key builder's keys in ``_Slots.store``, where a
+    name seen first interns its key; ``instantiate`` binds and empties it,
+    holding ``lock`` so that concurrent calls cannot share a binding."""
+
+    store: Optional[BoundStore] = None
+    lock = threading.Lock()
+
+    def __init__(self, make: Callable[[str], InvariantKey]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, name: str) -> int:
+        slot = self[name] = _Slots.store.slot(self.make(name))
+        return slot
+
+
+# Every key the catalog names is built by one of these, and each returns the
+# key's slot.  cl(X) and L(init(X)) get one slot through the store, so the
+# store's key list holds one object per distinct key.
+_SLOTS = tuple(_Slots(make) for make in (
     model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl, model.key_kit))
-key_L, key_Lcat, key_cl, key_cat, key_kl, key_kit = _KEY_BUILDERS
+key_L, key_Lcat, key_cl, key_cat, key_kl, key_kit = (slots.__getitem__ for slots in _SLOTS)
 
 # -- conclusion shapes ---------------------------------------------------------
-# A shape's field order is its compiled step layout: ``CompiledInstance``
-# turns a conclusion into (its class, its fields in order with slots for
-# keys), and ``fire`` unpacks that tuple.  Shapes are named tuples, so two
-# conclusions with equal fields compare equal whatever their class.
+# A shape's field order is its step layout: a step is (shape, *fields) with
+# a slot for a key and a tuple of slots for a tuple of keys, and ``fire``
+# unpacks it.  The named tuples are the decoded view of a step.  Two
+# conclusions with equal fields compare equal whatever their class, so
+# dedup compares steps, which carry the class.
 
 class UpperSum(NamedTuple):
     """hi(target) <= sum(adds) + max(maxes) + const.
@@ -120,7 +145,39 @@ class RuleInstance(NamedTuple):
     conclusions: tuple[Conclusion, ...]
 
 
-Matcher = Callable[[ElaboratedScene], Iterator[RuleInstance]]
+# For each shape, the step position of every key field in field order, and
+# whether the field holds a tuple of keys: the fields a step reads.
+_KEY_FIELDS = {
+    shape: tuple((i, hint != InvariantKey)
+                 for i, hint in enumerate(get_type_hints(shape).values(), start=1)
+                 if hint in (InvariantKey, tuple[InvariantKey, ...]))
+    for shape in Conclusion.__args__}
+
+# -- step constructors -----------------------------------------------------------
+# The rows build steps with these, not with the shapes: ``upper_sum`` takes
+# UpperSum's fields, slots for keys, with its defaults.
+
+Step = tuple  # (shape, *fields), see "conclusion shapes"
+
+
+def _step_constructor(shape: type) -> Callable[..., Step]:
+    """A function of ``shape``'s fields and defaults that returns the step,
+    generated as namedtuple generates ``__new__`` so that it runs as fast as
+    one written out."""
+    name, fields = shape.__name__, ", ".join(shape._fields)
+    namespace = {"shape": shape}
+    exec(f"def {name}({fields}): return (shape, {fields})", namespace)
+    build = namespace[name]
+    build.__defaults__ = tuple(shape._field_defaults.values()) or None
+    return build
+
+
+upper_sum, upper_prod, unify, lower_monus, lower_max, lower_inf, cond_lower = map(
+    _step_constructor, Conclusion.__args__)
+
+# A matcher yields each instance as (rule id, fact indices, steps).
+Match = tuple[str, tuple[int, ...], tuple[Step, ...]]
+Matcher = Callable[[ElaboratedScene], Iterator[Match]]
 
 
 @dataclass(frozen=True)
@@ -149,30 +206,30 @@ KIND_KEYS = ((key_L, key_cl, key_kl), (key_Lcat, key_cat, key_kit))
 
 def _rule(rule_id: str, guard: frozenset[str], law: str,
           items: Callable[[ElaboratedScene], list[tuple[tuple[int, ...], object]]],
-          build: Callable[[ElaboratedScene, object], list[Conclusion]]) -> Rule:
+          build: Callable[[ElaboratedScene, object], list[Step]]) -> Rule:
     """One instance per item, with conclusions ``build(elab, item)``;
     ``items`` lists (fact indices bound by the match, item) pairs."""
 
-    def match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
+    def match(elab: ElaboratedScene) -> Iterator[Match]:
         for facts, item in items(elab):
-            yield RuleInstance(rule_id, facts, tuple(build(elab, item)))
+            yield rule_id, facts, tuple(build(elab, item))
 
     return Rule(rule_id, guard, law, match)
 
 
 def _fact_rule(rule_id: str, guard: frozenset[str], law: str, kind: str,
-               build: Callable[[ElaboratedScene, Fact], list[Conclusion]]) -> Rule:
+               build: Callable[[ElaboratedScene, Fact], list[Step]]) -> Rule:
     return _rule(rule_id, guard, law,
                  lambda elab: [((i,), fact) for i, fact in elab.facts_of(kind)], build)
 
 
 def _per_map_rule(rule_id: str, guard: frozenset[str], law: str,
-                  build: Callable[[ElaboratedScene, str], list[Conclusion]]) -> Rule:
+                  build: Callable[[ElaboratedScene, str], list[Step]]) -> Rule:
     return _rule(rule_id, guard, law, lambda elab: [((), m) for m in elab.maps], build)
 
 
 def _per_space_rule(rule_id: str, guard: frozenset[str], law: str,
-                    build: Callable[[ElaboratedScene, str], list[Conclusion]]) -> Rule:
+                    build: Callable[[ElaboratedScene, str], list[Step]]) -> Rule:
     return _rule(rule_id, guard, law, lambda elab: [((), x) for x in elab.spaces], build)
 
 
@@ -184,11 +241,11 @@ def _per_kind(rule_id: str, guard: frozenset[str], law: str, fact_kind: str, tar
     (gated on hi L = 0).  Every other parameter is a position in the
     fact's arguments."""
 
-    def build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         args = fact.args
-        gates = tuple(key_L(args[i]) for i in equivs)
-        return [UpperSum(L(args[target]), adds=tuple(L(args[i]) for i in adds),
-                         maxes=tuple(L(args[i]) for i in maxes), gates=gates)
+        return [upper_sum(L(args[target]), adds=tuple(L(args[i]) for i in adds),
+                          maxes=tuple(L(args[i]) for i in maxes),
+                          gates=tuple(key_L(args[i]) for i in equivs))
                 for L, cl, kl in KIND_KEYS]
 
     return _fact_rule(rule_id, guard, law, fact_kind, build)
@@ -197,14 +254,14 @@ def _per_kind(rule_id: str, guard: frozenset[str], law: str, fact_kind: str, tar
 def _unify_rule(rule_id: str, law: str, fact_kind: str) -> Rule:
     """L and Lcat of a fact's two maps are equal."""
     return _fact_rule(rule_id, ANY, law, fact_kind, lambda elab, fact: [
-        Unify(L(fact.args[0]), L(fact.args[1])) for L, cl, kl in KIND_KEYS])
+        unify(L(fact.args[0]), L(fact.args[1])) for L, cl, kl in KIND_KEYS])
 
 
 def _cofiber_rule(rule_id: str, law: str,
-                  build: Callable[[str, str, str, str, str], list[Conclusion]]) -> Rule:
+                  build: Callable[[str, str, str, str, str], list[Step]]) -> Rule:
     """Conclusions ``build(f, j, A, B, C)`` per cofiber(f, j, C) with f: A -> B."""
 
-    def conclusions(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def conclusions(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         f, j, cofiber = fact.args
         return build(f, j, *elab.sig(f), cofiber)
 
@@ -235,18 +292,18 @@ def _build_catalog() -> list[Rule]:
     add(_per_map_rule(
         "P7-EQ", ANY,
         "hi Lcat(f) = 0: f is an equivalence, so L(f) = 0",
-        lambda elab, map_id: [UpperSum(key_L(map_id), gates=(key_Lcat(map_id),))],
+        lambda elab, map_id: [upper_sum(key_L(map_id), gates=(key_Lcat(map_id),))],
     ))
 
     add(_per_kind("AX-COMP", ANY, "compose(h, g, f): L(h) <= L(f) + L(g); same for Lcat",
                   "compose", 0, adds=(2, 1)))
 
-    def mc_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
+    def mc_match(elab: ElaboratedScene) -> Iterator[Match]:
         for i, fact in elab.facts_of("cofiber"):
             cone = elab.sig(fact.args[0])[0]
             if cone in elab.members:
-                yield RuleInstance("AX-MC", (i, elab.member_fact[cone]),
-                                   (UpperSum(key_L(fact.args[1]), const=1),))
+                yield ("AX-MC", (i, elab.member_fact[cone]),
+                       (upper_sum(key_L(fact.args[1]), const=1),))
 
     add(Rule("AX-MC", ANY,
              "cofiber(f, j, C) with member(dom f): L(j) <= 1", mc_match))
@@ -256,8 +313,8 @@ def _build_catalog() -> list[Rule]:
         "dominates(g, f): Lcat(f) <= Lcat(g), hence lo Lcat(g) >= lo Lcat(f)",
         "dominates",
         lambda elab, fact: [
-            UpperSum(key_Lcat(fact.args[1]), adds=(key_Lcat(fact.args[0]),)),
-            LowerMonus(key_Lcat(fact.args[0]), base=key_Lcat(fact.args[1])),
+            upper_sum(key_Lcat(fact.args[1]), adds=(key_Lcat(fact.args[0]),)),
+            lower_monus(key_Lcat(fact.args[0]), base=key_Lcat(fact.args[1])),
         ],
     ))
 
@@ -268,8 +325,8 @@ def _build_catalog() -> list[Rule]:
         "REL-CL", ANY,
         "Lcat(f) <= L(f), hence lo L(f) >= lo Lcat(f)",
         lambda elab, map_id: [
-            UpperSum(key_Lcat(map_id), adds=(key_L(map_id),)),
-            LowerMonus(key_L(map_id), base=key_Lcat(map_id)),
+            upper_sum(key_Lcat(map_id), adds=(key_L(map_id),)),
+            lower_monus(key_L(map_id), base=key_Lcat(map_id)),
         ],
     ))
 
@@ -277,20 +334,20 @@ def _build_catalog() -> list[Rule]:
         "REL-PI0", ANY,
         "pi0_not_onto(f): L(f) = Lcat(f) = inf",
         "pi0_not_onto",
-        lambda elab, fact: [LowerInf(L(fact.args[0])) for L, cl, kl in KIND_KEYS],
+        lambda elab, fact: [lower_inf(L(fact.args[0])) for L, cl, kl in KIND_KEYS],
     ))
 
     add(_fact_rule(
         "REL-MEM", ANY,
         "member(A): kl(A) <= 1",
         "member",
-        lambda elab, fact: [UpperSum(key_kl(fact.args[0]), const=1)],
+        lambda elab, fact: [upper_sum(key_kl(fact.args[0]), const=1)],
     ))
 
     add(_per_space_rule(
         "REL-ALL", ALL_SPACES,
         "every space X: kl(X) <= 1 and kit(X) <= 1",
-        lambda elab, space: [UpperSum(kl(space), const=1) for L, cl, kl in KIND_KEYS],
+        lambda elab, space: [upper_sum(kl(space), const=1) for L, cl, kl in KIND_KEYS],
     ))
 
     # -- pushout-square mapping bounds ---------------------------------------
@@ -324,12 +381,12 @@ def _build_catalog() -> list[Rule]:
 
     # -- single pushout squares ----------------------------------------------
 
-    def c411_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
+    def c411_match(elab: ElaboratedScene) -> Iterator[Match]:
         for i, fact in elab.facts_of("pushout"):
             _, f, g, ib, ic, _ = fact.args
             for leg, opposite in ((ib, g), (ic, f)):
-                yield RuleInstance("C41-1", (i,), tuple(
-                    UpperSum(L(leg), adds=(L(opposite),)) for L, cl, kl in KIND_KEYS))
+                yield "C41-1", (i,), tuple(
+                    upper_sum(L(leg), adds=(L(opposite),)) for L, cl, kl in KIND_KEYS)
 
     add(Rule("C41-1", ANY,
              "pushout(A, f, g, ib, ic, d): X(ib) <= X(g) and X(ic) <= X(f) for X in {L, Lcat}",
@@ -341,12 +398,12 @@ def _build_catalog() -> list[Rule]:
         "pushout", 5, maxes=(1, 2),
     ))
 
-    def c42_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def c42_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         apex = fact.args[0]
         corner_b = elab.sig(fact.args[1])[1]
         corner_c = elab.sig(fact.args[2])[1]
         out = elab.sig(fact.args[3])[1]
-        return [UpperSum(key(out), adds=(key(apex),), maxes=(key(corner_b), key(corner_c)))
+        return [upper_sum(key(out), adds=(key(apex),), maxes=(key(corner_b), key(corner_c)))
                 for L, cl, kl in KIND_KEYS for key in (cl, kl)]
 
     add(_fact_rule(
@@ -360,21 +417,21 @@ def _build_catalog() -> list[Rule]:
 
     add(_cofiber_rule(
         "C44-1", "cofiber(f, j, C): cl(C) <= L(f) and cat(C) <= Lcat(f)",
-        lambda f, j, a, b, c: [UpperSum(cl(c), adds=(L(f),)) for L, cl, kl in KIND_KEYS],
+        lambda f, j, a, b, c: [upper_sum(cl(c), adds=(L(f),)) for L, cl, kl in KIND_KEYS],
     ))
     add(_cofiber_rule(
         "C44-2", "cofiber(f, j, C) with cone A: L(j) <= kl(A) and Lcat(j) <= kit(A)",
-        lambda f, j, a, b, c: [UpperSum(L(j), adds=(kl(a),)) for L, cl, kl in KIND_KEYS],
+        lambda f, j, a, b, c: [upper_sum(L(j), adds=(kl(a),)) for L, cl, kl in KIND_KEYS],
     ))
     add(_cofiber_rule(
         "C44-3", "cofiber over A -> B -> C: cl(C) <= kl(A) + cl(B); cat analog",
         lambda f, j, a, b, c: [
-            UpperSum(cl(c), adds=(kl(a), cl(b))) for L, cl, kl in KIND_KEYS],
+            upper_sum(cl(c), adds=(kl(a), cl(b))) for L, cl, kl in KIND_KEYS],
     ))
     add(_cofiber_rule(
         "C44-4", "cofiber over A -> B -> C: kl(B) <= kl(A) + kl(C); kit analog",
         lambda f, j, a, b, c: [
-            UpperSum(kl(b), adds=(kl(a), kl(c))) for L, cl, kl in KIND_KEYS],
+            upper_sum(kl(b), adds=(kl(a), kl(c))) for L, cl, kl in KIND_KEYS],
     ))
 
     add(_per_kind(
@@ -388,7 +445,7 @@ def _build_catalog() -> list[Rule]:
         "susp_space(S, B): cl(S) <= kl(B) and cat(S) <= kit(B)",
         "susp_space",
         lambda elab, fact: [
-            UpperSum(cl(fact.args[0]), adds=(kl(fact.args[1]),)) for L, cl, kl in KIND_KEYS],
+            upper_sum(cl(fact.args[0]), adds=(kl(fact.args[1]),)) for L, cl, kl in KIND_KEYS],
     ))
 
     # -- suspension-closed structural bounds -----------------------------------
@@ -396,14 +453,14 @@ def _build_catalog() -> list[Rule]:
     add(_per_map_rule(
         "C410-1", S,
         "any f: A -> B: L(f) <= cl(A) + cl(B) and Lcat(f) <= cat(A) + cat(B)",
-        lambda elab, map_id: [UpperSum(L(map_id), adds=tuple(map(cl, elab.sig(map_id))))
+        lambda elab, map_id: [upper_sum(L(map_id), adds=tuple(map(cl, elab.sig(map_id))))
                               for L, cl, kl in KIND_KEYS],
     ))
 
     add(_per_space_rule(
         "C410-2", S,
         "any space A: kl(A) <= cl(A) and kit(A) <= cat(A)",
-        lambda elab, space: [UpperSum(kl(space), adds=(cl(space),)) for L, cl, kl in KIND_KEYS],
+        lambda elab, space: [upper_sum(kl(space), adds=(cl(space),)) for L, cl, kl in KIND_KEYS],
     ))
 
     add(_per_kind(
@@ -417,7 +474,7 @@ def _build_catalog() -> list[Rule]:
         "section(f, g): Lcat(g) <= cat(dom g)",
         "section",
         lambda elab, fact: [
-            UpperSum(key_Lcat(fact.args[1]),
+            upper_sum(key_Lcat(fact.args[1]),
                      adds=(key_cat(elab.sig(fact.args[1])[0]),)),
         ],
     ))
@@ -427,15 +484,15 @@ def _build_catalog() -> list[Rule]:
         "section", 1, adds=(0,),
     ))
 
-    def c411_build(elab: ElaboratedScene, map_id: str) -> list[Conclusion]:
+    def c411_build(elab: ElaboratedScene, map_id: str) -> list[Step]:
         dom, cod = elab.sig(map_id)
         return [
-            LowerMonus(key_L(map_id), base=key_kl(dom), subs=(key_kl(cod),)),
-            LowerMonus(key_L(map_id), base=key_kl(cod), subs=(key_kl(dom),)),
-            LowerMonus(key_Lcat(map_id), base=key_kit(dom), subs=(key_kit(cod),)),
-            LowerMonus(key_Lcat(map_id), base=key_kit(cod), subs=(key_kit(dom),)),
-            LowerMonus(key_L(map_id), base=key_cl(cod), subs=(key_cl(dom),)),
-            LowerMonus(key_Lcat(map_id), base=key_cat(cod), subs=(key_cat(dom),)),
+            lower_monus(key_L(map_id), base=key_kl(dom), subs=(key_kl(cod),)),
+            lower_monus(key_L(map_id), base=key_kl(cod), subs=(key_kl(dom),)),
+            lower_monus(key_Lcat(map_id), base=key_kit(dom), subs=(key_kit(cod),)),
+            lower_monus(key_Lcat(map_id), base=key_kit(cod), subs=(key_kit(dom),)),
+            lower_monus(key_L(map_id), base=key_cl(cod), subs=(key_cl(dom),)),
+            lower_monus(key_Lcat(map_id), base=key_cat(cod), subs=(key_cat(dom),)),
         ]
 
     add(_per_map_rule(
@@ -447,12 +504,12 @@ def _build_catalog() -> list[Rule]:
 
     # -- products ---------------------------------------------------------------
 
-    def t51_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def t51_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         h, f, g = fact.args
         dom_f = elab.sig(f)[0]
         dom_g = elab.sig(g)[0]
         # the max part is cl for both kinds
-        return [UpperSum(L(h), adds=(L(f), L(g)), maxes=(key_cl(dom_f), key_cl(dom_g)))
+        return [upper_sum(L(h), adds=(L(f), L(g)), maxes=(key_cl(dom_f), key_cl(dom_g)))
                 for L, cl, kl in KIND_KEYS]
 
     add(_fact_rule(
@@ -461,14 +518,14 @@ def _build_catalog() -> list[Rule]:
         "product_map", t51_build,
     ))
 
-    def c52_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def c52_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         prod, x, y = fact.args
         return [
-            UpperSum(key_cl(prod), adds=(key_cl(x), key_cl(y))),
-            UpperSum(key_kl(prod), adds=(key_kl(x), key_kl(y)),
+            upper_sum(key_cl(prod), adds=(key_cl(x), key_cl(y))),
+            upper_sum(key_kl(prod), adds=(key_kl(x), key_kl(y)),
                      maxes=(key_cl(x), key_cl(y))),
-            UpperSum(key_cat(prod), adds=(key_cat(x), key_cat(y))),
-            UpperSum(key_kit(prod), adds=(key_kit(x), key_kit(y)),
+            upper_sum(key_cat(prod), adds=(key_cat(x), key_cat(y))),
+            upper_sum(key_kit(prod), adds=(key_kit(x), key_kit(y)),
                      maxes=(key_cl(x), key_cl(y))),
         ]
 
@@ -484,7 +541,7 @@ def _build_catalog() -> list[Rule]:
         "product_space(P, X, Y): kl(P) <= kl(X) + kl(Y) and kit(P) <= kit(X) + kit(Y)",
         "product_space",
         lambda elab, fact: [
-            UpperSum(kl(fact.args[0]), adds=(kl(fact.args[1]), kl(fact.args[2])))
+            upper_sum(kl(fact.args[0]), adds=(kl(fact.args[1]), kl(fact.args[2])))
             for L, cl, kl in KIND_KEYS
         ],
     ))
@@ -494,25 +551,26 @@ def _build_catalog() -> list[Rule]:
         "smash_space(S, X, Y): kl(S) <= min(kl(X), kl(Y))",
         "smash_space",
         lambda elab, fact: [
-            UpperSum(key_kl(fact.args[0]), adds=(key_kl(fact.args[1]),)),
-            UpperSum(key_kl(fact.args[0]), adds=(key_kl(fact.args[2]),)),
+            upper_sum(key_kl(fact.args[0]), adds=(key_kl(fact.args[1]),)),
+            upper_sum(key_kl(fact.args[0]), adds=(key_kl(fact.args[2]),)),
         ],
     ))
 
-    def l61_match(elab: ElaboratedScene) -> Iterator[RuleInstance]:
+    def l61_match(elab: ElaboratedScene) -> Iterator[Match]:
+        firsts: dict[tuple[str, str], list[str]] = {}  # (product, second) -> first factors
+        for _, prod_fact in elab.facts_of("product_space"):
+            prod, first, second = prod_fact.args
+            firsts.setdefault((prod, second), []).append(first)
         for i, fact in elab.facts_of("projection"):
             p = fact.args[0]
             dom, cod = elab.sig(p)
-            for _, prod_fact in elab.facts_of("product_space"):
-                prod, first, second = prod_fact.args
-                if prod != dom or second != cod or first not in elab.members:
-                    continue
-                conclusions = (
-                    UpperSum(key_L(p), adds=(key_cl(cod),), const=1),
-                    UpperSum(key_Lcat(p), adds=(key_cat(cod),), const=1),
-                )
-                yield RuleInstance("L61", (i, elab.member_fact[first]), conclusions)
-                break
+            for first in firsts.get((dom, cod), ()):
+                if first in elab.members:
+                    yield ("L61", (i, elab.member_fact[first]), (
+                        upper_sum(key_L(p), adds=(key_cl(cod),), const=1),
+                        upper_sum(key_Lcat(p), adds=(key_cat(cod),), const=1),
+                    ))
+                    break
 
     add(Rule("L61", J,
              "projection p: A x B -> B with member(A): L(p) <= cl(B) + 1 and "
@@ -526,15 +584,15 @@ def _build_catalog() -> list[Rule]:
         "Lcat analog with cat(F)",
         "pullback",
         lambda elab, fact: [
-            UpperProd(L(fact.args[4]), L(fact.args[7]), cl(fact.args[8]), minus_one=False)
+            upper_prod(L(fact.args[4]), L(fact.args[7]), cl(fact.args[8]), minus_one=False)
             for L, cl, kl in KIND_KEYS
         ],
     ))
 
-    def c63_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def c63_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         p, fiber = fact.args
         total, base = elab.sig(p)
-        return [UpperProd(cl(total), cl(base), cl(fiber)) for L, cl, kl in KIND_KEYS]
+        return [upper_prod(cl(total), cl(base), cl(fiber)) for L, cl, kl in KIND_KEYS]
 
     add(_fact_rule(
         "C63", WJ,
@@ -549,20 +607,20 @@ def _build_catalog() -> list[Rule]:
         "wedge_map(w, f, g): L(w) <= max(L(f), L(g))",
         "wedge_map",
         lambda elab, fact: [
-            UpperSum(key_L(fact.args[0]),
+            upper_sum(key_L(fact.args[0]),
                      maxes=(key_L(fact.args[1]), key_L(fact.args[2]))),
         ],
     ))
 
-    def p72b_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def p72b_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         w, f, g = (key_Lcat(m) for m in fact.args)
         return [
-            UpperSum(w, maxes=(f, g)),
-            LowerMax(w, (f, g)),
-            UpperSum(f, adds=(w,)),
-            UpperSum(g, adds=(w,)),
-            CondLower(f, gate=g, floor=w),
-            CondLower(g, gate=f, floor=w),
+            upper_sum(w, maxes=(f, g)),
+            lower_max(w, (f, g)),
+            upper_sum(f, adds=(w,)),
+            upper_sum(g, adds=(w,)),
+            cond_lower(f, gate=g, floor=w),
+            cond_lower(g, gate=f, floor=w),
         ]
 
     add(_fact_rule(
@@ -572,20 +630,19 @@ def _build_catalog() -> list[Rule]:
         "wedge_map", p72b_build,
     ))
 
-    def c73_build(elab: ElaboratedScene, fact: Fact) -> list[Conclusion]:
+    def c73_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
         m = fact.args[0]
         dom, cod = elab.sig(m)
-        lf, lcf = key_L(m), key_Lcat(m)
-        klx, clx = key_kl(dom), key_cl(cod)
-        kitx, caty = key_kit(dom), key_cat(cod)
+        lf, klx, clx = key_L(m), key_kl(dom), key_cl(cod)
+        lcf, kitx, caty = key_Lcat(m), key_kit(dom), key_cat(cod)
         return [
-            UpperSum(lf, maxes=(klx, clx)),
-            UpperSum(lcf, maxes=(kitx, caty)),
-            LowerMax(lcf, (kitx, caty)),
-            UpperSum(kitx, adds=(lcf,)),
-            UpperSum(caty, adds=(lcf,)),
-            CondLower(kitx, gate=caty, floor=lcf),
-            CondLower(caty, gate=kitx, floor=lcf),
+            upper_sum(lf, maxes=(klx, clx)),
+            upper_sum(lcf, maxes=(kitx, caty)),
+            lower_max(lcf, (kitx, caty)),
+            upper_sum(kitx, adds=(lcf,)),
+            upper_sum(caty, adds=(lcf,)),
+            cond_lower(kitx, gate=caty, floor=lcf),
+            cond_lower(caty, gate=kitx, floor=lcf),
         ]
 
     add(_fact_rule(
@@ -609,54 +666,81 @@ def catalog() -> list[Rule]:
     return _CATALOG
 
 
-def instantiate(elab: ElaboratedScene) -> list[RuleInstance]:
-    """All guard-satisfying, shape-correct rule instances, in deterministic
-    order: rules by id, instances in fact/registry order."""
+def instantiate(elab: ElaboratedScene,
+                store: Optional[BoundStore] = None) -> Union[list[CompiledInstance],
+                                                             list[RuleInstance]]:
+    """The distinct guard-satisfying, shape-correct rule instances, in
+    deterministic order: rules by id, instances in fact/registry order.
+
+    One pass over the rows compiles every instance against ``store`` and
+    interns each key it names there: the result is the ``CompiledInstance``
+    list that the engine fires.  Without a store, the rows compile against
+    a fresh one and the result is the decoded views, for callers that read
+    conclusions.
+    """
+    target = BoundStore() if store is None else store
     flags = elab.profile.flags()
-    instances: list[RuleInstance] = []
-    try:
-        for rule in catalog():
-            if rule.guard <= flags:
-                instances.extend(rule.matcher(elab))
-    finally:
-        for build in _KEY_BUILDERS:
-            build.cache_clear()
-    return instances
+    with _Slots.lock:
+        _Slots.store = target
+        try:
+            matches = dict.fromkeys(chain.from_iterable(
+                rule.matcher(elab) for rule in catalog() if rule.guard <= flags))
+        finally:
+            _Slots.store = None
+            for slots in _SLOTS:
+                slots.clear()
+    compiled = [CompiledInstance(match) for match in matches]
+    return compiled if store is not None else [inst.decoded(target) for inst in compiled]
 
 
 # -- compiled instances and firing ---------------------------------------------
 
 
+def _convert_keys(step: tuple, convert: Callable) -> list:
+    """``step``, (shape, *fields), with ``convert`` applied to every key."""
+    out = list(step)
+    for i, many in _KEY_FIELDS[step[0]]:
+        out[i] = tuple(map(convert, out[i])) if many else convert(out[i])
+    return out
+
+
 class CompiledInstance:
     """A rule instance with every key replaced by its slot in one store.
 
-    ``steps`` holds one tuple per conclusion: the conclusion's class, then
-    its fields in order, a key as its slot, a tuple of keys as the tuple of
-    their slots and any other field as is.  ``reads`` lists the distinct
-    slots that the steps name, in first-appearance order; the engine
-    subscribes the instance to them.
+    ``steps`` holds one step per conclusion: its class, then its fields in
+    order, a key as its slot and a tuple of keys as the tuple of their
+    slots.  ``reads`` lists the distinct slots that the steps name, in
+    first-appearance order; the engine subscribes the instance to them.
+
+    ``instantiate`` builds one from each match, (rule id, facts, steps).
+    Given a store, the constructor instead recompiles a decoded view
+    (``RuleInstance``) against it, interning unseen keys at their default;
+    ``decoded`` reads the view back through the store's keys.
     """
 
     __slots__ = ("rule_id", "facts", "steps", "reads")
 
-    def __init__(self, inst: RuleInstance, store: BoundStore):
-        self.rule_id = inst.rule_id
-        self.facts = inst.facts
-        slots = store.slots
+    def __init__(self, inst: Union[Match, RuleInstance], store: Optional[BoundStore] = None):
+        rule_id, facts, steps = inst
+        if store is not None:
+            steps = tuple(tuple(_convert_keys((type(c), *c), store.slot)) for c in steps)
+        self.rule_id, self.facts, self.steps = rule_id, facts, steps
         read: dict[int, None] = {}
-
-        def slot(key: InvariantKey) -> int:
-            index = slots.get(key)
-            if index is None:
-                index = store.slot(key)
-            read[index] = None
-            return index
-
-        self.steps = tuple(
-            (type(c), *[slot(f) if type(f) is InvariantKey
-                        else tuple(map(slot, f)) if type(f) is tuple else f for f in c])
-            for c in inst.conclusions)
+        for step in steps:
+            for i, many in _KEY_FIELDS[step[0]]:
+                if many:
+                    for slot in step[i]:
+                        read[slot] = None
+                else:
+                    read[step[i]] = None
         self.reads = tuple(read)
+
+    def decoded(self, store: BoundStore) -> RuleInstance:
+        """The instance with the keys of ``store``, which it was compiled
+        against, in place of slots."""
+        key = store.keys.__getitem__
+        return RuleInstance(self.rule_id, self.facts, tuple(
+            step[0]._make(_convert_keys(step, key)[1:]) for step in self.steps))
 
 
 def _sum(hi: list[ExtNat], adds: Sequence[int], maxes: Sequence[int], const: int) -> ExtNat:
@@ -777,10 +861,11 @@ def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
     """Inequalities of this instance violated by the store's current values.
 
     At a fixpoint this must be empty for every instance: firing anything
-    would be a no-op.  The raw instance is compiled against ``store`` here,
-    which gives unseen keys a slot at their default but no bound.  ``elab``
-    is not read; it stays because ``perfbench/oracle.py`` passes it
-    positionally.
+    would be a no-op.  ``inst`` is a decoded view, as ``instantiate(elab)``
+    returns it, and is recompiled against ``store`` here, which gives
+    unseen keys a slot at their default but no bound.  ``elab`` is not
+    read; it stays because ``perfbench/oracle.py`` passes it positionally,
+    and the benchmark's files do not change with the engine.
     """
     violations = []
     for update in fire(CompiledInstance(inst, store), store, rearrange=rearrange):

@@ -21,9 +21,9 @@ def test_benchmark_hooks_exist():
 def test_saturate_instantiates_once(monkeypatch):
     calls = []
 
-    def counted(elab):
+    def counted(elab, *args):
         calls.append(elab)
-        return real(elab)
+        return real(elab, *args)
 
     real = engine.instantiate
     monkeypatch.setattr(engine, "instantiate", counted)

@@ -105,6 +105,15 @@ def test_round_budget_trips():
     assert result.budget.reason == "max_rounds"
 
 
+def test_chain_deeper_than_the_old_round_cap_reaches_fixpoint():
+    # termination rests on well-foundedness, not on a round budget: this
+    # chain needs more rounds than the old default cap of 10,000
+    result = run(_chain_scene(10_500), limits=Limits())
+    assert result.status == "fixpoint"
+    assert result.rounds > 10_000
+    assert result.store.interval(key_cl("X10500")).hi == 10_501
+
+
 def test_low_finite_budget_reports_chain():
     # an asserted huge lower bound pumps through a compose rearrangement
     text = (

@@ -1,12 +1,16 @@
 """Catalog integrity, guards, instantiation shapes, and firing semantics."""
 
 import dataclasses
+import inspect
 import re
+import sys
+import threading
 import typing
 from pathlib import Path
 
-from helpers import PROBE_SCENE
+from helpers import PROBE_SCENE, random_scene
 
+from conebound import rules
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
 from conebound.extnat import INF
@@ -203,6 +207,88 @@ def test_compiled_steps_follow_conclusion_fields():
                 else:
                     assert got == field and type(got) is type(field), (inst.rule_id, name)
         assert compiled.reads == tuple(dict.fromkeys(reads)), inst.rule_id
+
+
+def test_step_constructors_take_their_shapes_fields():
+    # the rows build steps through these, so each must lay out its shape's
+    # fields in order and with the shape's defaults
+    constructors = {rules.UpperSum: rules.upper_sum, rules.UpperProd: rules.upper_prod,
+                    rules.Unify: rules.unify, rules.LowerMonus: rules.lower_monus,
+                    rules.LowerMax: rules.lower_max, rules.LowerInf: rules.lower_inf,
+                    rules.CondLower: rules.cond_lower}
+    assert set(constructors) == set(typing.get_args(rules.Conclusion))
+    for shape, build in constructors.items():
+        params = inspect.signature(build).parameters
+        assert list(params) == list(shape._fields), shape.__name__
+        assert {name: p.default for name, p in params.items()
+                if p.default is not p.empty} == shape._field_defaults, shape.__name__
+        fields = [object() for _ in shape._fields]
+        assert build(*fields) == (shape, *fields), shape.__name__
+
+
+def _probe_and_random_scenes():
+    yield parse_scene(PROBE_SCENE)  # every rule instantiates here
+    for seed in range(200):
+        yield random_scene(seed)
+
+
+def test_decoded_view_recompiles_to_the_rows_steps():
+    for scene in _probe_and_random_scenes():
+        store = BoundStore()
+        compiled = instantiate(elaborate(scene), store)
+        interned = len(store.keys)
+        for inst in compiled:
+            again = CompiledInstance(inst.decoded(store), store)
+            assert (again.rule_id, again.facts, again.steps, again.reads) == (
+                inst.rule_id, inst.facts, inst.steps, inst.reads)
+        assert len(store.keys) == interned  # the rows interned every key already
+
+
+def test_decoded_keys_are_the_stores_key_objects():
+    # cl(X) and L(init(X)) are one key: the store holds one object per
+    # distinct key, and every decoded view names exactly those objects
+    for scene in _probe_and_random_scenes():
+        store = BoundStore()
+        compiled = instantiate(elaborate(scene), store)
+        assert len(set(store.keys)) == len(store.keys)
+        named = {}
+        for inst in compiled:
+            for conclusion in inst.decoded(store).conclusions:
+                for field in conclusion:
+                    for key in field if type(field) is tuple else (field,):
+                        if type(key) is InvariantKey:
+                            assert key is store.keys[store.slots[key]]
+                            named[id(key)] = key
+        assert len(named) == len(set(named.values()))
+
+
+def test_concurrent_instantiations_keep_their_own_stores():
+    # the key builders are bound to one store while instantiate runs; a
+    # second thread must not intern into it
+    elabs = [elaborate(random_scene(seed)) for seed in range(6)]
+
+    def steps(elab):
+        return [(inst.rule_id, inst.facts, inst.steps) for inst in instantiate(elab, BoundStore())]
+
+    expected = [steps(elab) for elab in elabs]
+    got = [[] for _ in elabs]
+
+    def work(k):
+        for _ in range(5):
+            got[k].append(steps(elabs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(elabs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[want] * 5 for want in expected]
 
 
 # -- firing semantics ---------------------------------------------------------------
