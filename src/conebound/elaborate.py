@@ -30,7 +30,6 @@ The result is idempotent: re-running the pass adds nothing new.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
 
 from .model import POINT, Kind, canonical_space, init_map, term_map
 from .scene import (
@@ -302,33 +301,21 @@ def _auto_compose(elab: ElaboratedScene) -> None:
 
 
 def _validate_cross_facts(elab: ElaboratedScene, errors: list[str]) -> None:
-    productions = [(f.args[0], f.args[1], f.args[2]) for _, f in elab.facts_of("product_space")]
-    wedges = [(f.args[0], f.args[1], f.args[2]) for _, f in elab.facts_of("wedge_space")]
-
-    for _, fact in elab.facts_of("product_map"):
-        h, f, g = fact.args
-        hd, hc = elab.sig(h)
-        fd, fc = elab.sig(f)
-        gd, gc = elab.sig(g)
-        if (hd, fd, gd) not in productions or (hc, fc, gc) not in productions:
-            errors.append(
-                f"product_map({h}, {f}, {g}): domain and codomain of {h} must be "
-                f"declared products of the factors"
-            )
-    for _, fact in elab.facts_of("wedge_map"):
-        w, f, g = fact.args
-        wd, wc = elab.sig(w)
-        fd, fc = elab.sig(f)
-        gd, gc = elab.sig(g)
-        if (wd, fd, gd) not in wedges or (wc, fc, gc) not in wedges:
-            errors.append(
-                f"wedge_map({w}, {f}, {g}): domain and codomain of {w} must be "
-                f"declared wedges of the operands"
-            )
+    products = {f.args for _, f in elab.facts_of("product_space")}
+    wedges = {f.args for _, f in elab.facts_of("wedge_space")}
+    for kind, spaces, what in (("product_map", products, "products of the factors"),
+                               ("wedge_map", wedges, "wedges of the operands")):
+        for _, fact in elab.facts_of(kind):
+            h, f, g = fact.args
+            (hd, hc), (fd, fc), (gd, gc) = elab.sig(h), elab.sig(f), elab.sig(g)
+            if (hd, fd, gd) not in spaces or (hc, fc, gc) not in spaces:
+                errors.append(f"{kind}({h}, {f}, {g}): domain and codomain of {h} must be "
+                              f"declared {what}")
+    by_second = {(prod, second) for prod, _, second in products}
     for _, fact in elab.facts_of("projection"):
         p = fact.args[0]
         pd, pc = elab.sig(p)
-        if not any(prod == pd and second == pc for prod, _, second in productions):
+        if (pd, pc) not in by_second:
             errors.append(
                 f"projection({p}): {pd} must be a declared product with second factor {pc}"
             )
@@ -342,10 +329,13 @@ def _validate_cross_facts(elab: ElaboratedScene, errors: list[str]) -> None:
                 f"pushout_map({', '.join(fact.args)}): no pair of pushout facts with "
                 f"apexes {apex} and {apex2} aligns with the verticals"
             )
+    cofibers: dict[str, Fact] = {}  # first map -> its first cofiber fact
+    for _, fact in elab.facts_of("cofiber"):
+        cofibers.setdefault(fact.args[0], fact)
     for _, fact in elab.facts_of("cofiber_map"):
         f, f2, al, be, ga = fact.args
-        seq = _cofiber_of(elab, f)
-        seq2 = _cofiber_of(elab, f2)
+        seq = cofibers.get(f)
+        seq2 = cofibers.get(f2)
         if seq is None or seq2 is None:
             errors.append(f"cofiber_map({', '.join(fact.args)}): {f} and {f2} must open cofiber facts")
             continue
@@ -377,13 +367,6 @@ def _pushout_pair_exists(elab: ElaboratedScene, pushouts: dict[str, list[Fact]],
             if ok:
                 return True
     return False
-
-
-def _cofiber_of(elab: ElaboratedScene, first_map: str) -> Optional[Fact]:
-    for _, fact in elab.facts_of("cofiber"):
-        if fact.args[0] == first_map:
-            return fact
-    return None
 
 
 def elaborate(scene: Scene) -> ElaboratedScene:

@@ -31,7 +31,6 @@ from .model import (
     BoundStore,
     InvariantKey,
     Justification,
-    Premise,
     Side,
     StoreConflict,
 )
@@ -46,9 +45,11 @@ class Limits:
     max_finite: int = 65_536
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationTree:
-    """Justification DAG rendered as a tree down to asserted facts."""
+    """Justification DAG down to asserted facts.  A sub-derivation used
+    twice is one node object, so nodes compare by identity, and the walks
+    below visit each distinct node once, without recursion."""
 
     label: str
     key: Optional[str] = None
@@ -57,24 +58,49 @@ class DerivationTree:
     rule_id: Optional[str] = None
     children: tuple["DerivationTree", ...] = ()
 
+    def nodes(self) -> list["DerivationTree"]:
+        """Distinct nodes in depth-first pre-order, each at its first visit."""
+        seen: dict[int, DerivationTree] = {}
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack += node.children[::-1]
+        return list(seen.values())
+
     def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
+        return len(self.nodes())
 
     def leaves(self) -> list["DerivationTree"]:
-        if not self.children:
-            return [self]
-        out: list[DerivationTree] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return [node for node in self.nodes() if not node.children]
 
     def render(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.label]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
+        """One line per node reached; an inner node reached twice prints
+        its subtree once, tagged ``[#n]``, and later as ``(see #n)``."""
+        lines: list[str] = []
+        first: dict[int, int] = {}  # inner node -> index of its first line
+        repeats: list[tuple[int, int]] = []  # (line index, inner node)
+        stack = [(self, indent)]
+        while stack:
+            node, depth = stack.pop()
+            if node.children:
+                if id(node) in first:
+                    repeats.append((len(lines), id(node)))
+                else:
+                    first[id(node)] = len(lines)
+                    stack += [(child, depth + 1) for child in node.children[::-1]]
+            lines.append("  " * depth + node.label)
+        if repeats:
+            shared = sorted({first[node] for _, node in repeats})
+            numbers = {at: n for n, at in enumerate(shared, 1)}
+            for at, n in numbers.items():
+                lines[at] += f" [#{n}]"
+            for at, node in repeats:
+                lines[at] += f" (see #{numbers[first[node]]})"
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
+    def json_fields(self) -> dict:
         payload: dict = {"label": self.label}
         if self.key is not None:
             payload["key"] = self.key
@@ -82,9 +108,26 @@ class DerivationTree:
             payload["value"] = extnat_to_json(self.value)
         if self.rule_id is not None:
             payload["rule"] = self.rule_id
-        if self.children:
-            payload["children"] = [c.to_json() for c in self.children]
         return payload
+
+    def to_json(self) -> dict:
+        """The root's fields, with ``children`` as ids into a ``nodes`` table
+        that lists every other distinct node once, numbered breadth-first."""
+        order = [self]
+        payloads = [self.json_fields()]
+        ids: dict[int, int] = {}
+        for node, payload in zip(order, payloads):  # both grow while read
+            if node.children:
+                payload["children"] = kids = []
+                for child in node.children:
+                    if id(child) not in ids:
+                        ids[id(child)] = len(order) - 1
+                        order.append(child)
+                        payloads.append(child.json_fields())
+                    kids.append(ids[id(child)])
+        if self.children:
+            payloads[0]["nodes"] = payloads[1:]
+        return payloads[0]
 
 
 @dataclass(frozen=True)
@@ -117,6 +160,7 @@ class SaturationResult:
     firings: int
     elab: ElaboratedScene
     instances: list[CompiledInstance]
+    trees: TreeBuilder  # the run's builder; explains reuse its nodes
     contradiction: Optional[ContradictionReport] = None
     budget: Optional[BudgetReport] = None
 
@@ -131,13 +175,42 @@ class QueryAnswer:
 
 
 class TreeBuilder:
-    """Reconstructs derivation trees from the store log and the scene's facts."""
+    """Reconstructs derivation trees from the store log and the scene's facts.
+
+    Each log entry becomes one node, built once and kept: the log only
+    grows, so the nodes stay valid and later trees share them.
+    """
 
     def __init__(self, store: BoundStore, elab: ElaboratedScene):
         self.store = store
         self.elab = elab
+        self.built: dict[int, DerivationTree] = {}  # log index -> its node
+
+    def of_entry(self, idx: int) -> DerivationTree:
+        if idx not in self.built:
+            self.built[idx] = self.of_justification(self.store.log[idx])
+        return self.built[idx]
 
     def of_justification(self, just: Justification) -> DerivationTree:
+        """Build the log entries ``just`` reaches that have no node yet.
+
+        A premise's source precedes its user in the log, so ascending
+        order builds every child before its parents, without recursion.
+        """
+        built, log = self.built, self.store.log
+        reached: set[int] = set()
+        stack = [just]
+        while stack:
+            for premise in stack.pop().premises:
+                source = premise.source
+                if source is not None and source not in built and source not in reached:
+                    reached.add(source)
+                    stack.append(log[source])
+        for idx in sorted(reached):
+            built[idx] = self.node(log[idx])
+        return self.node(just)
+
+    def node(self, just: Justification) -> DerivationTree:
         side = just.side.value
         surface = just.key.surface()
         value = fmt_extnat(just.value)
@@ -145,18 +218,14 @@ class TreeBuilder:
             label = f"{side} {surface} = {value} (asserted)"
         else:
             label = f"{side} {surface} = {value} by {just.rule_id}"
-        children = [self.of_premise(p) for p in just.premises]
+        # a side with no justification still holds its default value
+        children = [self.built[p.source] if p.source is not None
+                    else self.default_leaf(p.key, p.side) for p in just.premises]
         children += [self.of_fact(i) for i in just.facts]
         return DerivationTree(
             label=label, key=surface, side=side, value=just.value,
             rule_id=just.rule_id, children=tuple(children),
         )
-
-    def of_premise(self, premise: Premise) -> DerivationTree:
-        if premise.source is not None:
-            return self.of_justification(self.store.log[premise.source])
-        # a side with no justification still holds its default value
-        return self.default_leaf(premise.key, premise.side)
 
     def of_fact(self, index: int) -> DerivationTree:
         origin = self.elab.origins[index]
@@ -173,31 +242,22 @@ class TreeBuilder:
         )
 
     def side_tree(self, key: InvariantKey, side: Side) -> DerivationTree:
-        just = self.store.justification_of(key, side)
-        if just is None:
-            return self.default_leaf(key, side)
-        return self.of_justification(just)
+        idx = self.store.source_of(key, side)
+        return self.default_leaf(key, side) if idx is None else self.of_entry(idx)
 
     def conflict_report(self, conflict: StoreConflict) -> ContradictionReport:
         attempted = conflict.attempted
         attempted_tree = self.of_justification(attempted)
         if conflict.opposing_source is not None:
-            opposing_tree = self.of_justification(
-                self.store.log[conflict.opposing_source])
+            opposing_tree = self.of_entry(conflict.opposing_source)
         else:
             opposing_side = Side.LO if attempted.side is Side.HI else Side.HI
             opposing_tree = self.default_leaf(attempted.key, opposing_side)
         if attempted.side is Side.HI:
-            return ContradictionReport(
-                key=attempted.key,
-                lo_value=conflict.current.lo, hi_value=attempted.value,
-                lo_tree=opposing_tree, hi_tree=attempted_tree,
-            )
-        return ContradictionReport(
-            key=attempted.key,
-            lo_value=attempted.value, hi_value=conflict.current.hi,
-            lo_tree=attempted_tree, hi_tree=opposing_tree,
-        )
+            return ContradictionReport(attempted.key, conflict.current.lo, attempted.value,
+                                       opposing_tree, attempted_tree)
+        return ContradictionReport(attempted.key, attempted.value, conflict.current.hi,
+                                   attempted_tree, opposing_tree)
 
 
 class _Run:
@@ -228,19 +288,13 @@ class _Run:
                     reason="max_finite",
                     detail=f"lower bound on {just.key.surface()} climbed past "
                            f"{self.limits.max_finite}; pumping chain follows",
-                    tree=self.trees.of_justification(just),
+                    tree=self.trees.of_entry(len(self.store.log) - 1),
                 )
         return None
 
     def apply_asserted(self) -> None:
         for bound in self.elab.bounds:
-            if bound.rel == "<=":
-                sides = [Side.HI]
-            elif bound.rel == ">=":
-                sides = [Side.LO]
-            else:
-                sides = [Side.LO, Side.HI]
-            for side in sides:
+            for side in {"<=": (Side.HI,), ">=": (Side.LO,)}.get(bound.rel, (Side.LO, Side.HI)):
                 just = Justification(
                     rule_id=ASSERTED, key=bound.key, side=side, value=bound.value,
                     compute=ASSERTED,
@@ -306,6 +360,7 @@ class _Run:
         return SaturationResult(
             store=self.store, status=status, rounds=self.rounds,
             firings=self.firings, elab=self.elab, instances=self.instances,
+            trees=self.trees,
             contradiction=self.contradiction, budget=self.budget,
         )
 
@@ -348,4 +403,4 @@ def explain(result: SaturationResult, key: InvariantKey, side: Side) -> Derivati
     """
     if key.map_id not in result.elab.maps:
         raise KeyError(f"unknown invariant target {key.surface()}")
-    return TreeBuilder(result.store, result.elab).side_tree(key, side)
+    return result.trees.side_tree(key, side)

@@ -261,12 +261,14 @@ class BoundStore:
     def hi(self, key: InvariantKey) -> ExtNat:
         return self.interval(key).hi
 
+    def source_of(self, key: InvariantKey, side: Side) -> Optional[int]:
+        """The log index of the justification behind one side, if any."""
+        sources = self.lo_sources if side is Side.LO else self.hi_sources
+        return sources[self.slots[key]] if key in self.slots else None
+
     def justification_of(self, key: InvariantKey, side: Side) -> Optional[Justification]:
         """The justification backing the current value of one side, if any."""
-        slot = self.slots.get(key)
-        if slot is None:
-            return None
-        idx = (self.lo_sources if side is Side.LO else self.hi_sources)[slot]
+        idx = self.source_of(key, side)
         return self.log[idx] if idx is not None else None
 
     def apply(self, just: Justification) -> Union[bool, StoreConflict]:

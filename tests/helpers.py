@@ -338,3 +338,13 @@ def random_scene(seed: int) -> Scene:
     queries = [QueryDecl(key) for key in keys[:2]]
     return Scene.build(_random_profile(rng), b.spaces, b.maps,
                        tuple(b.facts), tuple(bounds), tuple(queries))
+
+
+def chain_scene(n: int) -> str:
+    """X0 -> X1 -> ... -> Xn with L(fi) <= 1 and cl(X0) = 1, so cl(Xi) <= i + 1."""
+    lines = ["collection Chain { suspensions }",
+             "space " + ", ".join(f"X{i}" for i in range(n + 1))]
+    lines += [f"map f{i} : X{i - 1} -> X{i}" for i in range(1, n + 1)]
+    lines += [f"bound L(f{i}) <= 1" for i in range(1, n + 1)]
+    lines += ["bound cl(X0) = 1"]
+    return "\n".join(lines) + "\n"

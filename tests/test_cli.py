@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import chain_scene
 
 import conebound
 from conebound.cli import corpus_dir, main
@@ -120,6 +121,16 @@ def test_explain_json():
     payload = json.loads(out)
     assert payload["target"] == "cl(S3)"
     assert payload["explain"]["hi"]["rule"] == "C63"
+
+
+def test_deep_explain_json_at_the_default_recursion_limit(tmp_path, default_recursion_limit):
+    scene = tmp_path / "chain.scene"
+    scene.write_text(chain_scene(1500), encoding="utf-8")
+    code, out, _ = run_cli(
+        ["explain", str(scene), "--target", "cl(X1500):hi", "--format", "json"])
+    assert code == 0
+    tree = json.loads(out)["explain"]["hi"]
+    assert (tree["key"], tree["value"], len(tree["nodes"])) == ("cl(X1500)", 1501, 4500)
 
 
 @pytest.mark.parametrize("scene, argv, code, status", [

@@ -299,6 +299,34 @@ def test_product_map_needs_linkage():
         ))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("map p : P -> A\nfact product_space(P, A, B)\nfact projection(p)\n",
+     "projection(p): P must be a declared product with second factor A"),
+    ("map f : A -> X\nmap g : B -> Y\nmap h : P -> Q\n"
+     "fact product_space(P, A, B)\nfact product_map(h, f, g)\n",
+     "product_map(h, f, g): domain and codomain of h must be declared products of the factors"),
+    ("map f : A -> X\nmap g : B -> Y\nmap w : P -> Q\n"
+     "fact wedge_space(P, A, B)\nfact wedge_space(Q, X, B)\nfact wedge_map(w, f, g)\n",
+     "wedge_map(w, f, g): domain and codomain of w must be declared wedges of the operands"),
+], ids=["projection-onto-first-factor", "product_map", "wedge_map"])
+def test_cross_fact_errors_name_the_fact(body, message):
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(parse_scene("collection C { wedges }\nspace A, B, X, Y, P, Q\n" + body))
+    assert excinfo.value.messages == [message]
+
+
+def test_many_products_with_projections_elaborate():
+    # the cross-fact checks look products up by (product, second factor)
+    # instead of scanning every product per projection
+    n = 2000
+    lines = ["collection C { joins }"]
+    for i in range(n):
+        lines += [f"space A{i}, B{i}, P{i}", f"map p{i} : P{i} -> B{i}",
+                  f"fact product_space(P{i}, A{i}, B{i})", f"fact projection(p{i})"]
+    elab = elaborate(parse_scene("\n".join(lines) + "\n"))
+    assert len(facts_of_kind(elab, "projection")) == n
+
+
 def test_pushout_map_alignment_checked():
     text = (
         "collection C { }\n"

@@ -1,9 +1,11 @@
 """Saturation behavior: fixpoints, contradictions, budgets, provenance."""
 
 import hashlib
+import json
 import random
 
-from helpers import random_scene
+import pytest
+from helpers import chain_scene, random_scene
 
 from conebound import engine
 from conebound.elaborate import elaborate
@@ -108,7 +110,7 @@ def test_round_budget_trips():
 def test_chain_deeper_than_the_old_round_cap_reaches_fixpoint():
     # termination rests on well-foundedness, not on a round budget: this
     # chain needs more rounds than the old default cap of 10,000
-    result = run(_chain_scene(10_500), limits=Limits())
+    result = run(chain_scene(10_500), limits=Limits())
     assert result.status == "fixpoint"
     assert result.rounds > 10_000
     assert result.store.interval(key_cl("X10500")).hi == 10_501
@@ -314,15 +316,6 @@ def test_rendered_scene_saturates_identically():
             assert via_text.store.serialize() == direct.store.serialize(), seed
 
 
-def _chain_scene(n):
-    lines = ["collection Chain { suspensions }",
-             "space " + ", ".join(f"X{i}" for i in range(n + 1))]
-    lines += [f"map f{i} : X{i - 1} -> X{i}" for i in range(1, n + 1)]
-    lines += [f"bound L(f{i}) <= 1" for i in range(1, n + 1)]
-    lines += ["bound cl(X0) = 1"]
-    return "\n".join(lines) + "\n"
-
-
 def test_chain_firing_schedule_is_pinned(monkeypatch):
     # Recorded with the dict-keyed store that built premises on every
     # firing.  The slot-indexed core must fire the same instances in the
@@ -340,7 +333,7 @@ def test_chain_firing_schedule_is_pinned(monkeypatch):
             ({"shuffle": random.Random(7)}, 61, 3058, "c8fd1f171d8ad8cc")]
     for kwargs, rounds, fire_calls, digest in runs:
         calls.clear()
-        result = run(_chain_scene(60), **kwargs)
+        result = run(chain_scene(60), **kwargs)
         log = "\n".join(f"{j.rule_id} {j.side.value} {j.key.surface()} {j.value}"
                         for j in result.store.log)
         assert result.status == "fixpoint"
@@ -348,3 +341,103 @@ def test_chain_firing_schedule_is_pinned(monkeypatch):
         assert (result.rounds, result.firings, len(result.store.log), len(calls)) == (
             rounds, 303, 365, fire_calls), kwargs
         assert hashlib.sha256(log.encode()).hexdigest()[:16] == digest, kwargs
+
+
+# -- explanations as a shared derivation DAG ----------------------------------
+
+
+def _product_tower_scene(n):
+    lines = ["collection Prod { wedges, joins }",
+             "space " + ", ".join(f"P{i}" for i in range(n + 1))]
+    lines += [f"fact product_space(P{i}, P{i - 1}, P{i - 1})" for i in range(1, n + 1)]
+    lines += ["bound cl(P0) = 1"]
+    return "\n".join(lines) + "\n"
+
+
+def _tower_tree(n):
+    return explain(run(_product_tower_scene(n)), key_cl(f"P{n}"), Side.HI)
+
+
+def test_product_tower_explain_grows_linearly():
+    # each stage reads its predecessor twice; the DAG holds it once
+    sizes = {n: _tower_tree(n).size() for n in (5, 10, 20)}
+    assert sizes == {5: 11, 10: 21, 20: 41}
+    assert _tower_tree(40).size() <= 81
+
+
+def test_shared_nodes_print_once_and_refer_back():
+    assert _tower_tree(3).render() == "\n".join([
+        "hi cl(P3) = 8 by C52",
+        "  hi cl(P2) = 4 by C52 [#1]",
+        "    hi cl(P1) = 2 by C52 [#2]",
+        "      hi cl(P0) = 1 (asserted)",
+        "      hi cl(P0) = 1 (asserted)",
+        "      fact F2: product_space(P1, P0, P0)",
+        "    hi cl(P1) = 2 by C52 (see #2)",
+        "    fact F3: product_space(P2, P1, P1)",
+        "  hi cl(P2) = 4 by C52 (see #1)",
+        "  fact F4: product_space(P3, P2, P2)",
+    ])
+
+
+def test_json_node_table_lists_each_node_once():
+    tree = _tower_tree(3)
+    payload = tree.to_json()
+    nodes = payload["nodes"]
+    assert (payload["key"], payload["side"], payload["value"]) == ("cl(P3)", "hi", 8)
+    assert len(nodes) + 1 == tree.size() == 7
+    assert all(0 <= i < len(nodes) for node in [payload, *nodes]
+               for i in node.get("children", []))
+    # one entry per distinct node: the table has no repeated entries
+    assert len({json.dumps(node, sort_keys=True) for node in nodes}) == len(nodes)
+    assert all("nodes" not in node for node in nodes)
+    leaves = tree.leaves()
+    assert len({id(leaf) for leaf in leaves}) == len(leaves) == 4
+
+
+def test_unshared_tree_renders_and_serialises_as_a_plain_tree():
+    tree = explain(run(HOPF), key_cl("S3"), Side.HI)
+    assert tree.render() == "\n".join([
+        "hi cl(S3) = 3 by C63",
+        "  hi cl(S2) = 1 (asserted)",
+        "  hi cl(S1) = 1 (asserted)",
+        "  fact F2: fibration(p, S1)",
+    ])
+    payload = tree.to_json()
+    assert {k: v for k, v in payload.items() if k not in ("children", "nodes")} == {
+        "label": "hi cl(S3) = 3 by C63", "key": "cl(S3)", "side": "hi",
+        "value": 3, "rule": "C63",
+    }
+    assert payload["children"] == [0, 1, 2]
+    assert [node["label"] for node in payload["nodes"]] == [
+        "hi cl(S2) = 1 (asserted)", "hi cl(S1) = 1 (asserted)", "fact F2: fibration(p, S1)"]
+    assert "nodes" not in explain(run(HOPF), key_cl("S3"), Side.LO).to_json()
+
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    return run(chain_scene(1500))
+
+
+def test_deep_chain_explains_at_the_default_recursion_limit(deep_chain, default_recursion_limit):
+    tree = explain(deep_chain, key_cl("X1500"), Side.HI)
+    assert tree.value == 1501
+    # each of the 1500 steps adds its node, its asserted L(f) and its fact
+    assert tree.size() == 4501
+    assert tree.render().count("\n") == 4500
+    payload = tree.to_json()
+    assert len(payload["nodes"]) == 4500
+    assert json.loads(json.dumps(payload))["value"] == 1501
+
+
+def test_deep_budget_tree_at_the_default_recursion_limit(default_recursion_limit):
+    # lo L(g) >= lo cl(Y) - hi cl(X1500), and hi cl(X1500) = 1501 takes
+    # the whole chain to derive, so the pumping chain is 1500 steps deep
+    text = chain_scene(1500) + "space Y\nmap g : X1500 -> Y\nbound cl(Y) >= 100000\n"
+    result = run(text, limits=Limits(max_finite=50_000))
+    assert result.budget.reason == "max_finite"
+    tree = result.budget.tree
+    assert tree.label == "lo L(g) = 98499 by AX-COMP"
+    assert tree.size() > 3000
+    assert tree.render().splitlines()[-1].strip().startswith("fact ")
+    json.dumps(tree.to_json())
