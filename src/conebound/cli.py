@@ -18,13 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .elaborate import ElaborationError, elaborate
-from .engine import (
-    Limits,
-    SaturationResult,
-    explain,
-    query,
-    saturate,
-)
+from .engine import Limits, SaturationResult, explain, query, saturate
 from .extnat import extnat_to_json
 from .model import InvariantKey, Side
 from .parser import SceneParseError, parse_invariant, try_parse_scene
@@ -258,11 +252,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Derive interval bounds on cone length and category invariants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = Limits()
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-rounds", type=budget, default=Limits.max_rounds)
-        p.add_argument("--max-finite", type=budget, default=Limits.max_finite)
+        p.add_argument("--max-rounds", type=budget, default=defaults.max_rounds)
+        p.add_argument("--max-finite", type=budget, default=defaults.max_finite)
         p.add_argument("--no-rearrange", action="store_true",
                        help="diagnostic: disable rearranged lower bounds")
 

@@ -22,41 +22,38 @@ an opt-in budget, off by default.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .elaborate import ORIGIN_USER, ElaboratedScene
 from .extnat import INF, ExtNat, Interval, extnat_to_json, fmt_extnat
-from .model import (
-    BoundStore,
-    InvariantKey,
-    Justification,
-    Side,
-    StoreConflict,
-)
+from .model import BoundStore, InvariantKey, Justification, Side, StoreConflict
 from .rules import CompiledInstance, fire, instantiate
 
 ASSERTED = "asserted"
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_rounds: Optional[int] = None  # no cap by default, see the module docstring
     max_finite: int = 65_536
 
 
-@dataclass(frozen=True, eq=False)
 class DerivationTree:
     """Justification DAG down to asserted facts.  A sub-derivation used
     twice is one node object, so nodes compare by identity, and the walks
     below visit each distinct node once, without recursion."""
 
-    label: str
-    key: Optional[str] = None
-    side: Optional[str] = None
-    value: Optional[ExtNat] = None
-    rule_id: Optional[str] = None
-    children: tuple["DerivationTree", ...] = ()
+    __slots__ = ("label", "key", "side", "value", "rule_id", "children")
+
+    def __init__(self, label: str, key: Optional[str] = None, side: Optional[str] = None,
+                 value: Optional[ExtNat] = None, rule_id: Optional[str] = None,
+                 children: tuple["DerivationTree", ...] = ()):
+        self.label, self.key, self.side, self.value = label, key, side, value
+        self.rule_id, self.children = rule_id, children
+
+    def __repr__(self) -> str:
+        # the node alone: printing descendants recurses once per level and
+        # repeats each shared sub-derivation at every use
+        return f"<DerivationTree {self.label!r}, {len(self.children)} children>"
 
     def nodes(self) -> list["DerivationTree"]:
         """Distinct nodes in depth-first pre-order, each at its first visit."""
@@ -130,8 +127,7 @@ class DerivationTree:
         return payloads[0]
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
+class ContradictionReport(NamedTuple):
     key: InvariantKey
     lo_value: ExtNat
     hi_value: ExtNat
@@ -145,15 +141,13 @@ class ContradictionReport:
         )
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(NamedTuple):
     reason: str  # "max_rounds" | "max_finite"
     detail: str
     tree: Optional[DerivationTree] = None
 
 
-@dataclass
-class SaturationResult:
+class SaturationResult(NamedTuple):
     store: BoundStore
     status: str  # "fixpoint" | "contradiction" | "budget_exhausted"
     rounds: int
@@ -165,8 +159,7 @@ class SaturationResult:
     budget: Optional[BudgetReport] = None
 
 
-@dataclass(frozen=True)
-class QueryAnswer:
+class QueryAnswer(NamedTuple):
     key: InvariantKey
     interval: Interval
     status: str

@@ -16,8 +16,7 @@ bound.  The unconstrained interval [0, inf] means "nothing known", not
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 INF = math.inf
 
@@ -80,18 +79,35 @@ def extnat_to_json(x: ExtNat) -> object:
     return "inf" if x == INF else x
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A pair lo <= hi of extended naturals; lo > hi is rejected outright."""
+class CheckedRecord:
+    """Base, before the fields' ``NamedTuple``, of a record whose ``__new__``
+    checks or normalizes its fields.  ``_make`` builds through that
+    ``__new__``, and so do ``_replace`` and ``copy.replace``, which call
+    ``_make``; pickling calls ``__new__`` itself."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _IntervalFields(NamedTuple):
     lo: ExtNat
     hi: ExtNat
 
-    def __post_init__(self) -> None:
-        as_extnat(self.lo)
-        as_extnat(self.hi)
-        if self.lo > self.hi:
-            raise ValueError(f"interval bounds out of order: {self.lo!r} > {self.hi!r}")
+
+class Interval(CheckedRecord, _IntervalFields):
+    """A pair lo <= hi of extended naturals; lo > hi is rejected outright."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: ExtNat, hi: ExtNat) -> "Interval":
+        as_extnat(lo)
+        as_extnat(hi)
+        if lo > hi:
+            raise ValueError(f"interval bounds out of order: {lo!r} > {hi!r}")
+        return tuple.__new__(cls, (lo, hi))
 
     def side(self, side: str) -> ExtNat:
         return self.lo if side == "lo" else self.hi

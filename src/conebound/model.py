@@ -16,7 +16,6 @@ recording the rule, the premise snapshots, and the facts it used.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Iterable, NamedTuple, Optional, Union
@@ -112,8 +111,7 @@ key_kl = partial(alias_key, "kl")
 key_kit = partial(alias_key, "kit")
 
 
-@dataclass(frozen=True)
-class Premise:
+class Premise(NamedTuple):
     """One value read while computing a bound, with its provenance pointer.
 
     ``role`` tags how the value entered the computation (see RECOMPUTERS);
@@ -181,8 +179,7 @@ def recompute(kind: str, const: int, premises: Iterable[Premise]) -> ExtNat:
     raise ValueError(f"unknown computation kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(NamedTuple):
     """Why one side of one key took a particular value."""
 
     rule_id: str  # catalog rule id, or "asserted"

@@ -9,8 +9,7 @@ column.  Identifiers must be declared before use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .extnat import INF, ExtNat, fmt_extnat
 from .model import (POINT, SPACE_ALIASES, InvariantKey, Kind, alias_key, canonical_space,
@@ -35,8 +34,7 @@ RESERVED = frozenset(STATEMENT_HEADS) | frozenset(FLAG_NAMES) | frozenset(INVARI
 }
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     line: int
     col: int
     message: str
@@ -51,8 +49,7 @@ class SceneParseError(Exception):
         self.errors = errors
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT NAT PUNCT EOL
     text: str
     line: int

@@ -20,7 +20,6 @@ files.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
 
@@ -180,8 +179,7 @@ Match = tuple[str, tuple[int, ...], tuple[Step, ...]]
 Matcher = Callable[[ElaboratedScene], Iterator[Match]]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A guarded inequality schema.
 
     ``guard`` lists the collection closure flags required for soundness;

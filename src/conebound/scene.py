@@ -9,19 +9,13 @@ init(X): * -> X and term(X): X -> * are addressable without declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from .extnat import ExtNat
+from typing import NamedTuple
+
+from .extnat import CheckedRecord, ExtNat
 from .model import POINT, InvariantKey
 
 
-@dataclass(frozen=True)
-class CollectionProfile:
-    """Closure properties of the ambient collection of cone spaces.
-
-    ``all_spaces`` means every space belongs, which forces every closure
-    flag; exactly one profile exists per scene.
-    """
-
+class _ProfileFields(NamedTuple):
     name: str
     all_spaces: bool = False
     wedges: bool = False
@@ -29,23 +23,29 @@ class CollectionProfile:
     joins: bool = False
     smash_ideal: bool = False
 
-    def __post_init__(self) -> None:
-        if self.all_spaces:
-            object.__setattr__(self, "wedges", True)
-            object.__setattr__(self, "suspensions", True)
-            object.__setattr__(self, "joins", True)
-            object.__setattr__(self, "smash_ideal", True)
+
+class CollectionProfile(CheckedRecord, _ProfileFields):
+    """Closure properties of the ambient collection of cone spaces.
+
+    ``all_spaces`` means every space belongs, which forces every closure
+    flag; exactly one profile exists per scene.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, all_spaces: bool = False, wedges: bool = False,
+                suspensions: bool = False, joins: bool = False,
+                smash_ideal: bool = False) -> "CollectionProfile":
+        if all_spaces:
+            wedges = suspensions = joins = smash_ideal = True
+        return tuple.__new__(cls, (name, all_spaces, wedges, suspensions, joins, smash_ideal))
 
     def flags(self) -> frozenset[str]:
-        out = set()
-        for name in ("all_spaces", "wedges", "suspensions", "joins", "smash_ideal"):
-            if getattr(self, name):
-                out.add(name)
-        return frozenset(out)
+        """The names of the set flags (every field after ``name``)."""
+        return frozenset(flag for flag, on in zip(self._fields[1:], self[1:]) if on)
 
 
-@dataclass(frozen=True)
-class MapDecl:
+class MapDecl(NamedTuple):
     id: str
     dom: str
     cod: str
@@ -99,38 +99,40 @@ FACT_SCHEMAS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Fact:
+class _FactFields(NamedTuple):
     kind: str
     args: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        schema = FACT_SCHEMAS.get(self.kind)
+
+class Fact(CheckedRecord, _FactFields):
+    """A fact of a kind in ``FACT_SCHEMAS``, with as many arguments as its
+    schema has roles."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, args: tuple[str, ...]) -> "Fact":
+        schema = FACT_SCHEMAS.get(kind)
         if schema is None:
-            raise ValueError(f"unknown fact kind: {self.kind!r}")
-        if len(schema) != len(self.args):
-            raise ValueError(
-                f"{self.kind} expects {len(schema)} arguments, got {len(self.args)}"
-            )
+            raise ValueError(f"unknown fact kind: {kind!r}")
+        if len(schema) != len(args):
+            raise ValueError(f"{kind} expects {len(schema)} arguments, got {len(args)}")
+        return tuple.__new__(cls, (kind, args))
 
     def render(self) -> str:
         return f"{self.kind}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class BoundDecl:
+class BoundDecl(NamedTuple):
     key: InvariantKey
     rel: str  # "<=", ">=", "="
     value: ExtNat
 
 
-@dataclass(frozen=True)
-class QueryDecl:
+class QueryDecl(NamedTuple):
     key: InvariantKey
 
 
-@dataclass(frozen=True)
-class DecompositionCert:
+class DecompositionCert(NamedTuple):
     """Witness that the target map factors through n cone attachments.
 
     ``cone_spaces`` lists the attached cones in order.  Elaboration
@@ -142,8 +144,7 @@ class DecompositionCert:
     cone_spaces: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     profile: CollectionProfile
     spaces: tuple[str, ...]  # sorted, "*" excluded (implicit)
     maps: tuple[MapDecl, ...]  # sorted by id

@@ -9,8 +9,6 @@ import random
 
 from helpers import PROBE_SCENE, all_profiles, random_scene
 
-import dataclasses
-
 from conebound.cli import corpus_dir
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
@@ -177,7 +175,7 @@ def test_08_guard_exhaustiveness():
     scene = parse_scene(PROBE_SCENE)
     table = {rule.id: rule.guard for rule in catalog()}
     for profile in all_profiles():
-        elab = elaborate(dataclasses.replace(scene, profile=profile))
+        elab = elaborate(scene._replace(profile=profile))
         fired = {inst.rule_id for inst in instantiate(elab)}
         expected = {rid for rid, guard in table.items() if guard <= profile.flags()}
         assert fired == expected, profile

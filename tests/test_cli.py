@@ -10,7 +10,8 @@ import pytest
 from helpers import chain_scene
 
 import conebound
-from conebound.cli import corpus_dir, main
+from conebound.cli import build_arg_parser, corpus_dir, main
+from conebound.engine import Limits
 
 HOPF = corpus_dir() / "hopf.scene"
 EXAMPLE74 = corpus_dir() / "example74.scene"
@@ -99,6 +100,13 @@ def test_negative_budget_is_rejected(flag, capsys):
         main(["check", str(HOPF), flag, "-1"])
     assert excinfo.value.code == 2
     assert f"argument {flag}: must be 0 or more, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["check", "s.scene"], ["query", "s.scene", "--target", "cl(X)"],
+                                  ["explain", "s.scene", "--target", "cl(X)"], ["corpus"]])
+def test_budget_flag_defaults_are_the_engine_limits(argv):
+    args = build_arg_parser().parse_args(argv)
+    assert Limits(args.max_rounds, args.max_finite) == Limits()
 
 
 def test_unknown_query_target():

@@ -1,7 +1,6 @@
 """Elaboration: derived facts, membership closure, certificate expansion."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from helpers import random_scene
@@ -168,7 +167,7 @@ def test_fact_order_does_not_change_elaboration():
     scenes += [random_scene(seed) for seed in range(300)]
     for index, scene in enumerate(scenes):
         forward = elaborate(scene)
-        backward = elaborate(replace(scene, facts=scene.facts[::-1]))
+        backward = elaborate(scene._replace(facts=scene.facts[::-1]))
         assert set(forward.facts) == set(backward.facts), index
         assert (saturate(forward).store.serialize()
                 == saturate(backward).store.serialize()), index

@@ -430,6 +430,16 @@ def test_deep_chain_explains_at_the_default_recursion_limit(deep_chain, default_
     assert json.loads(json.dumps(payload))["value"] == 1501
 
 
+def test_reprs_of_deep_and_shared_trees_stay_short(deep_chain, default_recursion_limit):
+    # a node's repr is its label and child count, never its descendants
+    chain_tree = explain(deep_chain, key_cl("X1500"), Side.HI)
+    assert repr(chain_tree) == "<DerivationTree 'hi cl(X1500) = 1501 by AX-COMP', 3 children>"
+    report = run(chain_scene(800) + "bound cl(X800) >= 1000\n").contradiction
+    assert min(report.lo_tree.size(), report.hi_tree.size()) > 1000
+    for obj in (chain_tree, _tower_tree(15), report):
+        assert len(repr(obj)) < 1000
+
+
 def test_deep_budget_tree_at_the_default_recursion_limit(default_recursion_limit):
     # lo L(g) >= lo cl(Y) - hi cl(X1500), and hi cl(X1500) = 1501 takes
     # the whole chain to derive, so the pumping chain is 1500 steps deep

@@ -1,6 +1,5 @@
 """Catalog integrity, guards, instantiation shapes, and firing semantics."""
 
-import dataclasses
 import inspect
 import re
 import sys
@@ -107,10 +106,10 @@ def test_probe_scene_activates_every_rule_under_full_profile():
 
 def test_guard_filtering_wedges_only():
     scene = parse_scene(PROBE_SCENE)
-    profile = dataclasses.replace(
-        scene.profile, name="WOnly", all_spaces=False,
-        wedges=True, suspensions=False, joins=False, smash_ideal=False)
-    elab = elaborate(dataclasses.replace(scene, profile=profile))
+    profile = scene.profile._replace(
+        name="WOnly", all_spaces=False, wedges=True, suspensions=False, joins=False,
+        smash_ideal=False)
+    elab = elaborate(scene._replace(profile=profile))
     fired = {inst.rule_id for inst in instantiate(elab)}
     expected = {r.id for r in catalog() if r.guard <= profile.flags()}
     assert fired == expected
