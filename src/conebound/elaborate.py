@@ -70,8 +70,7 @@ class ElaboratedScene:
         self.origins: list[str] = []
         self._fact_set: set[Fact] = set()
         self._by_kind: dict[str, list[int]] = {}
-        self.members: set[str] = set()
-        self.member_fact: dict[str, int] = {}
+        self.member_fact: dict[str, int] = {}  # member space -> its first member fact
 
     # -- registries ----------------------------------------------------------
 
@@ -108,7 +107,6 @@ class ElaboratedScene:
         self._fact_set.add(fact)
         self._by_kind.setdefault(fact.kind, []).append(idx)
         if fact.kind == "member":
-            self.members.add(fact.args[0])
             self.member_fact.setdefault(fact.args[0], idx)
 
     def facts_of(self, kind: str) -> list[tuple[int, Fact]]:
@@ -231,11 +229,11 @@ def _membership_closure(elab: ElaboratedScene) -> None:
     if elab.profile.all_spaces:
         for space in elab.spaces:
             mark(space)
-    for space in elab.members:
+    for space in elab.member_fact:
         marked(space, 1, -1)  # members before the first sweep
     while heap:
         sweep, p = heapq.heappop(heap)
-        if spaces[p] not in elab.members:
+        if spaces[p] not in elab.member_fact:
             mark(spaces[p])
             marked(spaces[p], sweep, p)
 
@@ -385,7 +383,7 @@ def elaborate(scene: Scene) -> ElaboratedScene:
     _expand(elab, errors)
     for cert in elab.certs:
         for cone in cert.cone_spaces:
-            if cone not in elab.members:
+            if cone not in elab.member_fact:
                 errors.append(
                     f"decomposition {cert.target.surface()}: cone space {cone!r} "
                     f"is not derivably in the collection"

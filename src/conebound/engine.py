@@ -21,13 +21,15 @@ an opt-in budget, off by default.
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .elaborate import ORIGIN_USER, ElaboratedScene
 from .extnat import INF, ExtNat, Interval, extnat_to_json, fmt_extnat
 from .model import BoundStore, InvariantKey, Justification, Side, StoreConflict
-from .rules import CompiledInstance, fire, instantiate
+from .rules import Match, fire, instantiate, reads
+
+if TYPE_CHECKING:
+    import random
 
 ASSERTED = "asserted"
 
@@ -153,7 +155,7 @@ class SaturationResult(NamedTuple):
     rounds: int
     firings: int
     elab: ElaboratedScene
-    instances: list[CompiledInstance]
+    instances: list[Match]
     trees: TreeBuilder  # the run's builder; explains reuse its nodes
     contradiction: Optional[ContradictionReport] = None
     budget: Optional[BudgetReport] = None
@@ -262,7 +264,7 @@ class _Run:
         self.shuffle = shuffle
         self.store = BoundStore()
         self.trees = TreeBuilder(self.store, elab)
-        self.instances: list[CompiledInstance] = []
+        self.instances: list[Match] = []
         self.dirty: set[int] = set()  # slots tightened in this round
         self.rounds = 0
         self.firings = 0
@@ -304,8 +306,8 @@ class _Run:
             self.instances = compiled = instantiate(self.elab, self.store)
             # subscribers[slot]: the instances that read the slot, ascending
             subscribers: list[list[int]] = [[] for _ in self.store.keys]
-            for idx, inst in enumerate(compiled):
-                for slot in inst.reads:
+            for idx, (_, _, steps) in enumerate(compiled):
+                for slot in reads(steps):
                     subscribers[slot].append(idx)
             agenda = list(range(len(compiled)))
             while agenda:

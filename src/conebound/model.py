@@ -215,7 +215,7 @@ class BoundStore:
     Each key the store has seen owns an int slot.  The lo and hi of a slot
     and the log indices of the justifications behind them live in flat
     per-slot lists, which compiled rule instances read directly
-    (``rules.CompiledInstance``).  The canonical maps of the point are
+    (``rules.fire``).  The canonical maps of the point are
     exact by definition, so their keys default to [0, 0]; everything else
     defaults to the unconstrained [0, inf].
     """

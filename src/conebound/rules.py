@@ -8,10 +8,12 @@ multiplicative bound of the shape p + 1 <= (q+1)(r+1) yields the ceiling
 division rearrangements.  Rearrangement can be switched off
 diagnostically; the conclusions listed per rule are its direct content.
 
-The rows compile as they match: a key builder returns the key's slot in
-the store being instantiated, interning the key there, and a step
-constructor returns a plain step tuple.  The named-tuple shapes and
-``RuleInstance`` are only the decoded view of those steps.
+The rows compile as they match.  Each ``instantiate`` call hands them a
+key table, ``Keys(store)``, whose builders return a key's slot in that
+store, interning the key there, and a step constructor returns a plain
+step tuple.  A row's (rule id, facts, steps) tuple is the only compiled
+instance form; the named-tuple shapes and ``RuleInstance`` are only the
+decoded view of those steps.
 
 Rule ids are stable public strings that appear in traces and golden
 files.
@@ -19,7 +21,6 @@ files.
 
 from __future__ import annotations
 
-import threading
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
 
@@ -31,28 +32,33 @@ from .scene import Fact
 
 
 class _Slots(dict):
-    """name -> slot of one key builder's keys in ``_Slots.store``, where a
-    name seen first interns its key; ``instantiate`` binds and empties it,
-    holding ``lock`` so that concurrent calls cannot share a binding."""
+    """name -> slot in ``store`` of one key builder's keys, where a name
+    seen first interns its key."""
 
-    store: Optional[BoundStore] = None
-    lock = threading.Lock()
-
-    def __init__(self, make: Callable[[str], InvariantKey]):
+    def __init__(self, make: Callable[[str], InvariantKey], store: BoundStore):
         super().__init__()
-        self.make = make
+        self.make, self.store = make, store
 
     def __missing__(self, name: str) -> int:
-        slot = self[name] = _Slots.store.slot(self.make(name))
+        slot = self[name] = self.store.slot(self.make(name))
         return slot
 
 
-# Every key the catalog names is built by one of these, and each returns the
-# key's slot.  cl(X) and L(init(X)) get one slot through the store, so the
-# store's key list holds one object per distinct key.
-_SLOTS = tuple(_Slots(make) for make in (
-    model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl, model.key_kit))
-key_L, key_Lcat, key_cl, key_cat, key_kl, key_kit = (slots.__getitem__ for slots in _SLOTS)
+class Keys:
+    """The key table of one ``instantiate`` call: six builders, each taking
+    a name to its key's slot in ``store``, and ``kinds``, each kind's (map
+    invariant, init alias, term alias) builders: (L, cl, kl), (Lcat, cat, kit).
+    cl(X) and L(init(X)) share a slot: the store holds one object per key."""
+
+    __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit", "kinds")
+
+    def __init__(self, store: BoundStore):
+        self.L, self.Lcat, self.cl, self.cat, self.kl, self.kit = (
+            _Slots(make, store).__getitem__ for make in (
+                model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl,
+                model.key_kit))
+        self.kinds = ((self.L, self.cl, self.kl), (self.Lcat, self.cat, self.kit))
+
 
 # -- conclusion shapes ---------------------------------------------------------
 # A shape's field order is its step layout: a step is (shape, *fields) with
@@ -176,7 +182,7 @@ upper_sum, upper_prod, unify, lower_monus, lower_max, lower_inf, cond_lower = ma
 
 # A matcher yields each instance as (rule id, fact indices, steps).
 Match = tuple[str, tuple[int, ...], tuple[Step, ...]]
-Matcher = Callable[[ElaboratedScene], Iterator[Match]]
+Matcher = Callable[[ElaboratedScene, Keys], Iterator[Match]]
 
 
 class Rule(NamedTuple):
@@ -196,38 +202,33 @@ class Rule(NamedTuple):
 
 # -- rule construction helpers -------------------------------------------------
 
-# The keys of each kind, named after the L case in the rules below: the
-# map invariant (L or Lcat), its init alias (cl or cat) and its term
-# alias (kl or kit).
-KIND_KEYS = ((key_L, key_cl, key_kl), (key_Lcat, key_cat, key_kit))
-
 
 def _rule(rule_id: str, guard: frozenset[str], law: str,
           items: Callable[[ElaboratedScene], list[tuple[tuple[int, ...], object]]],
-          build: Callable[[ElaboratedScene, object], list[Step]]) -> Rule:
-    """One instance per item, with conclusions ``build(elab, item)``;
+          build: Callable[[ElaboratedScene, Keys, object], list[Step]]) -> Rule:
+    """One instance per item, with conclusions ``build(elab, k, item)``;
     ``items`` lists (fact indices bound by the match, item) pairs."""
 
-    def match(elab: ElaboratedScene) -> Iterator[Match]:
+    def match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
         for facts, item in items(elab):
-            yield rule_id, facts, tuple(build(elab, item))
+            yield rule_id, facts, tuple(build(elab, k, item))
 
     return Rule(rule_id, guard, law, match)
 
 
 def _fact_rule(rule_id: str, guard: frozenset[str], law: str, kind: str,
-               build: Callable[[ElaboratedScene, Fact], list[Step]]) -> Rule:
+               build: Callable[[ElaboratedScene, Keys, Fact], list[Step]]) -> Rule:
     return _rule(rule_id, guard, law,
                  lambda elab: [((i,), fact) for i, fact in elab.facts_of(kind)], build)
 
 
 def _per_map_rule(rule_id: str, guard: frozenset[str], law: str,
-                  build: Callable[[ElaboratedScene, str], list[Step]]) -> Rule:
+                  build: Callable[[ElaboratedScene, Keys, str], list[Step]]) -> Rule:
     return _rule(rule_id, guard, law, lambda elab: [((), m) for m in elab.maps], build)
 
 
 def _per_space_rule(rule_id: str, guard: frozenset[str], law: str,
-                    build: Callable[[ElaboratedScene, str], list[Step]]) -> Rule:
+                    build: Callable[[ElaboratedScene, Keys, str], list[Step]]) -> Rule:
     return _rule(rule_id, guard, law, lambda elab: [((), x) for x in elab.spaces], build)
 
 
@@ -239,29 +240,29 @@ def _per_kind(rule_id: str, guard: frozenset[str], law: str, fact_kind: str, tar
     (gated on hi L = 0).  Every other parameter is a position in the
     fact's arguments."""
 
-    def build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
+    def build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
         args = fact.args
         return [upper_sum(L(args[target]), adds=tuple(L(args[i]) for i in adds),
                           maxes=tuple(L(args[i]) for i in maxes),
-                          gates=tuple(key_L(args[i]) for i in equivs))
-                for L, cl, kl in KIND_KEYS]
+                          gates=tuple(k.L(args[i]) for i in equivs))
+                for L, cl, kl in k.kinds]
 
     return _fact_rule(rule_id, guard, law, fact_kind, build)
 
 
 def _unify_rule(rule_id: str, law: str, fact_kind: str) -> Rule:
     """L and Lcat of a fact's two maps are equal."""
-    return _fact_rule(rule_id, ANY, law, fact_kind, lambda elab, fact: [
-        unify(L(fact.args[0]), L(fact.args[1])) for L, cl, kl in KIND_KEYS])
+    return _fact_rule(rule_id, ANY, law, fact_kind, lambda elab, k, fact: [
+        unify(L(fact.args[0]), L(fact.args[1])) for L, cl, kl in k.kinds])
 
 
 def _cofiber_rule(rule_id: str, law: str,
-                  build: Callable[[str, str, str, str, str], list[Step]]) -> Rule:
-    """Conclusions ``build(f, j, A, B, C)`` per cofiber(f, j, C) with f: A -> B."""
+                  build: Callable[[Keys, str, str, str, str, str], list[Step]]) -> Rule:
+    """Conclusions ``build(k, f, j, A, B, C)`` per cofiber(f, j, C) with f: A -> B."""
 
-    def conclusions(elab: ElaboratedScene, fact: Fact) -> list[Step]:
+    def conclusions(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
         f, j, cofiber = fact.args
-        return build(f, j, *elab.sig(f), cofiber)
+        return build(k, f, j, *elab.sig(f), cofiber)
 
     return _fact_rule(rule_id, ANY, law, "cofiber", conclusions)
 
@@ -290,18 +291,18 @@ def _build_catalog() -> list[Rule]:
     add(_per_map_rule(
         "P7-EQ", ANY,
         "hi Lcat(f) = 0: f is an equivalence, so L(f) = 0",
-        lambda elab, map_id: [upper_sum(key_L(map_id), gates=(key_Lcat(map_id),))],
+        lambda elab, k, map_id: [upper_sum(k.L(map_id), gates=(k.Lcat(map_id),))],
     ))
 
     add(_per_kind("AX-COMP", ANY, "compose(h, g, f): L(h) <= L(f) + L(g); same for Lcat",
                   "compose", 0, adds=(2, 1)))
 
-    def mc_match(elab: ElaboratedScene) -> Iterator[Match]:
+    def mc_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
         for i, fact in elab.facts_of("cofiber"):
             cone = elab.sig(fact.args[0])[0]
-            if cone in elab.members:
+            if cone in elab.member_fact:
                 yield ("AX-MC", (i, elab.member_fact[cone]),
-                       (upper_sum(key_L(fact.args[1]), const=1),))
+                       (upper_sum(k.L(fact.args[1]), const=1),))
 
     add(Rule("AX-MC", ANY,
              "cofiber(f, j, C) with member(dom f): L(j) <= 1", mc_match))
@@ -310,9 +311,9 @@ def _build_catalog() -> list[Rule]:
         "AX-DOM", ANY,
         "dominates(g, f): Lcat(f) <= Lcat(g), hence lo Lcat(g) >= lo Lcat(f)",
         "dominates",
-        lambda elab, fact: [
-            upper_sum(key_Lcat(fact.args[1]), adds=(key_Lcat(fact.args[0]),)),
-            lower_monus(key_Lcat(fact.args[0]), base=key_Lcat(fact.args[1])),
+        lambda elab, k, fact: [
+            upper_sum(k.Lcat(fact.args[1]), adds=(k.Lcat(fact.args[0]),)),
+            lower_monus(k.Lcat(fact.args[0]), base=k.Lcat(fact.args[1])),
         ],
     ))
 
@@ -322,9 +323,9 @@ def _build_catalog() -> list[Rule]:
     add(_per_map_rule(
         "REL-CL", ANY,
         "Lcat(f) <= L(f), hence lo L(f) >= lo Lcat(f)",
-        lambda elab, map_id: [
-            upper_sum(key_Lcat(map_id), adds=(key_L(map_id),)),
-            lower_monus(key_L(map_id), base=key_Lcat(map_id)),
+        lambda elab, k, map_id: [
+            upper_sum(k.Lcat(map_id), adds=(k.L(map_id),)),
+            lower_monus(k.L(map_id), base=k.Lcat(map_id)),
         ],
     ))
 
@@ -332,20 +333,20 @@ def _build_catalog() -> list[Rule]:
         "REL-PI0", ANY,
         "pi0_not_onto(f): L(f) = Lcat(f) = inf",
         "pi0_not_onto",
-        lambda elab, fact: [lower_inf(L(fact.args[0])) for L, cl, kl in KIND_KEYS],
+        lambda elab, k, fact: [lower_inf(L(fact.args[0])) for L, cl, kl in k.kinds],
     ))
 
     add(_fact_rule(
         "REL-MEM", ANY,
         "member(A): kl(A) <= 1",
         "member",
-        lambda elab, fact: [upper_sum(key_kl(fact.args[0]), const=1)],
+        lambda elab, k, fact: [upper_sum(k.kl(fact.args[0]), const=1)],
     ))
 
     add(_per_space_rule(
         "REL-ALL", ALL_SPACES,
         "every space X: kl(X) <= 1 and kit(X) <= 1",
-        lambda elab, space: [upper_sum(kl(space), const=1) for L, cl, kl in KIND_KEYS],
+        lambda elab, k, space: [upper_sum(kl(space), const=1) for L, cl, kl in k.kinds],
     ))
 
     # -- pushout-square mapping bounds ---------------------------------------
@@ -379,12 +380,12 @@ def _build_catalog() -> list[Rule]:
 
     # -- single pushout squares ----------------------------------------------
 
-    def c411_match(elab: ElaboratedScene) -> Iterator[Match]:
+    def c411_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
         for i, fact in elab.facts_of("pushout"):
             _, f, g, ib, ic, _ = fact.args
             for leg, opposite in ((ib, g), (ic, f)):
                 yield "C41-1", (i,), tuple(
-                    upper_sum(L(leg), adds=(L(opposite),)) for L, cl, kl in KIND_KEYS)
+                    upper_sum(L(leg), adds=(L(opposite),)) for L, cl, kl in k.kinds)
 
     add(Rule("C41-1", ANY,
              "pushout(A, f, g, ib, ic, d): X(ib) <= X(g) and X(ic) <= X(f) for X in {L, Lcat}",
@@ -396,13 +397,13 @@ def _build_catalog() -> list[Rule]:
         "pushout", 5, maxes=(1, 2),
     ))
 
-    def c42_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
+    def c42_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
         apex = fact.args[0]
         corner_b = elab.sig(fact.args[1])[1]
         corner_c = elab.sig(fact.args[2])[1]
         out = elab.sig(fact.args[3])[1]
         return [upper_sum(key(out), adds=(key(apex),), maxes=(key(corner_b), key(corner_c)))
-                for L, cl, kl in KIND_KEYS for key in (cl, kl)]
+                for L, cl, kl in k.kinds for key in (cl, kl)]
 
     add(_fact_rule(
         "C42", WS,
@@ -415,21 +416,21 @@ def _build_catalog() -> list[Rule]:
 
     add(_cofiber_rule(
         "C44-1", "cofiber(f, j, C): cl(C) <= L(f) and cat(C) <= Lcat(f)",
-        lambda f, j, a, b, c: [upper_sum(cl(c), adds=(L(f),)) for L, cl, kl in KIND_KEYS],
+        lambda k, f, j, a, b, c: [upper_sum(cl(c), adds=(L(f),)) for L, cl, kl in k.kinds],
     ))
     add(_cofiber_rule(
         "C44-2", "cofiber(f, j, C) with cone A: L(j) <= kl(A) and Lcat(j) <= kit(A)",
-        lambda f, j, a, b, c: [upper_sum(L(j), adds=(kl(a),)) for L, cl, kl in KIND_KEYS],
+        lambda k, f, j, a, b, c: [upper_sum(L(j), adds=(kl(a),)) for L, cl, kl in k.kinds],
     ))
     add(_cofiber_rule(
         "C44-3", "cofiber over A -> B -> C: cl(C) <= kl(A) + cl(B); cat analog",
-        lambda f, j, a, b, c: [
-            upper_sum(cl(c), adds=(kl(a), cl(b))) for L, cl, kl in KIND_KEYS],
+        lambda k, f, j, a, b, c: [
+            upper_sum(cl(c), adds=(kl(a), cl(b))) for L, cl, kl in k.kinds],
     ))
     add(_cofiber_rule(
         "C44-4", "cofiber over A -> B -> C: kl(B) <= kl(A) + kl(C); kit analog",
-        lambda f, j, a, b, c: [
-            upper_sum(kl(b), adds=(kl(a), kl(c))) for L, cl, kl in KIND_KEYS],
+        lambda k, f, j, a, b, c: [
+            upper_sum(kl(b), adds=(kl(a), kl(c))) for L, cl, kl in k.kinds],
     ))
 
     add(_per_kind(
@@ -442,8 +443,8 @@ def _build_catalog() -> list[Rule]:
         "C48", ANY,
         "susp_space(S, B): cl(S) <= kl(B) and cat(S) <= kit(B)",
         "susp_space",
-        lambda elab, fact: [
-            upper_sum(cl(fact.args[0]), adds=(kl(fact.args[1]),)) for L, cl, kl in KIND_KEYS],
+        lambda elab, k, fact: [
+            upper_sum(cl(fact.args[0]), adds=(kl(fact.args[1]),)) for L, cl, kl in k.kinds],
     ))
 
     # -- suspension-closed structural bounds -----------------------------------
@@ -451,14 +452,14 @@ def _build_catalog() -> list[Rule]:
     add(_per_map_rule(
         "C410-1", S,
         "any f: A -> B: L(f) <= cl(A) + cl(B) and Lcat(f) <= cat(A) + cat(B)",
-        lambda elab, map_id: [upper_sum(L(map_id), adds=tuple(map(cl, elab.sig(map_id))))
-                              for L, cl, kl in KIND_KEYS],
+        lambda elab, k, map_id: [upper_sum(L(map_id), adds=tuple(map(cl, elab.sig(map_id))))
+                                 for L, cl, kl in k.kinds],
     ))
 
     add(_per_space_rule(
         "C410-2", S,
         "any space A: kl(A) <= cl(A) and kit(A) <= cat(A)",
-        lambda elab, space: [upper_sum(kl(space), adds=(cl(space),)) for L, cl, kl in KIND_KEYS],
+        lambda elab, k, space: [upper_sum(kl(space), adds=(cl(space),)) for L, cl, kl in k.kinds],
     ))
 
     add(_per_kind(
@@ -471,9 +472,9 @@ def _build_catalog() -> list[Rule]:
         "C410-4", S,
         "section(f, g): Lcat(g) <= cat(dom g)",
         "section",
-        lambda elab, fact: [
-            upper_sum(key_Lcat(fact.args[1]),
-                     adds=(key_cat(elab.sig(fact.args[1])[0]),)),
+        lambda elab, k, fact: [
+            upper_sum(k.Lcat(fact.args[1]),
+                     adds=(k.cat(elab.sig(fact.args[1])[0]),)),
         ],
     ))
 
@@ -482,15 +483,15 @@ def _build_catalog() -> list[Rule]:
         "section", 1, adds=(0,),
     ))
 
-    def c411_build(elab: ElaboratedScene, map_id: str) -> list[Step]:
+    def c411_build(elab: ElaboratedScene, k: Keys, map_id: str) -> list[Step]:
         dom, cod = elab.sig(map_id)
         return [
-            lower_monus(key_L(map_id), base=key_kl(dom), subs=(key_kl(cod),)),
-            lower_monus(key_L(map_id), base=key_kl(cod), subs=(key_kl(dom),)),
-            lower_monus(key_Lcat(map_id), base=key_kit(dom), subs=(key_kit(cod),)),
-            lower_monus(key_Lcat(map_id), base=key_kit(cod), subs=(key_kit(dom),)),
-            lower_monus(key_L(map_id), base=key_cl(cod), subs=(key_cl(dom),)),
-            lower_monus(key_Lcat(map_id), base=key_cat(cod), subs=(key_cat(dom),)),
+            lower_monus(k.L(map_id), base=k.kl(dom), subs=(k.kl(cod),)),
+            lower_monus(k.L(map_id), base=k.kl(cod), subs=(k.kl(dom),)),
+            lower_monus(k.Lcat(map_id), base=k.kit(dom), subs=(k.kit(cod),)),
+            lower_monus(k.Lcat(map_id), base=k.kit(cod), subs=(k.kit(dom),)),
+            lower_monus(k.L(map_id), base=k.cl(cod), subs=(k.cl(dom),)),
+            lower_monus(k.Lcat(map_id), base=k.cat(cod), subs=(k.cat(dom),)),
         ]
 
     add(_per_map_rule(
@@ -502,13 +503,13 @@ def _build_catalog() -> list[Rule]:
 
     # -- products ---------------------------------------------------------------
 
-    def t51_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
+    def t51_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
         h, f, g = fact.args
         dom_f = elab.sig(f)[0]
         dom_g = elab.sig(g)[0]
         # the max part is cl for both kinds
-        return [upper_sum(L(h), adds=(L(f), L(g)), maxes=(key_cl(dom_f), key_cl(dom_g)))
-                for L, cl, kl in KIND_KEYS]
+        return [upper_sum(L(h), adds=(L(f), L(g)), maxes=(k.cl(dom_f), k.cl(dom_g)))
+                for L, cl, kl in k.kinds]
 
     add(_fact_rule(
         "T51", WJ,
@@ -516,15 +517,15 @@ def _build_catalog() -> list[Rule]:
         "product_map", t51_build,
     ))
 
-    def c52_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
+    def c52_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
         prod, x, y = fact.args
         return [
-            upper_sum(key_cl(prod), adds=(key_cl(x), key_cl(y))),
-            upper_sum(key_kl(prod), adds=(key_kl(x), key_kl(y)),
-                     maxes=(key_cl(x), key_cl(y))),
-            upper_sum(key_cat(prod), adds=(key_cat(x), key_cat(y))),
-            upper_sum(key_kit(prod), adds=(key_kit(x), key_kit(y)),
-                     maxes=(key_cl(x), key_cl(y))),
+            upper_sum(k.cl(prod), adds=(k.cl(x), k.cl(y))),
+            upper_sum(k.kl(prod), adds=(k.kl(x), k.kl(y)),
+                     maxes=(k.cl(x), k.cl(y))),
+            upper_sum(k.cat(prod), adds=(k.cat(x), k.cat(y))),
+            upper_sum(k.kit(prod), adds=(k.kit(x), k.kit(y)),
+                     maxes=(k.cl(x), k.cl(y))),
         ]
 
     add(_fact_rule(
@@ -538,9 +539,9 @@ def _build_catalog() -> list[Rule]:
         "P54", SMWS,
         "product_space(P, X, Y): kl(P) <= kl(X) + kl(Y) and kit(P) <= kit(X) + kit(Y)",
         "product_space",
-        lambda elab, fact: [
+        lambda elab, k, fact: [
             upper_sum(kl(fact.args[0]), adds=(kl(fact.args[1]), kl(fact.args[2])))
-            for L, cl, kl in KIND_KEYS
+            for L, cl, kl in k.kinds
         ],
     ))
 
@@ -548,13 +549,13 @@ def _build_catalog() -> list[Rule]:
         "P54-SM", SM,
         "smash_space(S, X, Y): kl(S) <= min(kl(X), kl(Y))",
         "smash_space",
-        lambda elab, fact: [
-            upper_sum(key_kl(fact.args[0]), adds=(key_kl(fact.args[1]),)),
-            upper_sum(key_kl(fact.args[0]), adds=(key_kl(fact.args[2]),)),
+        lambda elab, k, fact: [
+            upper_sum(k.kl(fact.args[0]), adds=(k.kl(fact.args[1]),)),
+            upper_sum(k.kl(fact.args[0]), adds=(k.kl(fact.args[2]),)),
         ],
     ))
 
-    def l61_match(elab: ElaboratedScene) -> Iterator[Match]:
+    def l61_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
         firsts: dict[tuple[str, str], list[str]] = {}  # (product, second) -> first factors
         for _, prod_fact in elab.facts_of("product_space"):
             prod, first, second = prod_fact.args
@@ -563,10 +564,10 @@ def _build_catalog() -> list[Rule]:
             p = fact.args[0]
             dom, cod = elab.sig(p)
             for first in firsts.get((dom, cod), ()):
-                if first in elab.members:
+                if first in elab.member_fact:
                     yield ("L61", (i, elab.member_fact[first]), (
-                        upper_sum(key_L(p), adds=(key_cl(cod),), const=1),
-                        upper_sum(key_Lcat(p), adds=(key_cat(cod),), const=1),
+                        upper_sum(k.L(p), adds=(k.cl(cod),), const=1),
+                        upper_sum(k.Lcat(p), adds=(k.cat(cod),), const=1),
                     ))
                     break
 
@@ -581,16 +582,16 @@ def _build_catalog() -> list[Rule]:
         "pullback over fibration bd with fiber F: L(ab) <= L(cd) * (cl(F) + 1); "
         "Lcat analog with cat(F)",
         "pullback",
-        lambda elab, fact: [
+        lambda elab, k, fact: [
             upper_prod(L(fact.args[4]), L(fact.args[7]), cl(fact.args[8]), minus_one=False)
-            for L, cl, kl in KIND_KEYS
+            for L, cl, kl in k.kinds
         ],
     ))
 
-    def c63_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
+    def c63_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
         p, fiber = fact.args
         total, base = elab.sig(p)
-        return [upper_prod(cl(total), cl(base), cl(fiber)) for L, cl, kl in KIND_KEYS]
+        return [upper_prod(cl(total), cl(base), cl(fiber)) for L, cl, kl in k.kinds]
 
     add(_fact_rule(
         "C63", WJ,
@@ -604,14 +605,14 @@ def _build_catalog() -> list[Rule]:
         "P72-A", W,
         "wedge_map(w, f, g): L(w) <= max(L(f), L(g))",
         "wedge_map",
-        lambda elab, fact: [
-            upper_sum(key_L(fact.args[0]),
-                     maxes=(key_L(fact.args[1]), key_L(fact.args[2]))),
+        lambda elab, k, fact: [
+            upper_sum(k.L(fact.args[0]),
+                     maxes=(k.L(fact.args[1]), k.L(fact.args[2]))),
         ],
     ))
 
-    def p72b_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
-        w, f, g = (key_Lcat(m) for m in fact.args)
+    def p72b_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
+        w, f, g = (k.Lcat(m) for m in fact.args)
         return [
             upper_sum(w, maxes=(f, g)),
             lower_max(w, (f, g)),
@@ -628,11 +629,11 @@ def _build_catalog() -> list[Rule]:
         "wedge_map", p72b_build,
     ))
 
-    def c73_build(elab: ElaboratedScene, fact: Fact) -> list[Step]:
+    def c73_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
         m = fact.args[0]
         dom, cod = elab.sig(m)
-        lf, klx, clx = key_L(m), key_kl(dom), key_cl(cod)
-        lcf, kitx, caty = key_Lcat(m), key_kit(dom), key_cat(cod)
+        lf, klx, clx = k.L(m), k.kl(dom), k.cl(cod)
+        lcf, kitx, caty = k.Lcat(m), k.kit(dom), k.cat(cod)
         return [
             upper_sum(lf, maxes=(klx, clx)),
             upper_sum(lcf, maxes=(kitx, caty)),
@@ -665,30 +666,22 @@ def catalog() -> list[Rule]:
 
 
 def instantiate(elab: ElaboratedScene,
-                store: Optional[BoundStore] = None) -> Union[list[CompiledInstance],
-                                                             list[RuleInstance]]:
+                store: Optional[BoundStore] = None) -> Union[list[Match], list[RuleInstance]]:
     """The distinct guard-satisfying, shape-correct rule instances, in
     deterministic order: rules by id, instances in fact/registry order.
 
-    One pass over the rows compiles every instance against ``store`` and
-    interns each key it names there: the result is the ``CompiledInstance``
-    list that the engine fires.  Without a store, the rows compile against
-    a fresh one and the result is the decoded views, for callers that read
-    conclusions.
+    One pass over the rows, given the key table ``Keys(store)``, compiles
+    every instance against ``store`` and interns each key it names there:
+    the result is the (rule id, facts, steps) matches that the engine
+    fires.  Without a store, the rows compile against a fresh one and the
+    result is the decoded views, for callers that read conclusions.
     """
     target = BoundStore() if store is None else store
     flags = elab.profile.flags()
-    with _Slots.lock:
-        _Slots.store = target
-        try:
-            matches = dict.fromkeys(chain.from_iterable(
-                rule.matcher(elab) for rule in catalog() if rule.guard <= flags))
-        finally:
-            _Slots.store = None
-            for slots in _SLOTS:
-                slots.clear()
-    compiled = [CompiledInstance(match) for match in matches]
-    return compiled if store is not None else [inst.decoded(target) for inst in compiled]
+    k = Keys(target)
+    matches = list(dict.fromkeys(chain.from_iterable(
+        rule.matcher(elab, k) for rule in catalog() if rule.guard <= flags)))
+    return matches if store is not None else [decode(inst, target) for inst in matches]
 
 
 # -- compiled instances and firing ---------------------------------------------
@@ -702,43 +695,31 @@ def _convert_keys(step: tuple, convert: Callable) -> list:
     return out
 
 
-class CompiledInstance:
-    """A rule instance with every key replaced by its slot in one store.
+def reads(steps: Sequence[Step]) -> tuple[int, ...]:
+    """The distinct slots that ``steps`` name, in first-appearance order;
+    the engine subscribes the instance to them."""
+    read: dict[int, None] = {}
+    for step in steps:
+        for i, many in _KEY_FIELDS[step[0]]:
+            for slot in step[i] if many else (step[i],):
+                read[slot] = None
+    return tuple(read)
 
-    ``steps`` holds one step per conclusion: its class, then its fields in
-    order, a key as its slot and a tuple of keys as the tuple of their
-    slots.  ``reads`` lists the distinct slots that the steps name, in
-    first-appearance order; the engine subscribes the instance to them.
 
-    ``instantiate`` builds one from each match, (rule id, facts, steps).
-    Given a store, the constructor instead recompiles a decoded view
-    (``RuleInstance``) against it, interning unseen keys at their default;
-    ``decoded`` reads the view back through the store's keys.
-    """
+def decode(inst: Match, store: BoundStore) -> RuleInstance:
+    """The view of ``inst``, compiled against ``store``, with the store's
+    keys in place of slots."""
+    rule_id, facts, steps = inst
+    key = store.keys.__getitem__
+    return RuleInstance(rule_id, facts, tuple(
+        step[0]._make(_convert_keys(step, key)[1:]) for step in steps))
 
-    __slots__ = ("rule_id", "facts", "steps", "reads")
 
-    def __init__(self, inst: Union[Match, RuleInstance], store: Optional[BoundStore] = None):
-        rule_id, facts, steps = inst
-        if store is not None:
-            steps = tuple(tuple(_convert_keys((type(c), *c), store.slot)) for c in steps)
-        self.rule_id, self.facts, self.steps = rule_id, facts, steps
-        read: dict[int, None] = {}
-        for step in steps:
-            for i, many in _KEY_FIELDS[step[0]]:
-                if many:
-                    for slot in step[i]:
-                        read[slot] = None
-                else:
-                    read[step[i]] = None
-        self.reads = tuple(read)
-
-    def decoded(self, store: BoundStore) -> RuleInstance:
-        """The instance with the keys of ``store``, which it was compiled
-        against, in place of slots."""
-        key = store.keys.__getitem__
-        return RuleInstance(self.rule_id, self.facts, tuple(
-            step[0]._make(_convert_keys(step, key)[1:]) for step in self.steps))
+def compile_view(decoded: RuleInstance, store: BoundStore) -> Match:
+    """A decoded view compiled against ``store``, interning unseen keys
+    at their default."""
+    return decoded.rule_id, decoded.facts, tuple(
+        tuple(_convert_keys((type(c), *c), store.slot)) for c in decoded.conclusions)
 
 
 def _sum(hi: list[ExtNat], adds: Sequence[int], maxes: Sequence[int], const: int) -> ExtNat:
@@ -761,14 +742,14 @@ def _premises(store: BoundStore, slots: Sequence[int], side: Side, role: str) ->
     return [Premise(keys[s], side, values[s], role, sources[s]) for s in slots]
 
 
-def fire(inst: CompiledInstance, store: BoundStore,
-         rearrange: bool = True) -> list[Justification]:
+def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justification]:
     """Evaluate an instance compiled against ``store``; returns only updates
     that would strictly tighten (no-ops are dropped).
 
     Values are read from the store's slot lists; the premises and the
     justification are built only for a conclusion that tightens.
     """
+    rule_id, facts, steps = inst
     lo, hi = store.lo_values, store.hi_values
     HI, LO = Side.HI, Side.LO
     out: list[Justification] = []
@@ -776,11 +757,11 @@ def fire(inst: CompiledInstance, store: BoundStore,
     def emit(slot: int, side: Side, value: ExtNat, compute: str,
              premises: list[Premise], const: int = 0) -> None:
         out.append(Justification(
-            rule_id=inst.rule_id, key=store.keys[slot], side=side, value=value,
-            compute=compute, const=const, premises=tuple(premises), facts=inst.facts,
+            rule_id=rule_id, key=store.keys[slot], side=side, value=value,
+            compute=compute, const=const, premises=tuple(premises), facts=facts,
         ))
 
-    for step in inst.steps:
+    for step in steps:
         shape = step[0]
         if shape is UpperSum:
             _, target, adds, maxes, const, gates = step
@@ -866,7 +847,7 @@ def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
     and the benchmark's files do not change with the engine.
     """
     violations = []
-    for update in fire(CompiledInstance(inst, store), store, rearrange=rearrange):
+    for update in fire(compile_view(inst, store), store, rearrange=rearrange):
         side = "upper" if update.side is Side.HI else "lower"
         violations.append(
             f"{inst.rule_id}: {side} bound {update.value} on "

@@ -35,7 +35,7 @@ def test_point_is_contractible_and_member():
     elab = elaborate(parse_scene("collection C { }\n"))
     assert is_equiv(elab, "init(*)")
     assert is_equiv(elab, "term(*)")
-    assert "*" in elab.members
+    assert "*" in elab.member_fact
 
 
 def test_contractible_space_yields_equiv_canonical_maps():
@@ -69,7 +69,7 @@ def test_membership_closure_suspensions():
         "fact susp_space(SA, A)\n"
         "fact susp_space(SSA, SA)\n"
     ))
-    assert {"A", "SA", "SSA"} <= elab.members
+    assert {"A", "SA", "SSA"} <= elab.member_fact.keys()
 
 
 def test_membership_closure_wedges_needs_both_operands():
@@ -80,8 +80,8 @@ def test_membership_closure_wedges_needs_both_operands():
         "fact wedge_space(W, A, A)\n"
         "fact wedge_space(V, A, B)\n"
     ))
-    assert "W" in elab.members
-    assert "V" not in elab.members
+    assert "W" in elab.member_fact
+    assert "V" not in elab.member_fact
 
 
 def test_membership_closure_smash_ideal_takes_either_operand():
@@ -91,7 +91,7 @@ def test_membership_closure_smash_ideal_takes_either_operand():
         "fact member(A)\n"
         "fact smash_space(S, B, A)\n"
     ))
-    assert "S" in elab.members
+    assert "S" in elab.member_fact
 
 
 def test_membership_closure_respects_flags():
@@ -101,7 +101,7 @@ def test_membership_closure_respects_flags():
         "fact member(A)\n"
         "fact susp_space(SA, A)\n"
     ))
-    assert "SA" not in elab.members
+    assert "SA" not in elab.member_fact
 
 
 def test_top_down_suspension_tower_elaborates():
@@ -113,7 +113,7 @@ def test_top_down_suspension_tower_elaborates():
     text += "fact member(S0)\n"
     text += "".join(f"fact susp_space(S{i + 1}, S{i})\n" for i in reversed(range(n)))
     elab = elaborate(parse_scene(text))
-    assert f"S{n}" in elab.members
+    assert f"S{n}" in elab.member_fact
     assert run_expansion_passes(elab) is False
 
 
@@ -175,7 +175,7 @@ def test_fact_order_does_not_change_elaboration():
 
 def test_all_spaces_marks_everything():
     elab = elaborate(parse_scene("collection C { all }\nspace X, Y\n"))
-    assert {"X", "Y", "*"} <= elab.members
+    assert {"X", "Y", "*"} <= elab.member_fact.keys()
 
 
 def test_cert_expansion_structure():

@@ -122,14 +122,14 @@ def test_serialize_is_stable():
 
 
 def test_interned_key_stays_default_and_is_not_serialized():
-    from conebound.rules import CompiledInstance, RuleInstance, UpperSum
+    from conebound.rules import RuleInstance, UpperSum, compile_view, reads
 
     store = BoundStore()
     store.apply(asserted(key_L("g"), Side.HI, 3))
     # compiling gives every key the instance reads a slot, without a bound
     inst = RuleInstance("REL-CL", (), (UpperSum(key_L("f"), adds=(key_cl("*"),)),))
-    compiled = CompiledInstance(inst, store)
-    assert [store.keys[slot] for slot in compiled.reads] == [key_L("f"), key_cl("*")]
+    _, _, steps = compile_view(inst, store)
+    assert [store.keys[slot] for slot in reads(steps)] == [key_L("f"), key_cl("*")]
     assert store.interval(key_L("f")) == Interval(0, INF)
     assert store.interval(key_cl("*")) == Interval(0, 0)
     assert store.justification_of(key_L("f"), Side.HI) is None

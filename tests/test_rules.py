@@ -1,5 +1,6 @@
 """Catalog integrity, guards, instantiation shapes, and firing semantics."""
 
+import hashlib
 import inspect
 import re
 import sys
@@ -24,12 +25,14 @@ from conebound.model import (
 )
 from conebound.parser import parse_scene
 from conebound.rules import (
-    CompiledInstance,
     UpperSum,
     catalog,
     check_instance,
+    compile_view,
+    decode,
     fire,
     instantiate,
+    reads,
     render_rules_markdown,
 )
 
@@ -187,11 +190,11 @@ def test_compiled_steps_follow_conclusion_fields():
     # of rules that random scenes never reach
     store = BoundStore()
     for inst in dict.fromkeys(instantiate(elaborate(parse_scene(PROBE_SCENE)))):
-        compiled = CompiledInstance(inst, store)
-        assert (compiled.rule_id, compiled.facts) == (inst.rule_id, inst.facts)
-        assert len(compiled.steps) == len(inst.conclusions)
-        reads = []
-        for step, conclusion in zip(compiled.steps, inst.conclusions):
+        rule_id, facts, steps = compile_view(inst, store)
+        assert (rule_id, facts) == (inst.rule_id, inst.facts)
+        assert len(steps) == len(inst.conclusions)
+        read = []
+        for step, conclusion in zip(steps, inst.conclusions):
             assert step[0] is type(conclusion)
             assert len(step) == 1 + len(conclusion)
             hints = typing.get_type_hints(type(conclusion))
@@ -199,13 +202,26 @@ def test_compiled_steps_follow_conclusion_fields():
                 field = getattr(conclusion, name)
                 if hints[name] is InvariantKey:
                     assert got == store.slots[field], (inst.rule_id, name)
-                    reads.append(got)
+                    read.append(got)
                 elif hints[name] == tuple[InvariantKey, ...]:
                     assert got == tuple(store.slots[k] for k in field), (inst.rule_id, name)
-                    reads.extend(got)
+                    read.extend(got)
                 else:
                     assert got == field and type(got) is type(field), (inst.rule_id, name)
-        assert compiled.reads == tuple(dict.fromkeys(reads)), inst.rule_id
+        assert reads(steps) == tuple(dict.fromkeys(read)), inst.rule_id
+
+
+def test_probe_compiled_output_is_pinned():
+    # Recorded before the rows took their key table as an argument: every
+    # rule instantiates on the probe scene, and the instances, their steps
+    # and the slot order of the keys they intern must stay as they were.
+    store = BoundStore()
+    instances = instantiate(elaborate(parse_scene(PROBE_SCENE)), store)
+    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in steps])
+                for rule_id, facts, steps in instances]
+    keys = [(key.map_id, key.kind.value) for key in store.keys]
+    assert (len(compiled), len(keys)) == (1090, 324)
+    assert hashlib.sha256(repr((compiled, keys)).encode()).hexdigest()[:16] == "f19fb32802fed3cc"
 
 
 def test_step_constructors_take_their_shapes_fields():
@@ -237,9 +253,8 @@ def test_decoded_view_recompiles_to_the_rows_steps():
         compiled = instantiate(elaborate(scene), store)
         interned = len(store.keys)
         for inst in compiled:
-            again = CompiledInstance(inst.decoded(store), store)
-            assert (again.rule_id, again.facts, again.steps, again.reads) == (
-                inst.rule_id, inst.facts, inst.steps, inst.reads)
+            again = compile_view(decode(inst, store), store)
+            assert (*again, reads(again[2])) == (*inst, reads(inst[2]))
         assert len(store.keys) == interned  # the rows interned every key already
 
 
@@ -252,7 +267,7 @@ def test_decoded_keys_are_the_stores_key_objects():
         assert len(set(store.keys)) == len(store.keys)
         named = {}
         for inst in compiled:
-            for conclusion in inst.decoded(store).conclusions:
+            for conclusion in decode(inst, store).conclusions:
                 for field in conclusion:
                     for key in field if type(field) is tuple else (field,):
                         if type(key) is InvariantKey:
@@ -262,12 +277,12 @@ def test_decoded_keys_are_the_stores_key_objects():
 
 
 def test_concurrent_instantiations_keep_their_own_stores():
-    # the key builders are bound to one store while instantiate runs; a
+    # each instantiate call builds its own key table over its own store; a
     # second thread must not intern into it
     elabs = [elaborate(random_scene(seed)) for seed in range(6)]
 
     def steps(elab):
-        return [(inst.rule_id, inst.facts, inst.steps) for inst in instantiate(elab, BoundStore())]
+        return instantiate(elab, BoundStore())
 
     expected = [steps(elab) for elab in elabs]
     got = [[] for _ in elabs]
