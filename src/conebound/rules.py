@@ -1,34 +1,52 @@
 """The rule catalog: guarded inequality schemas over the bound store.
 
-Each rule matches fact shapes in an elaborated scene and contributes
-structured conclusions.  Firing turns conclusions into meet updates; every
-additive upper bound additionally yields its sound rearranged lower
-bounds (p <= q + r gives lo(q) >= lo(p) - hi(r), truncated), and every
-multiplicative bound of the shape p + 1 <= (q+1)(r+1) yields the ceiling
-division rearrangements.  Rearrangement can be switched off
-diagnostically; the conclusions listed per rule are its direct content.
+Each rule is its law, the text that RULES.md shows: ``_compile`` turns it
+into the rule's matcher.  Firing turns conclusions into meet updates;
+every additive upper bound also yields its sound rearranged lower bounds
+(p <= q + r gives lo(q) >= lo(p) - hi(r), truncated), and every bound
+p + 1 <= (q+1)(r+1) the ceiling-division ones.  Rearrangement can be
+switched off diagnostically; the clauses of a law are its direct content.
 
-The rows compile as they match.  Each ``instantiate`` call hands them a
-key table, ``Keys(store)``, whose builders return a key's slot in that
-store, interning the key there, and a step constructor returns a plain
-step tuple.  A row's (rule id, facts, steps) tuple is the only compiled
-instance form; the named-tuple shapes and ``RuleInstance`` are only the
-decoded view of those steps.
+A law is a head, ``:``, and clauses separated by ``;``.  The head is a
+fact pattern, one instance per fact, like ``cofiber(f: A -> B, j, C)``:
+names by position, and ``f: A -> B`` names a map's dom and cod (``_``
+binds nothing); or ``any f: A -> B`` per map, ``any space X`` per space.
+K is L(f) or Lcat(f) of a map, cl, cat, kl or kit of a space; n a number.
 
-Rule ids are stable public strings that appear in traces and golden
-files.
+    K <= K + max(K, K) + n [with hi K = 0 and ...]   UpperSum, gated
+    K <= K * (K + 1)          UpperProd, minus_one=False
+    K + 1 <= (K + 1)(K + 1)   UpperProd
+    K = K                     Unify
+    K = inf                   LowerInf
+    K >= max(K, K)            LowerMax
+    K >= K - K                LowerMonus
+    K >= K if hi K < lo K     CondLower
+    Lcat analog               the clauses since the last analog with Lcat,
+                              cat, kit for L, cl, kl; gates unchanged
+    ; also                    the clauses after it make a second instance
+
+Each ``instantiate`` call hands the matchers a key table, ``Keys(store)``,
+whose builders return a key's slot in that store, interning the key
+there; an instance's keys are interned in the order its steps name them.
+The (rule id, facts, steps) tuple is the only compiled instance form; the
+named-tuple shapes and ``RuleInstance`` are only the decoded view.
+
+Rule ids are stable public strings; traces and golden files show them.
 """
 
 from __future__ import annotations
 
+import re
+from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
 
 from . import model
 from .elaborate import ElaboratedScene
 from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
 from .model import BoundStore, InvariantKey, Justification, Premise, Side
-from .scene import Fact
+from .scene import FACT_SCHEMAS
 
 
 class _Slots(dict):
@@ -46,18 +64,16 @@ class _Slots(dict):
 
 class Keys:
     """The key table of one ``instantiate`` call: six builders, each taking
-    a name to its key's slot in ``store``, and ``kinds``, each kind's (map
-    invariant, init alias, term alias) builders: (L, cl, kl), (Lcat, cat, kit).
-    cl(X) and L(init(X)) share a slot: the store holds one object per key."""
+    a name to its key's slot in ``store``.  cl(X) and L(init(X)) share a
+    slot: the store holds one object per key."""
 
-    __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit", "kinds")
+    __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit")
 
     def __init__(self, store: BoundStore):
         self.L, self.Lcat, self.cl, self.cat, self.kl, self.kit = (
             _Slots(make, store).__getitem__ for make in (
                 model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl,
                 model.key_kit))
-        self.kinds = ((self.L, self.cl, self.kl), (self.Lcat, self.cat, self.kit))
 
 
 # -- conclusion shapes ---------------------------------------------------------
@@ -85,14 +101,11 @@ class UpperSum(NamedTuple):
 
 
 class UpperProd(NamedTuple):
-    """Multiplicative upper bound from a fibration-style product.
-
-    minus_one=True:  hi(target) <= (hi(left)+1) * (hi(right)+1) - 1
+    """minus_one=True:  hi(target) <= (hi(left)+1) * (hi(right)+1) - 1
     minus_one=False: hi(target) <=  hi(left) * (hi(right)+1)
 
-    Both shapes imply target+1 <= (left+1)(right+1), which backs the
-    ceiling-division lower bounds on left and right.
-    """
+    Both imply target+1 <= (left+1)(right+1), which backs the
+    ceiling-division lower bounds on left and right."""
 
     target: InvariantKey
     left: InvariantKey
@@ -158,27 +171,8 @@ _KEY_FIELDS = {
                  if hint in (InvariantKey, tuple[InvariantKey, ...]))
     for shape in Conclusion.__args__}
 
-# -- step constructors -----------------------------------------------------------
-# The rows build steps with these, not with the shapes: ``upper_sum`` takes
-# UpperSum's fields, slots for keys, with its defaults.
 
 Step = tuple  # (shape, *fields), see "conclusion shapes"
-
-
-def _step_constructor(shape: type) -> Callable[..., Step]:
-    """A function of ``shape``'s fields and defaults that returns the step,
-    generated as namedtuple generates ``__new__`` so that it runs as fast as
-    one written out."""
-    name, fields = shape.__name__, ", ".join(shape._fields)
-    namespace = {"shape": shape}
-    exec(f"def {name}({fields}): return (shape, {fields})", namespace)
-    build = namespace[name]
-    build.__defaults__ = tuple(shape._field_defaults.values()) or None
-    return build
-
-
-upper_sum, upper_prod, unify, lower_monus, lower_max, lower_inf, cond_lower = map(
-    _step_constructor, Conclusion.__args__)
 
 # A matcher yields each instance as (rule id, fact indices, steps).
 Match = tuple[str, tuple[int, ...], tuple[Step, ...]]
@@ -190,8 +184,7 @@ class Rule(NamedTuple):
 
     ``guard`` lists the collection closure flags required for soundness;
     an instance is only created when the scene's profile has them all.
-    ``law`` documents the exact inequality the rule enforces, in the
-    surface notation of the scene language.
+    ``matcher`` is compiled from ``law``, except for AX-MC and L61.
     """
 
     id: str
@@ -200,458 +193,371 @@ class Rule(NamedTuple):
     matcher: Matcher
 
 
-# -- rule construction helpers -------------------------------------------------
-
-
-def _rule(rule_id: str, guard: frozenset[str], law: str,
-          items: Callable[[ElaboratedScene], list[tuple[tuple[int, ...], object]]],
-          build: Callable[[ElaboratedScene, Keys, object], list[Step]]) -> Rule:
-    """One instance per item, with conclusions ``build(elab, k, item)``;
-    ``items`` lists (fact indices bound by the match, item) pairs."""
-
-    def match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
-        for facts, item in items(elab):
-            yield rule_id, facts, tuple(build(elab, k, item))
-
-    return Rule(rule_id, guard, law, match)
-
-
-def _fact_rule(rule_id: str, guard: frozenset[str], law: str, kind: str,
-               build: Callable[[ElaboratedScene, Keys, Fact], list[Step]]) -> Rule:
-    return _rule(rule_id, guard, law,
-                 lambda elab: [((i,), fact) for i, fact in elab.facts_of(kind)], build)
-
-
-def _per_map_rule(rule_id: str, guard: frozenset[str], law: str,
-                  build: Callable[[ElaboratedScene, Keys, str], list[Step]]) -> Rule:
-    return _rule(rule_id, guard, law, lambda elab: [((), m) for m in elab.maps], build)
-
-
-def _per_space_rule(rule_id: str, guard: frozenset[str], law: str,
-                    build: Callable[[ElaboratedScene, Keys, str], list[Step]]) -> Rule:
-    return _rule(rule_id, guard, law, lambda elab: [((), x) for x in elab.spaces], build)
-
-
-def _per_kind(rule_id: str, guard: frozenset[str], law: str, fact_kind: str, target: int,
-              adds: tuple[int, ...] = (), maxes: tuple[int, ...] = (),
-              equivs: tuple[int, ...] = ()) -> Rule:
-    """X(target) <= sum of X(adds) + max of X(maxes) for X in {L, Lcat},
-    per fact of ``fact_kind``, once its ``equivs`` maps are equivalences
-    (gated on hi L = 0).  Every other parameter is a position in the
-    fact's arguments."""
-
-    def build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        args = fact.args
-        return [upper_sum(L(args[target]), adds=tuple(L(args[i]) for i in adds),
-                          maxes=tuple(L(args[i]) for i in maxes),
-                          gates=tuple(k.L(args[i]) for i in equivs))
-                for L, cl, kl in k.kinds]
-
-    return _fact_rule(rule_id, guard, law, fact_kind, build)
-
-
-def _unify_rule(rule_id: str, law: str, fact_kind: str) -> Rule:
-    """L and Lcat of a fact's two maps are equal."""
-    return _fact_rule(rule_id, ANY, law, fact_kind, lambda elab, k, fact: [
-        unify(L(fact.args[0]), L(fact.args[1])) for L, cl, kl in k.kinds])
-
-
-def _cofiber_rule(rule_id: str, law: str,
-                  build: Callable[[Keys, str, str, str, str, str], list[Step]]) -> Rule:
-    """Conclusions ``build(k, f, j, A, B, C)`` per cofiber(f, j, C) with f: A -> B."""
-
-    def conclusions(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        f, j, cofiber = fact.args
-        return build(k, f, j, *elab.sig(f), cofiber)
-
-    return _fact_rule(rule_id, ANY, law, "cofiber", conclusions)
-
-
-ANY = frozenset()
-W = frozenset({"wedges"})
-S = frozenset({"suspensions"})
-J = frozenset({"joins"})
-WS = frozenset({"wedges", "suspensions"})
-WJ = frozenset({"wedges", "joins"})
-SM = frozenset({"smash_ideal"})
-SMWS = frozenset({"smash_ideal", "wedges", "suspensions"})
-ALL_SPACES = frozenset({"all_spaces"})
-
-
-def _build_catalog() -> list[Rule]:
-    rules: list[Rule] = []
-    add = rules.append
-
-    # -- axioms and structural relations ------------------------------------
-
-    add(_unify_rule("AX-HTPY", "homotopic(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
-                    "homotopic"))
-    add(_per_kind("AX-NORM", ANY, "equiv(f): L(f) = 0 and Lcat(f) = 0", "equiv", 0))
-
-    add(_per_map_rule(
-        "P7-EQ", ANY,
-        "hi Lcat(f) = 0: f is an equivalence, so L(f) = 0",
-        lambda elab, k, map_id: [upper_sum(k.L(map_id), gates=(k.Lcat(map_id),))],
-    ))
-
-    add(_per_kind("AX-COMP", ANY, "compose(h, g, f): L(h) <= L(f) + L(g); same for Lcat",
-                  "compose", 0, adds=(2, 1)))
-
-    def mc_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
-        for i, fact in elab.facts_of("cofiber"):
-            cone = elab.sig(fact.args[0])[0]
-            if cone in elab.member_fact:
-                yield ("AX-MC", (i, elab.member_fact[cone]),
-                       (upper_sum(k.L(fact.args[1]), const=1),))
-
-    add(Rule("AX-MC", ANY,
-             "cofiber(f, j, C) with member(dom f): L(j) <= 1", mc_match))
-
-    add(_fact_rule(
-        "AX-DOM", ANY,
-        "dominates(g, f): Lcat(f) <= Lcat(g), hence lo Lcat(g) >= lo Lcat(f)",
-        "dominates",
-        lambda elab, k, fact: [
-            upper_sum(k.Lcat(fact.args[1]), adds=(k.Lcat(fact.args[0]),)),
-            lower_monus(k.Lcat(fact.args[0]), base=k.Lcat(fact.args[1])),
-        ],
-    ))
-
-    add(_unify_rule("AX-EQM", "equiv_maps(f, g): L(f) = L(g) and Lcat(f) = Lcat(g)",
-                    "equiv_maps"))
-
-    add(_per_map_rule(
-        "REL-CL", ANY,
-        "Lcat(f) <= L(f), hence lo L(f) >= lo Lcat(f)",
-        lambda elab, k, map_id: [
-            upper_sum(k.Lcat(map_id), adds=(k.L(map_id),)),
-            lower_monus(k.L(map_id), base=k.Lcat(map_id)),
-        ],
-    ))
-
-    add(_fact_rule(
-        "REL-PI0", ANY,
-        "pi0_not_onto(f): L(f) = Lcat(f) = inf",
-        "pi0_not_onto",
-        lambda elab, k, fact: [lower_inf(L(fact.args[0])) for L, cl, kl in k.kinds],
-    ))
-
-    add(_fact_rule(
-        "REL-MEM", ANY,
-        "member(A): kl(A) <= 1",
-        "member",
-        lambda elab, k, fact: [upper_sum(k.kl(fact.args[0]), const=1)],
-    ))
-
-    add(_per_space_rule(
-        "REL-ALL", ALL_SPACES,
-        "every space X: kl(X) <= 1 and kit(X) <= 1",
-        lambda elab, k, space: [upper_sum(kl(space), const=1) for L, cl, kl in k.kinds],
-    ))
-
-    # -- pushout-square mapping bounds ---------------------------------------
-    # pushout_map(A, A2, a, b, c, d): a, b, c, d are arguments 2 to 5
-
-    add(_per_kind(
-        "T32", WS,
-        "pushout_map(A, A2, a, b, c, d): X(d) <= X(a) + max(X(b), X(c)) for X in {L, Lcat}",
-        "pushout_map", 5, adds=(2,), maxes=(3, 4),
-    ))
-    add(_per_kind(
-        "T32-W", W,
-        "pushout_map with a an equivalence: X(d) <= max(X(b), X(c)) for X in {L, Lcat}",
-        "pushout_map", 5, maxes=(3, 4), equivs=(2,),
-    ))
-    add(_per_kind(
-        "T32-S", S,
-        "pushout_map with b, c equivalences: X(d) <= X(a) for X in {L, Lcat}",
-        "pushout_map", 5, adds=(2,), equivs=(3, 4),
-    ))
-    add(_per_kind(
-        "C34", S,
-        "pushout_map: X(d) <= X(a) + X(b) + X(c) for X in {L, Lcat}",
-        "pushout_map", 5, adds=(2, 3, 4),
-    ))
-    add(_per_kind(
-        "C34-NC", ANY,
-        "pushout_map with a an equivalence: X(d) <= X(b) + X(c) for X in {L, Lcat}",
-        "pushout_map", 5, adds=(3, 4), equivs=(2,),
-    ))
-
-    # -- single pushout squares ----------------------------------------------
-
-    def c411_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
-        for i, fact in elab.facts_of("pushout"):
-            _, f, g, ib, ic, _ = fact.args
-            for leg, opposite in ((ib, g), (ic, f)):
-                yield "C41-1", (i,), tuple(
-                    upper_sum(L(leg), adds=(L(opposite),)) for L, cl, kl in k.kinds)
-
-    add(Rule("C41-1", ANY,
-             "pushout(A, f, g, ib, ic, d): X(ib) <= X(g) and X(ic) <= X(f) for X in {L, Lcat}",
-             c411_match))
-
-    add(_per_kind(
-        "C41-4", W,
-        "pushout(A, f, g, ib, ic, d): X(d) <= max(X(f), X(g)) for X in {L, Lcat}",
-        "pushout", 5, maxes=(1, 2),
-    ))
-
-    def c42_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        apex = fact.args[0]
-        corner_b = elab.sig(fact.args[1])[1]
-        corner_c = elab.sig(fact.args[2])[1]
-        out = elab.sig(fact.args[3])[1]
-        return [upper_sum(key(out), adds=(key(apex),), maxes=(key(corner_b), key(corner_c)))
-                for L, cl, kl in k.kinds for key in (cl, kl)]
-
-    add(_fact_rule(
-        "C42", WS,
-        "pushout with corners B, C, pushout D: i(D) <= i(A) + max(i(B), i(C)) "
-        "for i in {cl, cat, kl, kit}",
-        "pushout", c42_build,
-    ))
-
-    # -- cofiber sequence bounds ----------------------------------------------
-
-    add(_cofiber_rule(
-        "C44-1", "cofiber(f, j, C): cl(C) <= L(f) and cat(C) <= Lcat(f)",
-        lambda k, f, j, a, b, c: [upper_sum(cl(c), adds=(L(f),)) for L, cl, kl in k.kinds],
-    ))
-    add(_cofiber_rule(
-        "C44-2", "cofiber(f, j, C) with cone A: L(j) <= kl(A) and Lcat(j) <= kit(A)",
-        lambda k, f, j, a, b, c: [upper_sum(L(j), adds=(kl(a),)) for L, cl, kl in k.kinds],
-    ))
-    add(_cofiber_rule(
-        "C44-3", "cofiber over A -> B -> C: cl(C) <= kl(A) + cl(B); cat analog",
-        lambda k, f, j, a, b, c: [
-            upper_sum(cl(c), adds=(kl(a), cl(b))) for L, cl, kl in k.kinds],
-    ))
-    add(_cofiber_rule(
-        "C44-4", "cofiber over A -> B -> C: kl(B) <= kl(A) + kl(C); kit analog",
-        lambda k, f, j, a, b, c: [
-            upper_sum(kl(b), adds=(kl(a), kl(c))) for L, cl, kl in k.kinds],
-    ))
-
-    add(_per_kind(
-        "C46", S,
-        "cofiber_map(f, f2, al, be, ga): X(ga) <= X(al) + X(be) for X in {L, Lcat}",
-        "cofiber_map", 4, adds=(2, 3),
-    ))
-
-    add(_fact_rule(
-        "C48", ANY,
-        "susp_space(S, B): cl(S) <= kl(B) and cat(S) <= kit(B)",
-        "susp_space",
-        lambda elab, k, fact: [
-            upper_sum(cl(fact.args[0]), adds=(kl(fact.args[1]),)) for L, cl, kl in k.kinds],
-    ))
-
-    # -- suspension-closed structural bounds -----------------------------------
-
-    add(_per_map_rule(
-        "C410-1", S,
-        "any f: A -> B: L(f) <= cl(A) + cl(B) and Lcat(f) <= cat(A) + cat(B)",
-        lambda elab, k, map_id: [upper_sum(L(map_id), adds=tuple(map(cl, elab.sig(map_id))))
-                                 for L, cl, kl in k.kinds],
-    ))
-
-    add(_per_space_rule(
-        "C410-2", S,
-        "any space A: kl(A) <= cl(A) and kit(A) <= cat(A)",
-        lambda elab, k, space: [upper_sum(kl(space), adds=(cl(space),)) for L, cl, kl in k.kinds],
-    ))
-
-    add(_per_kind(
-        "C410-3", S,
-        "compose(h, g, f): X(g) <= X(f) + X(h) for X in {L, Lcat}",
-        "compose", 1, adds=(2, 0),
-    ))
-
-    add(_fact_rule(
-        "C410-4", S,
-        "section(f, g): Lcat(g) <= cat(dom g)",
-        "section",
-        lambda elab, k, fact: [
-            upper_sum(k.Lcat(fact.args[1]),
-                     adds=(k.cat(elab.sig(fact.args[1])[0]),)),
-        ],
-    ))
-
-    add(_per_kind(
-        "C410-5", S, "section(f, g): L(g) <= L(f) and Lcat(g) <= Lcat(f)",
-        "section", 1, adds=(0,),
-    ))
-
-    def c411_build(elab: ElaboratedScene, k: Keys, map_id: str) -> list[Step]:
-        dom, cod = elab.sig(map_id)
-        return [
-            lower_monus(k.L(map_id), base=k.kl(dom), subs=(k.kl(cod),)),
-            lower_monus(k.L(map_id), base=k.kl(cod), subs=(k.kl(dom),)),
-            lower_monus(k.Lcat(map_id), base=k.kit(dom), subs=(k.kit(cod),)),
-            lower_monus(k.Lcat(map_id), base=k.kit(cod), subs=(k.kit(dom),)),
-            lower_monus(k.L(map_id), base=k.cl(cod), subs=(k.cl(dom),)),
-            lower_monus(k.Lcat(map_id), base=k.cat(cod), subs=(k.cat(dom),)),
-        ]
-
-    add(_per_map_rule(
-        "C411", S,
-        "any f: A -> B: L(f) >= |kl(B) - kl(A)|, L(f) >= cl(B) - cl(A); "
-        "Lcat analogs with kit and cat",
-        c411_build,
-    ))
-
-    # -- products ---------------------------------------------------------------
-
-    def t51_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        h, f, g = fact.args
-        dom_f = elab.sig(f)[0]
-        dom_g = elab.sig(g)[0]
-        # the max part is cl for both kinds
-        return [upper_sum(L(h), adds=(L(f), L(g)), maxes=(k.cl(dom_f), k.cl(dom_g)))
-                for L, cl, kl in k.kinds]
-
-    add(_fact_rule(
-        "T51", WJ,
-        "product_map(h, f, g): X(h) <= X(f) + X(g) + max(cl(dom f), cl(dom g)) for X in {L, Lcat}",
-        "product_map", t51_build,
-    ))
-
-    def c52_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        prod, x, y = fact.args
-        return [
-            upper_sum(k.cl(prod), adds=(k.cl(x), k.cl(y))),
-            upper_sum(k.kl(prod), adds=(k.kl(x), k.kl(y)),
-                     maxes=(k.cl(x), k.cl(y))),
-            upper_sum(k.cat(prod), adds=(k.cat(x), k.cat(y))),
-            upper_sum(k.kit(prod), adds=(k.kit(x), k.kit(y)),
-                     maxes=(k.cl(x), k.cl(y))),
-        ]
-
-    add(_fact_rule(
-        "C52", WJ,
-        "product_space(P, X, Y): cl(P) <= cl(X) + cl(Y); "
-        "kl(P) <= kl(X) + kl(Y) + max(cl(X), cl(Y)); cat and kit analogs",
-        "product_space", c52_build,
-    ))
-
-    add(_fact_rule(
-        "P54", SMWS,
-        "product_space(P, X, Y): kl(P) <= kl(X) + kl(Y) and kit(P) <= kit(X) + kit(Y)",
-        "product_space",
-        lambda elab, k, fact: [
-            upper_sum(kl(fact.args[0]), adds=(kl(fact.args[1]), kl(fact.args[2])))
-            for L, cl, kl in k.kinds
-        ],
-    ))
-
-    add(_fact_rule(
-        "P54-SM", SM,
-        "smash_space(S, X, Y): kl(S) <= min(kl(X), kl(Y))",
-        "smash_space",
-        lambda elab, k, fact: [
-            upper_sum(k.kl(fact.args[0]), adds=(k.kl(fact.args[1]),)),
-            upper_sum(k.kl(fact.args[0]), adds=(k.kl(fact.args[2]),)),
-        ],
-    ))
-
-    def l61_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
-        firsts: dict[tuple[str, str], list[str]] = {}  # (product, second) -> first factors
-        for _, prod_fact in elab.facts_of("product_space"):
-            prod, first, second = prod_fact.args
-            firsts.setdefault((prod, second), []).append(first)
-        for i, fact in elab.facts_of("projection"):
-            p = fact.args[0]
-            dom, cod = elab.sig(p)
-            for first in firsts.get((dom, cod), ()):
-                if first in elab.member_fact:
-                    yield ("L61", (i, elab.member_fact[first]), (
-                        upper_sum(k.L(p), adds=(k.cl(cod),), const=1),
-                        upper_sum(k.Lcat(p), adds=(k.cat(cod),), const=1),
-                    ))
-                    break
-
-    add(Rule("L61", J,
-             "projection p: A x B -> B with member(A): L(p) <= cl(B) + 1 and "
-             "Lcat(p) <= cat(B) + 1", l61_match))
-
-    # -- pullbacks and fibrations -------------------------------------------------
-
-    add(_fact_rule(
-        "T62", WJ,
-        "pullback over fibration bd with fiber F: L(ab) <= L(cd) * (cl(F) + 1); "
-        "Lcat analog with cat(F)",
-        "pullback",
-        lambda elab, k, fact: [
-            upper_prod(L(fact.args[4]), L(fact.args[7]), cl(fact.args[8]), minus_one=False)
-            for L, cl, kl in k.kinds
-        ],
-    ))
-
-    def c63_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        p, fiber = fact.args
-        total, base = elab.sig(p)
-        return [upper_prod(cl(total), cl(base), cl(fiber)) for L, cl, kl in k.kinds]
-
-    add(_fact_rule(
-        "C63", WJ,
-        "fibration(p: E -> B, F): cl(E) + 1 <= (cl(B)+1)(cl(F)+1); cat analog",
-        "fibration", c63_build,
-    ))
-
-    # -- wedges of maps and trivial maps ------------------------------------------
-
-    add(_fact_rule(
-        "P72-A", W,
-        "wedge_map(w, f, g): L(w) <= max(L(f), L(g))",
-        "wedge_map",
-        lambda elab, k, fact: [
-            upper_sum(k.L(fact.args[0]),
-                     maxes=(k.L(fact.args[1]), k.L(fact.args[2]))),
-        ],
-    ))
-
-    def p72b_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        w, f, g = (k.Lcat(m) for m in fact.args)
-        return [
-            upper_sum(w, maxes=(f, g)),
-            lower_max(w, (f, g)),
-            upper_sum(f, adds=(w,)),
-            upper_sum(g, adds=(w,)),
-            cond_lower(f, gate=g, floor=w),
-            cond_lower(g, gate=f, floor=w),
-        ]
-
-    add(_fact_rule(
-        "P72-B", W,
-        "wedge_map(w, f, g): Lcat(w) = max(Lcat(f), Lcat(g)), propagated both ways "
-        "with the conditional floor when one operand's hi drops below the wedge's lo",
-        "wedge_map", p72b_build,
-    ))
-
-    def c73_build(elab: ElaboratedScene, k: Keys, fact: Fact) -> list[Step]:
-        m = fact.args[0]
-        dom, cod = elab.sig(m)
-        lf, klx, clx = k.L(m), k.kl(dom), k.cl(cod)
-        lcf, kitx, caty = k.Lcat(m), k.kit(dom), k.cat(cod)
-        return [
-            upper_sum(lf, maxes=(klx, clx)),
-            upper_sum(lcf, maxes=(kitx, caty)),
-            lower_max(lcf, (kitx, caty)),
-            upper_sum(kitx, adds=(lcf,)),
-            upper_sum(caty, adds=(lcf,)),
-            cond_lower(kitx, gate=caty, floor=lcf),
-            cond_lower(caty, gate=kitx, floor=lcf),
-        ]
-
-    add(_fact_rule(
-        "C73", W,
-        "null(f: X -> Y): L(f) <= max(kl(X), cl(Y)); "
-        "Lcat(f) = max(kit(X), cat(Y)) propagated both ways",
-        "null", c73_build,
-    ))
-
-    return rules
+ANY, W, S, J, SM, ALL_SPACES = (frozenset(flags.split()) for flags in (
+    "", "wedges", "suspensions", "joins", "smash_ideal", "all_spaces"))
+WS, WJ, SMWS = W | S, W | J, SM | W | S
+
+# -- the catalog -----------------------------------------------------------------
+
+_LAWS = (
+    ("AX-COMP", ANY, "compose(h, g, f): L(h) <= L(f) + L(g); Lcat analog"),
+    ("AX-DOM", ANY, "dominates(g, f): Lcat(f) <= Lcat(g); Lcat(g) >= Lcat(f)"),
+    ("AX-EQM", ANY, "equiv_maps(f, g): L(f) = L(g); Lcat analog"),
+    ("AX-HTPY", ANY, "homotopic(f, g): L(f) = L(g); Lcat analog"),
+    ("AX-NORM", ANY, "equiv(f): L(f) <= 0; Lcat analog"),
+    ("C34", S, "pushout_map(A, A2, a, b, c, d): L(d) <= L(a) + L(b) + L(c); Lcat analog"),
+    ("C34-NC", ANY,
+     "pushout_map(A, A2, a, b, c, d): L(d) <= L(b) + L(c) with hi L(a) = 0; Lcat analog"),
+    ("C41-1", ANY,
+     "pushout(A, f, g, ib, ic, d): L(ib) <= L(g); Lcat analog; also L(ic) <= L(f); Lcat analog"),
+    ("C41-4", W, "pushout(A, f, g, ib, ic, d): L(d) <= max(L(f), L(g)); Lcat analog"),
+    ("C410-1", S, "any f: A -> B: L(f) <= cl(A) + cl(B); Lcat analog"),
+    ("C410-2", S, "any space A: kl(A) <= cl(A); Lcat analog"),
+    ("C410-3", S, "compose(h, g, f): L(g) <= L(f) + L(h); Lcat analog"),
+    ("C410-4", S, "section(f, g: A -> _): Lcat(g) <= cat(A)"),
+    ("C410-5", S, "section(f, g): L(g) <= L(f); Lcat analog"),
+    ("C411", S, "any f: A -> B: L(f) >= kl(A) - kl(B); L(f) >= kl(B) - kl(A); Lcat analog; "
+                "L(f) >= cl(B) - cl(A); Lcat analog"),
+    ("C42", WS, "pushout(A, f: _ -> B, g: _ -> C, ib: _ -> D, ic, d): "
+                "cl(D) <= cl(A) + max(cl(B), cl(C)); kl(D) <= kl(A) + max(kl(B), kl(C)); "
+                "Lcat analog"),
+    ("C44-1", ANY, "cofiber(f, j, C): cl(C) <= L(f); Lcat analog"),
+    ("C44-2", ANY, "cofiber(f: A -> _, j, C): L(j) <= kl(A); Lcat analog"),
+    ("C44-3", ANY, "cofiber(f: A -> B, j, C): cl(C) <= kl(A) + cl(B); Lcat analog"),
+    ("C44-4", ANY, "cofiber(f: A -> B, j, C): kl(B) <= kl(A) + kl(C); Lcat analog"),
+    ("C46", S, "cofiber_map(f, f2, al, be, ga): L(ga) <= L(al) + L(be); Lcat analog"),
+    ("C48", ANY, "susp_space(S, B): cl(S) <= kl(B); Lcat analog"),
+    ("C52", WJ, "product_space(P, X, Y): cl(P) <= cl(X) + cl(Y); "
+                "kl(P) <= kl(X) + kl(Y) + max(cl(X), cl(Y)); cat(P) <= cat(X) + cat(Y); "
+                "kit(P) <= kit(X) + kit(Y) + max(cl(X), cl(Y))"),
+    ("C63", WJ, "fibration(p: E -> B, F): cl(E) + 1 <= (cl(B) + 1)(cl(F) + 1); Lcat analog"),
+    ("C73", W, "null(f: X -> Y): L(f) <= max(kl(X), cl(Y)); Lcat analog; "
+               "Lcat(f) >= max(kit(X), cat(Y)); kit(X) <= Lcat(f); cat(Y) <= Lcat(f); "
+               "kit(X) >= Lcat(f) if hi cat(Y) < lo Lcat(f); "
+               "cat(Y) >= Lcat(f) if hi kit(X) < lo Lcat(f)"),
+    ("P54", SMWS, "product_space(P, X, Y): kl(P) <= kl(X) + kl(Y); Lcat analog"),
+    ("P54-SM", SM, "smash_space(S, X, Y): kl(S) <= kl(X); kl(S) <= kl(Y)"),
+    ("P7-EQ", ANY, "any f: L(f) <= 0 with hi Lcat(f) = 0"),
+    ("P72-A", W, "wedge_map(w, f, g): L(w) <= max(L(f), L(g))"),
+    ("P72-B", W, "wedge_map(w, f, g): Lcat(w) <= max(Lcat(f), Lcat(g)); "
+                 "Lcat(w) >= max(Lcat(f), Lcat(g)); Lcat(f) <= Lcat(w); Lcat(g) <= Lcat(w); "
+                 "Lcat(f) >= Lcat(w) if hi Lcat(g) < lo Lcat(w); "
+                 "Lcat(g) >= Lcat(w) if hi Lcat(f) < lo Lcat(w)"),
+    ("REL-ALL", ALL_SPACES, "any space X: kl(X) <= 1; Lcat analog"),
+    ("REL-CL", ANY, "any f: Lcat(f) <= L(f); L(f) >= Lcat(f)"),
+    ("REL-MEM", ANY, "member(A): kl(A) <= 1"),
+    ("REL-PI0", ANY, "pi0_not_onto(f): L(f) = inf; Lcat analog"),
+    ("T32", WS, "pushout_map(A, A2, a, b, c, d): L(d) <= L(a) + max(L(b), L(c)); Lcat analog"),
+    ("T32-S", S, "pushout_map(A, A2, a, b, c, d): L(d) <= L(a) with hi L(b) = 0 and hi L(c) = 0; "
+                 "Lcat analog"),
+    ("T32-W", W,
+     "pushout_map(A, A2, a, b, c, d): L(d) <= max(L(b), L(c)) with hi L(a) = 0; Lcat analog"),
+    ("T51", WJ, "product_map(h, f: A -> _, g: B -> _): L(h) <= L(f) + L(g) + max(cl(A), cl(B)); "
+                "Lcat(h) <= Lcat(f) + Lcat(g) + max(cl(A), cl(B))"),
+    ("T62", WJ, "pullback(A, B, C, D, ab, ac, bd, cd, F): L(ab) <= L(cd) * (cl(F) + 1); "
+                "Lcat analog"),
+)
+
+
+def _mc_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
+    for i, fact in elab.facts_of("cofiber"):
+        cone = elab.sig(fact.args[0])[0]
+        if cone in elab.member_fact:
+            step = UpperSum, k.L(fact.args[1]), (), (), 1, ()
+            yield "AX-MC", (i, elab.member_fact[cone]), (step,)
+
+
+def _l61_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
+    firsts: dict[tuple[str, str], list[str]] = {}  # (product, second) -> first factors
+    for _, prod_fact in elab.facts_of("product_space"):
+        prod, first, second = prod_fact.args
+        firsts.setdefault((prod, second), []).append(first)
+    for i, fact in elab.facts_of("projection"):
+        p = fact.args[0]
+        dom, cod = elab.sig(p)
+        for first in firsts.get((dom, cod), ()):
+            if first in elab.member_fact:
+                yield "L61", (i, elab.member_fact[first]), (
+                    (UpperSum, k.L(p), (k.cl(cod),), (), 1, ()),
+                    (UpperSum, k.Lcat(p), (k.cat(cod),), (), 1, ()),
+                )
+                break
+
+
+_BY_HAND = (
+    Rule("AX-MC", ANY, "cofiber(f, j, C) with member(dom f): L(j) <= 1", _mc_match),
+    Rule("L61", J, "projection p: A x B -> B with member(A): L(p) <= cl(B) + 1 and "
+                   "Lcat(p) <= cat(B) + 1", _l61_match),
+)
+
+# -- the law compiler --------------------------------------------------------------
+# A law compiles to data: the function listing its matches as (fact
+# indices, names), and per instance its constants, its key references
+# (head, name position) in first-use order and an itemgetter per step over
+# (*constants, *their slots).  A tuple field is a run of slots; a run that
+# first use does not lay out repeats its keys.
+
+_KEY_SORTS = dict(L="map", Lcat="map", cl="space", cat="space", kl="space", kit="space")
+_ANALOG = {"L": "Lcat", "cl": "cat", "kl": "kit"}
+# a character outside the notation is a token of its own, which no rule accepts
+_LAW_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|<=|>=|->|\S")
+
+
+def _fact_items(kind: str, signed: tuple[int, ...], elab: ElaboratedScene) -> Iterator:
+    for i, fact in elab.facts_of(kind):
+        names = fact.args
+        for at in signed:  # a signed map's dom and cod follow the arguments
+            names += elab.sig(names[at])
+        yield (i,), names
+
+
+def _map_items(elab: ElaboratedScene) -> list:
+    return [((), decl) for decl in elab.maps.values()]  # (f, A, B)
+
+
+def _space_items(elab: ElaboratedScene) -> list:
+    return [((), (space,)) for space in elab.spaces]
+
+
+def _match(rule_id: str, items: Callable, instances: tuple, elab: ElaboratedScene,
+           k: Keys) -> Iterator[Match]:
+    bound = None
+    for facts, names in items(elab):
+        if bound is None:  # most rules match nothing in a small scene
+            bound = [(consts, [(getattr(k, head), at) for head, at in refs], getters)
+                     for consts, refs, getters in instances]
+        for consts, refs, getters in bound:
+            values = list(consts)  # plain loops: a comprehension costs a frame per instance
+            for key, at in refs:
+                values.append(key(names[at]))
+            values = tuple(values)
+            steps = []
+            for get in getters:
+                steps.append(get(values))
+            yield rule_id, facts, tuple(steps)
+
+
+def _analog(step: list) -> list:
+    """``step`` with Lcat, cat and kit for L, cl and kl, except in its gates."""
+    def swap(value: object) -> object:
+        if type(value) is list:
+            return list(map(swap, value))
+        return (_ANALOG.get(value[0], value[0]), value[1]) if type(value) is tuple else value
+
+    return [step[0], *(value if name == "gates" else swap(value)
+                       for name, value in zip(step[0]._fields, step[1:]))]
+
+
+def _layout(steps: list[list]) -> tuple[tuple, tuple, tuple]:
+    """One instance's (constants, key references, step getters); in a step
+    a key is a tuple, a tuple of keys is a list, and the rest are constants."""
+    consts = list(dict.fromkeys((type(v), v) for step in steps for v in step
+                                if type(v) not in (tuple, list)))
+    refs: list[tuple[str, int]] = []
+    first: dict[tuple[str, int], int] = {}
+
+    def at(key: tuple[str, int]) -> int:
+        if key not in first:
+            first[key] = len(refs)
+            refs.append(key)
+        return len(consts) + first[key]
+
+    getters = []
+    for step in steps:
+        items: list = []
+        for v in step:
+            if type(v) is list:
+                run = [at(key) for key in v]
+                start = run[0] if run else 0
+                if run != list(range(start, start + len(run))):
+                    start = len(consts) + len(refs)
+                    refs.extend(v)
+                items.append(slice(start, start + len(run)))
+            else:
+                items.append(at(v) if type(v) is tuple else consts.index((type(v), v)))
+        getters.append(itemgetter(*items))
+    return tuple(v for _, v in consts), tuple(refs), tuple(getters)
+
+
+class _LawCompiler:
+    """A position in one law's tokens, which end with "", and the names its
+    head binds, each to its position in a match's names and its sort."""
+
+    def __init__(self, rule_id: str, law: str):
+        self.rule_id = rule_id
+        self.texts = (*_LAW_TOKEN_RE.findall(law), "")
+        self.idx = 0
+        self.names: dict[str, tuple[int, str]] = {}
+
+    def fail(self, message: str) -> ValueError:
+        text = self.texts[self.idx]
+        return ValueError(f"rule {self.rule_id}: {message}, "
+                          f"at {repr(text) if text else 'the end'}")
+
+    def at(self, *texts: str) -> bool:
+        """Whether the next tokens read ``texts``."""
+        return self.texts[self.idx:self.idx + len(texts)] == texts
+
+    def accept(self, *texts: str) -> bool:
+        found = self.at(*texts)
+        self.idx += len(texts) if found else 0
+        return found
+
+    def word(self, *texts: str) -> None:
+        if not self.accept(*texts):
+            raise self.fail(f"expected {' '.join(texts)!r}")
+
+    def bind(self, at: int, sort: str) -> None:
+        name = self.texts[self.idx]
+        if not name.isidentifier() or name in self.names or name in _KEY_SORTS:
+            raise self.fail("expected a new name")
+        if name != "_":
+            self.names[name] = at, sort
+        self.idx += 1
+
+    def signature(self, at: int) -> None:
+        """``: A -> B``, binding A at ``at`` and B after it."""
+        self.word(":")
+        self.bind(at, "space")
+        self.word("->")
+        self.bind(at + 1, "space")
+
+    def compile(self) -> Matcher:
+        if self.accept("any", "space"):
+            self.bind(0, "space")
+            items = _space_items
+        elif self.accept("any"):
+            self.bind(0, "map")
+            if self.at(":") and self.texts[self.idx + 1] not in _KEY_SORTS:  # f: A -> B
+                self.signature(1)
+            items = _map_items
+        else:
+            items = self.fact_pattern()
+        self.word(":")
+        instances = [self.instance()]
+        while self.accept("also"):
+            instances.append(self.instance())
+        if self.texts[self.idx]:
+            raise self.fail("expected ';' or the end")
+        return partial(_match, self.rule_id, items, tuple(map(_layout, instances)))
+
+    def fact_pattern(self) -> Callable:
+        kind = self.texts[self.idx]
+        schema = FACT_SCHEMAS.get(kind)
+        if schema is None:
+            raise self.fail("expected a fact kind or 'any'")
+        self.idx += 1
+        self.word("(")
+        signed: list[int] = []
+        for at, role in enumerate(schema):
+            if at and not self.accept(","):
+                raise self.fail(f"{kind} takes {len(schema)} arguments")
+            self.bind(at, role)
+            if self.at(":") and role != "map":
+                raise self.fail(f"argument {at + 1} of {kind} is a space")
+            if self.at(":"):
+                self.signature(len(schema) + 2 * len(signed))
+                signed.append(at)
+        if self.at(","):
+            raise self.fail(f"{kind} takes {len(schema)} arguments")
+        self.word(")")
+        return partial(_fact_items, kind, tuple(signed))
+
+    def instance(self) -> list[list]:
+        """Clauses up to ``also`` or the end; ``Lcat analog`` repeats the
+        clauses since the previous one."""
+        steps: list[list] = []
+        mark = 0
+        while True:
+            if self.accept("Lcat", "analog"):
+                steps += map(_analog, steps[mark:])
+                mark = len(steps)
+            else:
+                steps.append(self.clause())
+            if not self.accept(";") or self.at("also"):
+                return steps
+
+    def clause(self) -> list:
+        step = self.bound()
+        if self.at("with") and step[0] is not UpperSum:
+            raise self.fail("only an upper sum takes a gate")
+        while step[0] is UpperSum and self.accept("and" if step[5] else "with"):
+            self.word("hi")
+            step[5].append(self.key())
+            self.word("=", "0")
+        return step
+
+    def bound(self) -> list:
+        target = self.key()
+        if self.accept("+", "1", "<="):
+            return [UpperProd, target, self.plus_one(), self.plus_one(), True]
+        if self.accept("=", "inf"):
+            return [LowerInf, target]
+        if self.accept("="):
+            return [Unify, target, self.key()]
+        if self.accept(">="):
+            if self.at("max"):
+                return [LowerMax, target, self.max()]
+            floor = self.key()
+            if self.accept("if", "hi"):
+                gate = self.key()
+                self.word("<", "lo")
+                if self.key() != floor:
+                    raise self.fail("expected the bound's own floor")
+                return [CondLower, target, gate, floor]
+            subs = []
+            while self.accept("-"):
+                subs.append(self.key())
+            return [LowerMonus, target, floor, subs, 0]
+        self.word("<=")
+        adds, maxes, const = [], [], 0
+        while True:
+            if self.at("max") and not maxes:
+                maxes = self.max()
+            elif self.texts[self.idx].isdigit():
+                const += int(self.texts[self.idx])
+                self.idx += 1
+            else:
+                adds.append(self.key())
+                if len(adds) == 1 and not maxes and not const and self.accept("*"):
+                    return [UpperProd, target, adds[0], self.plus_one(), False]
+            if not self.accept("+"):
+                return [UpperSum, target, adds, maxes, const, []]
+
+    def max(self) -> list[tuple[str, int]]:
+        self.word("max", "(")
+        keys = [self.key()]
+        while self.accept(","):
+            keys.append(self.key())
+        self.word(")")
+        return keys
+
+    def plus_one(self) -> tuple[str, int]:
+        self.word("(")
+        key = self.key()
+        self.word("+", "1", ")")
+        return key
+
+    def key(self) -> tuple[str, int]:
+        head = self.texts[self.idx]
+        if head not in _KEY_SORTS:
+            raise self.fail("expected an invariant")
+        self.idx += 1
+        self.word("(")
+        name = self.names.get(self.texts[self.idx])
+        if name is None:
+            raise self.fail("unbound name")
+        if name[1] != _KEY_SORTS[head]:
+            raise self.fail(f"{head} takes a {_KEY_SORTS[head]}")
+        self.idx += 1
+        self.word(")")
+        return head, name[0]
+
+
+def _compile(rule_id: str, law: str) -> Matcher:
+    """The matcher that ``law`` states.  A malformed law raises ValueError
+    naming the rule and the token at fault."""
+    return _LawCompiler(rule_id, law).compile()
 
 
 _CATALOG: Optional[list[Rule]] = None
@@ -661,7 +567,8 @@ def catalog() -> list[Rule]:
     """All rules, sorted by id.  The list is built once and shared."""
     global _CATALOG
     if _CATALOG is None:
-        _CATALOG = sorted(_build_catalog(), key=lambda r: r.id)
+        _CATALOG = sorted([*(Rule(rule_id, guard, law, _compile(rule_id, law))
+                             for rule_id, guard, law in _LAWS), *_BY_HAND], key=lambda r: r.id)
     return _CATALOG
 
 
@@ -670,11 +577,12 @@ def instantiate(elab: ElaboratedScene,
     """The distinct guard-satisfying, shape-correct rule instances, in
     deterministic order: rules by id, instances in fact/registry order.
 
-    One pass over the rows, given the key table ``Keys(store)``, compiles
-    every instance against ``store`` and interns each key it names there:
-    the result is the (rule id, facts, steps) matches that the engine
-    fires.  Without a store, the rows compile against a fresh one and the
-    result is the decoded views, for callers that read conclusions.
+    One pass over the matchers, given the key table ``Keys(store)``,
+    compiles every instance against ``store`` and interns each key it
+    names there: the result is the (rule id, facts, steps) matches that
+    the engine fires.  Without a store, the matchers compile against a
+    fresh one and the result is the decoded views, for callers that read
+    conclusions.
     """
     target = BoundStore() if store is None else store
     flags = elab.profile.flags()
@@ -837,15 +745,11 @@ def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justifi
 
 def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
                    rearrange: bool = True) -> list[str]:
-    """Inequalities of this instance violated by the store's current values.
-
-    At a fixpoint this must be empty for every instance: firing anything
-    would be a no-op.  ``inst`` is a decoded view, as ``instantiate(elab)``
-    returns it, and is recompiled against ``store`` here, which gives
-    unseen keys a slot at their default but no bound.  ``elab`` is not
-    read; it stays because ``perfbench/oracle.py`` passes it positionally,
-    and the benchmark's files do not change with the engine.
-    """
+    """Inequalities of this instance violated by the store's current values,
+    which at a fixpoint must be none.  ``inst`` is a decoded view, as
+    ``instantiate(elab)`` returns it, recompiled against ``store`` here:
+    unseen keys get a slot at their default.  ``elab`` is not read; it
+    stays because ``perfbench/oracle.py`` passes it positionally."""
     violations = []
     for update in fire(compile_view(inst, store), store, rearrange=rearrange):
         side = "upper" if update.side is Side.HI else "lower"
@@ -870,5 +774,6 @@ def render_rules_markdown() -> str:
     ]
     for rule in catalog():
         guard = ", ".join(sorted(rule.guard)) if rule.guard else "any"
-        lines.append(f"| `{rule.id}` | {guard} | {rule.law} |")
+        law = rule.law.replace("|", "\\|")  # a bare "|" would end the table cell
+        lines.append(f"| `{rule.id}` | {guard} | {law} |")
     return "\n".join(lines) + "\n"

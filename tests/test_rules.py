@@ -1,13 +1,13 @@
 """Catalog integrity, guards, instantiation shapes, and firing semantics."""
 
 import hashlib
-import inspect
 import re
 import sys
 import threading
 import typing
 from pathlib import Path
 
+import pytest
 from helpers import PROBE_SCENE, random_scene
 
 from conebound import rules
@@ -95,6 +95,17 @@ def test_rules_markdown_in_sync():
     expected = render_rules_markdown()
     path = Path(__file__).resolve().parent.parent / "RULES.md"
     assert path.read_text(encoding="utf-8") == expected
+
+
+def test_rules_markdown_rows_have_three_cells(monkeypatch):
+    # a law's "|" would split its row: GitHub then drops the cells past three
+    path = Path(__file__).resolve().parent.parent / "RULES.md"
+    tables = [path.read_text(encoding="utf-8")]
+    monkeypatch.setattr(rules, "_CATALOG", [catalog()[0]._replace(law="L(f) >= |kl(B) - kl(A)|")])
+    tables.append(render_rules_markdown())
+    for table in tables:
+        for row in (line for line in table.splitlines() if line.startswith("|")):
+            assert len(re.split(r"(?<!\\)\|", row)[1:-1]) == 3, row
 
 
 # -- guard exhaustiveness (spot check; the full sweep runs in acceptance) ---------
@@ -211,34 +222,62 @@ def test_compiled_steps_follow_conclusion_fields():
         assert reads(steps) == tuple(dict.fromkeys(read)), inst.rule_id
 
 
+def _compiled_output(scene):
+    """The instances of ``scene`` with their steps by shape name, then the
+    keys they intern in slot order."""
+    store = BoundStore()
+    instances = instantiate(elaborate(scene), store)
+    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in steps])
+                for rule_id, facts, steps in instances]
+    return compiled, [(key.map_id, key.kind.value) for key in store.keys]
+
+
+def _digest(output):
+    return hashlib.sha256(repr(output).encode()).hexdigest()[:16]
+
+
 def test_probe_compiled_output_is_pinned():
     # Recorded before the rows took their key table as an argument: every
     # rule instantiates on the probe scene, and the instances, their steps
     # and the slot order of the keys they intern must stay as they were.
-    store = BoundStore()
-    instances = instantiate(elaborate(parse_scene(PROBE_SCENE)), store)
-    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in steps])
-                for rule_id, facts, steps in instances]
-    keys = [(key.map_id, key.kind.value) for key in store.keys]
+    compiled, keys = _compiled_output(parse_scene(PROBE_SCENE))
     assert (len(compiled), len(keys)) == (1090, 324)
-    assert hashlib.sha256(repr((compiled, keys)).encode()).hexdigest()[:16] == "f19fb32802fed3cc"
+    assert _digest((compiled, keys)) == "f19fb32802fed3cc"
+    # Recorded before the catalog was compiled from its law text: the
+    # random scenes reach the rules in the fact orders and profiles that
+    # the probe scene does not.
+    outputs = [_compiled_output(random_scene(seed)) for seed in range(200)]
+    assert sum(len(compiled) for compiled, _ in outputs) == 17984
+    assert _digest(outputs) == "d281e8a585593efa"
 
 
-def test_step_constructors_take_their_shapes_fields():
-    # the rows build steps through these, so each must lay out its shape's
-    # fields in order and with the shape's defaults
-    constructors = {rules.UpperSum: rules.upper_sum, rules.UpperProd: rules.upper_prod,
-                    rules.Unify: rules.unify, rules.LowerMonus: rules.lower_monus,
-                    rules.LowerMax: rules.lower_max, rules.LowerInf: rules.lower_inf,
-                    rules.CondLower: rules.cond_lower}
-    assert set(constructors) == set(typing.get_args(rules.Conclusion))
-    for shape, build in constructors.items():
-        params = inspect.signature(build).parameters
-        assert list(params) == list(shape._fields), shape.__name__
-        assert {name: p.default for name, p in params.items()
-                if p.default is not p.empty} == shape._field_defaults, shape.__name__
-        fields = [object() for _ in shape._fields]
-        assert build(*fields) == (shape, *fields), shape.__name__
+@pytest.mark.parametrize("law, token", [
+    ("cofibre(f, j, C): L(j) <= 1", "'cofibre'"),  # no such fact kind
+    ("cofiber(f, j): L(j) <= 1", "')'"),  # too few arguments
+    ("cofiber(f, j, C, D): L(j) <= 1", "','"),  # too many arguments
+    ("cofiber(f, j, C: A -> B): L(j) <= 1", "':'"),  # a signature on a space
+    ("cofiber(f, j, C): L(g) <= 1", "'g'"),  # an unbound name
+    ("cofiber(f, j, C): cl(f) <= 1", "'f'"),  # a map where a space goes
+    ("cofiber(f, j, C): L(f) = L(j) with hi L(f) = 0", "'with'"),  # a gate on a unify
+    ("cofiber(f, j, C): L(j) <= 1 )", "')'"),  # a trailing token
+    ("cofiber(f, j, C): L(j) <= 1 |", "'|'"),  # a character outside the notation
+])
+def test_malformed_law_names_its_rule_and_token(law, token):
+    with pytest.raises(ValueError, match=r"^rule X-BAD: .*" + re.escape(token)):
+        rules._compile("X-BAD", law)
+
+
+def test_law_lays_out_a_run_that_first_use_does_not():
+    # the second step reads g then h, which first use laid out as h then g
+    law = "compose(h, g, f): L(h) <= L(g) + L(f); L(f) <= L(g) + L(h) + 2"
+    elab = elaborate(parse_scene("collection C { }\nspace X\nmap f : X -> X\n"))
+    store = BoundStore()
+    instances = list(rules._compile("X-RUN", law)(elab, rules.Keys(store)))
+    assert instances
+    for inst in instances:
+        h, g, f = (key_L(m) for m in elab.facts[inst[1][0]].args)
+        assert decode(inst, store).conclusions == (
+            UpperSum(h, (g, f)), UpperSum(f, (g, h), const=2))
 
 
 def _probe_and_random_scenes():
@@ -255,7 +294,7 @@ def test_decoded_view_recompiles_to_the_rows_steps():
         for inst in compiled:
             again = compile_view(decode(inst, store), store)
             assert (*again, reads(again[2])) == (*inst, reads(inst[2]))
-        assert len(store.keys) == interned  # the rows interned every key already
+        assert len(store.keys) == interned  # the matchers interned every key already
 
 
 def test_decoded_keys_are_the_stores_key_objects():
