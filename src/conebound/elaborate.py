@@ -69,7 +69,7 @@ class ElaboratedScene:
         self.facts: list[Fact] = []
         self.origins: list[str] = []
         self._fact_set: set[Fact] = set()
-        self._by_kind: dict[str, list[int]] = {}
+        self.by_kind: dict[str, list[int]] = {}  # kind -> its fact indices, ascending
         self.member_fact: dict[str, int] = {}  # member space -> its first member fact
 
     # -- registries ----------------------------------------------------------
@@ -105,13 +105,13 @@ class ElaboratedScene:
         self.facts.append(fact)
         self.origins.append(origin)
         self._fact_set.add(fact)
-        self._by_kind.setdefault(fact.kind, []).append(idx)
+        self.by_kind.setdefault(fact.kind, []).append(idx)
         if fact.kind == "member":
             self.member_fact.setdefault(fact.args[0], idx)
 
     def facts_of(self, kind: str) -> list[tuple[int, Fact]]:
-        """(index, fact) for every fact of one kind, in fact order."""
-        return [(i, self.facts[i]) for i in self._by_kind.get(kind, [])]
+        """A new list of one kind's (index, fact), as elaboration adds facts."""
+        return [(i, self.facts[i]) for i in self.by_kind.get(kind, [])]
 
 
 def _expand_contractible(elab: ElaboratedScene) -> None:

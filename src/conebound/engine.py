@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .elaborate import ORIGIN_USER, ElaboratedScene
 from .extnat import INF, ExtNat, Interval, extnat_to_json, fmt_extnat
 from .model import BoundStore, InvariantKey, Justification, Side, StoreConflict
-from .rules import Match, fire, instantiate, reads
+from .rules import READS, Match, fire, instantiate
 
 if TYPE_CHECKING:
     import random
@@ -290,10 +290,7 @@ class _Run:
     def apply_asserted(self) -> None:
         for bound in self.elab.bounds:
             for side in {"<=": (Side.HI,), ">=": (Side.LO,)}.get(bound.rel, (Side.LO, Side.HI)):
-                just = Justification(
-                    rule_id=ASSERTED, key=bound.key, side=side, value=bound.value,
-                    compute=ASSERTED,
-                )
+                just = Justification(ASSERTED, bound.key, side, bound.value, ASSERTED)
                 result = self.store.apply(just)
                 if isinstance(result, StoreConflict):
                     self.contradiction = self.trees.conflict_report(result)
@@ -307,8 +304,11 @@ class _Run:
             # subscribers[slot]: the instances that read the slot, ascending
             subscribers: list[list[int]] = [[] for _ in self.store.keys]
             for idx, (_, _, steps) in enumerate(compiled):
-                for slot in reads(steps):
-                    subscribers[slot].append(idx)
+                for step in steps:
+                    for slot in READS[step[0]](step):
+                        readers = subscribers[slot]
+                        if not readers or readers[-1] != idx:  # once per instance
+                            readers.append(idx)
             agenda = list(range(len(compiled)))
             while agenda:
                 if self.limits.max_rounds is not None and self.rounds >= self.limits.max_rounds:
@@ -322,7 +322,9 @@ class _Run:
                 if self.shuffle is not None:
                     self.shuffle.shuffle(agenda)
                 for idx in agenda:
-                    updates = fire(compiled[idx], self.store, rearrange=self.rearrange)
+                    updates = fire(compiled[idx], self.store, self.rearrange)
+                    if not updates:
+                        continue
                     conflicts: list[StoreConflict] = []
                     for update in updates:
                         conflict = self.apply_bound(update)

@@ -209,6 +209,10 @@ class StoreConflict:
         self.opposing_source = opposing_source
 
 
+_POINT_MAPS = frozenset((init_map(POINT), term_map(POINT)))
+_EXACT = Interval(0, 0)
+
+
 class BoundStore:
     """Interval per key, with the full monotone tightening log.
 
@@ -231,10 +235,7 @@ class BoundStore:
 
     @staticmethod
     def default_interval(key: InvariantKey) -> Interval:
-        split = canonical_space(key.map_id)
-        if split is not None and split[1] == POINT:
-            return Interval(0, 0)
-        return TOP
+        return _EXACT if key.map_id in _POINT_MAPS else TOP
 
     def slot(self, key: InvariantKey) -> int:
         """The key's slot; a key seen for the first time starts at its default."""
@@ -242,9 +243,9 @@ class BoundStore:
         if slot is None:
             slot = self.slots[key] = len(self.keys)
             self.keys.append(key)
-            default = self.default_interval(key)
-            self.lo_values.append(default.lo)
-            self.hi_values.append(default.hi)
+            lo, hi = self.default_interval(key)
+            self.lo_values.append(lo)
+            self.hi_values.append(hi)
             self.lo_sources.append(None)
             self.hi_sources.append(None)
         return slot

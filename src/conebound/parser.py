@@ -56,14 +56,17 @@ class Token(NamedTuple):
     col: int
 
 
+# One match per token: the blanks before it, then a token, a comment, the
+# line's end or a character outside the syntax; only tokens and it are named.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<nat>[0-9]+)
-      | (?P<punct>->|<=|>=|=|[{}()\[\],:*])
+    r"""[ \t]*
+      (?: (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<NAT>[0-9]+)
+        | (?P<PUNCT>->|<=|>=|=|[{}()\[\],:*])
+        | \#[^\n]* | \Z
+        | (?P<bad>.) )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -72,15 +75,13 @@ def _lex_line(text: str, line_no: int, errors: list[ParseError]) -> list[Token]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            errors.append(ParseError(line_no, pos + 1, f"unexpected character {text[pos]!r}"))
+        kind = m.lastgroup
+        if kind == "bad":
+            errors.append(ParseError(line_no, m.start(kind) + 1,
+                                     f"unexpected character {m.group(kind)!r}"))
             return []
-        if m.lastgroup == "ident":
-            tokens.append(Token("IDENT", m.group(), line_no, pos + 1))
-        elif m.lastgroup == "nat":
-            tokens.append(Token("NAT", m.group(), line_no, pos + 1))
-        elif m.lastgroup == "punct":
-            tokens.append(Token("PUNCT", m.group(), line_no, pos + 1))
+        if kind is not None:
+            tokens.append(Token(kind, m.group(kind), line_no, m.start(kind) + 1))
         pos = m.end()
     tokens.append(Token("EOL", "", line_no, len(text) + 1))
     return tokens

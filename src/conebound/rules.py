@@ -304,8 +304,9 @@ _LAW_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|<=|>=|->|\S")
 
 
 def _fact_items(kind: str, signed: tuple[int, ...], elab: ElaboratedScene) -> Iterator:
-    for i, fact in elab.facts_of(kind):
-        names = fact.args
+    facts = elab.facts
+    for i in elab.by_kind.get(kind, ()):
+        names = facts[i].args
         for at in signed:  # a signed map's dom and cod follow the arguments
             names += elab.sig(names[at])
         yield (i,), names
@@ -603,15 +604,22 @@ def _convert_keys(step: tuple, convert: Callable) -> list:
     return out
 
 
+# The slots a step reads, per shape: its ``_KEY_FIELDS`` in order, without a loop.
+READS: dict[type, Callable[[Step], tuple[int, ...]]] = {
+    UpperSum: lambda step: (step[1], *step[2], *step[3], *step[5]),
+    UpperProd: itemgetter(1, 2, 3),
+    Unify: itemgetter(1, 2),
+    LowerMonus: lambda step: (step[1], step[2], *step[3]),
+    LowerMax: lambda step: (step[1], *step[2]),
+    LowerInf: lambda step: (step[1],),
+    CondLower: itemgetter(1, 2, 3),
+}
+
+
 def reads(steps: Sequence[Step]) -> tuple[int, ...]:
     """The distinct slots that ``steps`` name, in first-appearance order;
     the engine subscribes the instance to them."""
-    read: dict[int, None] = {}
-    for step in steps:
-        for i, many in _KEY_FIELDS[step[0]]:
-            for slot in step[i] if many else (step[i],):
-                read[slot] = None
-    return tuple(read)
+    return tuple(dict.fromkeys(chain.from_iterable(READS[step[0]](step) for step in steps)))
 
 
 def decode(inst: Match, store: BoundStore) -> RuleInstance:
@@ -630,24 +638,20 @@ def compile_view(decoded: RuleInstance, store: BoundStore) -> Match:
         tuple(_convert_keys((type(c), *c), store.slot)) for c in decoded.conclusions)
 
 
-def _sum(hi: list[ExtNat], adds: Sequence[int], maxes: Sequence[int], const: int) -> ExtNat:
-    total = const
-    for s in adds:
-        total += hi[s]
-    if maxes:
-        total += max([hi[s] for s in maxes])
-    return total
+HI, LO = Side.HI, Side.LO
 
 
-def _premises(store: BoundStore, slots: Sequence[int], side: Side, role: str) -> list[Premise]:
-    # Snapshot both the value and the provenance pointer at read time, so a
-    # later tightening of the same key cannot detach the derivation tree.
-    if side is Side.HI:
-        values, sources = store.hi_values, store.hi_sources
-    else:
-        values, sources = store.lo_values, store.lo_sources
-    keys = store.keys
-    return [Premise(keys[s], side, values[s], role, sources[s]) for s in slots]
+def _emit(out: list[Justification], inst: Match, store: BoundStore, slot: int, side: Side,
+          value: ExtNat, compute: str, const: int, *groups: tuple) -> None:
+    """Append one tightening's justification.  Its premises, per (slots, side,
+    role) group, snapshot each value and log index, as later tightenings move them."""
+    keys, premises = store.keys, []
+    for slots, read, role in groups:
+        values, sources = ((store.hi_values, store.hi_sources) if read is HI
+                           else (store.lo_values, store.lo_sources))
+        premises += [Premise(keys[s], read, values[s], role, sources[s]) for s in slots]
+    out.append(Justification(inst[0], keys[slot], side, value, compute, const,
+                             tuple(premises), inst[1]))
 
 
 def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justification]:
@@ -655,42 +659,45 @@ def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justifi
     that would strictly tighten (no-ops are dropped).
 
     Values are read from the store's slot lists; the premises and the
-    justification are built only for a conclusion that tightens.
+    justification are built only for a conclusion that tightens.  Most
+    calls tighten nothing: common shapes come first and leave early.
     """
-    rule_id, facts, steps = inst
     lo, hi = store.lo_values, store.hi_values
-    HI, LO = Side.HI, Side.LO
     out: list[Justification] = []
-
-    def emit(slot: int, side: Side, value: ExtNat, compute: str,
-             premises: list[Premise], const: int = 0) -> None:
-        out.append(Justification(
-            rule_id=rule_id, key=store.keys[slot], side=side, value=value,
-            compute=compute, const=const, premises=tuple(premises), facts=facts,
-        ))
-
-    for step in steps:
+    for step in inst[2]:
         shape = step[0]
-        if shape is UpperSum:
-            _, target, adds, maxes, const, gates = step
-            if gates and any(hi[g] != 0 for g in gates):
+        if shape is LowerMonus:
+            _, target, base, subs, const = step
+            floor = lo[base]
+            if not floor:  # 0 monus anything is 0, and no lo is below 0
                 continue
-            value = _sum(hi, adds, maxes, const)
+            total = const
+            for s in subs:
+                total += hi[s]
+            # floor monus total, where anything monus inf is 0
+            if total < floor and floor - total > lo[target]:
+                _emit(out, inst, store, target, LO, floor - total, "monus", const,
+                      ((base,), LO, "base"), (subs, HI, "add"))
+        elif shape is UpperSum:
+            _, target, adds, maxes, const, gates = step
+            if gates and any(map(hi.__getitem__, gates)):
+                continue
+            rest = const + max(map(hi.__getitem__, maxes)) if maxes else const
+            value = rest
+            for s in adds:
+                value += hi[s]
             if value < hi[target]:
-                emit(target, HI, value, "sum",
-                     _premises(store, adds, HI, "add") + _premises(store, maxes, HI, "max")
-                     + _premises(store, gates, HI, "gate"), const)
+                _emit(out, inst, store, target, HI, value, "sum", const,
+                      (adds, HI, "add"), (maxes, HI, "max"), (gates, HI, "gate"))
             # lo(target) = 0 leaves every term at lo 0, which never tightens
             if rearrange and lo[target]:
                 for i, term in enumerate(adds):
                     others = adds[:i] + adds[i + 1:]
-                    value = ext_monus(lo[target], _sum(hi, others, maxes, const))
+                    value = ext_monus(lo[target], sum(map(hi.__getitem__, others), rest))
                     if value > lo[term]:
-                        emit(term, LO, value, "monus",
-                             _premises(store, (target,), LO, "base")
-                             + _premises(store, others, HI, "add")
-                             + _premises(store, maxes, HI, "max")
-                             + _premises(store, gates, HI, "gate"), const)
+                        _emit(out, inst, store, term, LO, value, "monus", const,
+                              ((target,), LO, "base"), (others, HI, "add"), (maxes, HI, "max"),
+                              (gates, HI, "gate"))
         elif shape is UpperProd:
             _, target, left, right, minus_one = step
             if minus_one:
@@ -698,45 +705,34 @@ def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justifi
             else:
                 value = ext_mul(hi[left], hi[right] + 1)
             if value < hi[target]:
-                emit(target, HI, value, "prod1" if minus_one else "prod0",
-                     _premises(store, (left,), HI, "left")
-                     + _premises(store, (right,), HI, "right"))
+                _emit(out, inst, store, target, HI, value, "prod1" if minus_one else "prod0", 0,
+                      ((left,), HI, "left"), ((right,), HI, "right"))
             if rearrange:
                 for factor, other in ((left, right), (right, left)):
                     value = ext_monus(ext_ceil_div(lo[target] + 1, hi[other] + 1), 1)
                     if value > lo[factor]:
-                        emit(factor, LO, value, "ceil1",
-                             _premises(store, (target,), LO, "base")
-                             + _premises(store, (other,), HI, "div"))
+                        _emit(out, inst, store, factor, LO, value, "ceil1", 0,
+                              ((target,), LO, "base"), ((other,), HI, "div"))
         elif shape is Unify:
             _, a, b = step
             for key, src in ((a, b), (b, a)):
                 if hi[src] < hi[key]:
-                    emit(key, HI, hi[src], "copy", _premises(store, (src,), HI, "copy"))
+                    _emit(out, inst, store, key, HI, hi[src], "copy", 0, ((src,), HI, "copy"))
                 if lo[src] > lo[key]:
-                    emit(key, LO, lo[src], "copy", _premises(store, (src,), LO, "copy"))
-        elif shape is LowerMonus:
-            _, target, base, subs, const = step
-            value = ext_monus(lo[base], _sum(hi, subs, (), const))
-            if value > lo[target]:
-                emit(target, LO, value, "monus",
-                     _premises(store, (base,), LO, "base") + _premises(store, subs, HI, "add"),
-                     const)
+                    _emit(out, inst, store, key, LO, lo[src], "copy", 0, ((src,), LO, "copy"))
         elif shape is LowerMax:
             _, target, sources = step
-            value = max([lo[s] for s in sources])
+            value = max(map(lo.__getitem__, sources))
             if value > lo[target]:
-                emit(target, LO, value, "maxlo", _premises(store, sources, LO, "lo"))
+                _emit(out, inst, store, target, LO, value, "maxlo", 0, (sources, LO, "lo"))
         elif shape is LowerInf:
-            _, target = step
-            if INF > lo[target]:
-                emit(target, LO, INF, "inf", [])
+            if INF > lo[step[1]]:
+                _emit(out, inst, store, step[1], LO, INF, "inf", 0)
         elif shape is CondLower:
             _, target, gate, floor = step
             if hi[gate] < lo[floor] and lo[floor] > lo[target]:
-                emit(target, LO, lo[floor], "copy",
-                     _premises(store, (gate,), HI, "gate")
-                     + _premises(store, (floor,), LO, "base"))
+                _emit(out, inst, store, target, LO, lo[floor], "copy", 0,
+                      ((gate,), HI, "gate"), ((floor,), LO, "base"))
     return out
 
 

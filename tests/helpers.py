@@ -348,3 +348,17 @@ def chain_scene(n: int) -> str:
     lines += [f"bound L(f{i}) <= 1" for i in range(1, n + 1)]
     lines += ["bound cl(X0) = 1"]
     return "\n".join(lines) + "\n"
+
+
+def susp_tower_scene(n: int, seed: int = 1) -> str:
+    """S(i) = susp(S(i-1)) and W(i) = W(i-1) v S(i) with W0 = S0 and
+    member(S0), the fact lines in a seeded order."""
+    facts = ["fact member(S0)"]
+    for i in range(1, n + 1):
+        facts.append(f"fact susp_space(S{i}, S{i - 1})")
+        facts.append(f"fact wedge_space(W{i}, {'S0' if i == 1 else f'W{i - 1}'}, S{i})")
+    random.Random(seed).shuffle(facts)
+    lines = ["collection Tower { wedges, suspensions }",
+             "space " + ", ".join([f"S{i}" for i in range(n + 1)]
+                                  + [f"W{i}" for i in range(1, n + 1)])]
+    return "\n".join(lines + facts) + "\n"

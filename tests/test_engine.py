@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from helpers import chain_scene, random_scene
+from helpers import chain_scene, random_scene, susp_tower_scene
 
 from conebound import engine
 from conebound.elaborate import elaborate
@@ -341,6 +341,35 @@ def test_chain_firing_schedule_is_pinned(monkeypatch):
         assert (result.rounds, result.firings, len(result.store.log), len(calls)) == (
             rounds, 303, 365, fire_calls), kwargs
         assert hashlib.sha256(log.encode()).hexdigest()[:16] == digest, kwargs
+
+
+def _run_fingerprint(result):
+    """Status, rounds, firings, the full log with premises, the store and
+    the contradiction's key and values, as one string."""
+    lines = [f"{result.status} {result.rounds} {result.firings}", result.store.serialize()]
+    for j in result.store.log:
+        premises = " ".join(f"{p.key.surface()}:{p.side.value}={p.value}/{p.role}@{p.source}"
+                            for p in j.premises)
+        lines.append(f"{j.rule_id} {j.key.surface()} {j.side.value} {j.value} {j.compute} "
+                     f"{j.const} {j.facts} [{premises}]")
+    report = result.contradiction
+    if report is not None:
+        lines.append(f"{report.key.surface()} {report.lo_value} {report.hi_value}")
+    return "\n".join(lines)
+
+
+def test_saturation_logs_are_pinned():
+    # Recorded before the hot path of fire and the subscriber lists were
+    # rewritten: every run must keep its status, rounds, firings, log,
+    # store and contradiction, byte for byte.
+    digest = hashlib.sha256()
+    for seed in range(200):
+        elab = elaborate(random_scene(seed))
+        for rearrange in (True, False):
+            digest.update(_run_fingerprint(saturate(elab, rearrange=rearrange)).encode())
+    for text in (susp_tower_scene(40), _product_tower_scene(10)):
+        digest.update(_run_fingerprint(run(text)).encode())
+    assert digest.hexdigest()[:16] == "fc539a8d0950f66c"
 
 
 # -- explanations as a shared derivation DAG ----------------------------------

@@ -1,11 +1,16 @@
 """Parser diagnostics and the parse/render round-trip law."""
 
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conebound.extnat import INF
 from conebound.model import Kind
 from conebound.parser import (
     SceneParseError,
+    _lex_line,
     parse_scene,
     render_scene,
     try_parse_scene,
@@ -102,6 +107,33 @@ def test_fact_arity_mismatch():
 def test_lexical_error_position():
     _, errors = try_parse_scene("collection C { }\nspace X\nbound cl(X) <= 3 $\n")
     assert errors and errors[0].line == 3 and errors[0].col == 18
+
+
+# the scene notation plus characters outside it
+_LINES = st.text(alphabet=" \t#abfXY_019-<>=(){}[],:*$;.é", max_size=40)
+_TOKEN_START = re.compile(r"[A-Za-z_0-9]|->|<=|>=|[=(){}\[\],:*]")
+
+
+@given(_LINES)
+def test_tokens_sit_at_their_columns_and_errors_at_the_first_bad_character(line):
+    errors = []
+    tokens = _lex_line(line, 7, errors)
+    if not errors:
+        *tokens, eol = tokens
+        assert (eol.kind, eol.col) == ("EOL", len(line) + 1)
+        for token in tokens:
+            assert line[token.col - 1:token.col - 1 + len(token.text)] == token.text
+        # the tokens are the line's characters up to a comment, less the blanks
+        assert "".join(token.text for token in tokens) == "".join(line.split("#")[0].split())
+        return
+    (error,) = errors
+    assert tokens == [] and error.line == 7
+    bad = error.col - 1
+    assert error.message == f"unexpected character {line[bad]!r}"
+    assert line[bad] not in " \t#" and not _TOKEN_START.match(line, bad)
+    prefix_errors = []
+    _lex_line(line[:bad], 7, prefix_errors)
+    assert prefix_errors == []
 
 
 def test_parse_scene_raises():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from helpers import PROBE_SCENE, random_scene
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conebound import rules
 from conebound.elaborate import elaborate
@@ -19,12 +21,20 @@ from conebound.model import (
     InvariantKey,
     Justification,
     Side,
+    StoreConflict,
     key_L,
     key_Lcat,
     key_kl,
 )
 from conebound.parser import parse_scene
 from conebound.rules import (
+    Conclusion,
+    CondLower,
+    LowerInf,
+    LowerMax,
+    LowerMonus,
+    Unify,
+    UpperProd,
     UpperSum,
     catalog,
     check_instance,
@@ -526,6 +536,106 @@ def test_fire_snapshots_premise_sources():
     )
     for just in result.store.log:
         assert just.check(), just
+
+
+def test_read_table_names_each_shapes_key_fields():
+    assert set(rules.READS) == set(Conclusion.__args__)
+    for shape, fields in rules._KEY_FIELDS.items():
+        # distinct slots in every key field, None in the others
+        step, want = [shape] + [None] * len(shape._fields), []
+        for i, many in fields:
+            slots = tuple(range(len(want), len(want) + (2 if many else 1)))
+            step[i] = slots if many else slots[0]
+            want += slots
+        assert tuple(rules.READS[shape](tuple(step))) == tuple(want), shape.__name__
+
+
+# -- fire against an independent evaluator of the seven inequalities ---------------
+
+_VALUES = st.sampled_from([0, 1, 2, 5, INF])
+_SLOT = st.integers(0, 3)
+_SLOTS = st.lists(_SLOT, max_size=3).map(tuple)
+_CONST = st.integers(0, 3)
+_STEPS = {
+    UpperSum: st.tuples(st.just(UpperSum), _SLOT, _SLOTS, _SLOTS, _CONST,
+                        st.lists(_SLOT, max_size=2).map(tuple)),
+    UpperProd: st.tuples(st.just(UpperProd), _SLOT, _SLOT, _SLOT, st.booleans()),
+    Unify: st.tuples(st.just(Unify), _SLOT, _SLOT),
+    LowerMonus: st.tuples(st.just(LowerMonus), _SLOT, _SLOT, _SLOTS, _CONST),
+    LowerMax: st.tuples(st.just(LowerMax), _SLOT, st.lists(_SLOT, min_size=1, max_size=3)
+                        .map(tuple)),
+    LowerInf: st.tuples(st.just(LowerInf), _SLOT),
+    CondLower: st.tuples(st.just(CondLower), _SLOT, _SLOT, _SLOT),
+}
+
+
+def _minus(a, b):
+    """a - b truncated at 0, where anything minus inf is 0."""
+    return 0 if b == INF or b >= a else a - b
+
+
+def _times(a, b):
+    return 0 if a == 0 or b == 0 else a * b
+
+
+def _least_factor(product, other):
+    """The least x with product + 1 <= (x + 1)(other + 1)."""
+    if other == INF or product == 0:
+        return 0
+    return INF if product == INF else -(-(product + 1) // (other + 1)) - 1
+
+
+def _holds(step, lo, hi, rearrange):
+    """Whether the store's lo and hi satisfy every inequality of ``step``."""
+    shape, target, *rest = step
+    if shape is UpperSum:
+        adds, maxes, const, gates = rest
+        if any(hi[g] != 0 for g in gates):
+            return True
+
+        def bound(terms):
+            return const + sum(hi[t] for t in terms) + max([hi[m] for m in maxes], default=0)
+
+        return hi[target] <= bound(adds) and not (rearrange and any(
+            lo[t] < _minus(lo[target], bound(adds[:i] + adds[i + 1:]))
+            for i, t in enumerate(adds)))
+    if shape is UpperProd:
+        left, right, minus_one = rest
+        top = _times(hi[left] + 1, hi[right] + 1) - 1 if minus_one else _times(
+            hi[left], hi[right] + 1)
+        return hi[target] <= top and not (rearrange and (
+            lo[left] < _least_factor(lo[target], hi[right])
+            or lo[right] < _least_factor(lo[target], hi[left])))
+    if shape is Unify:
+        return (lo[target], hi[target]) == (lo[rest[0]], hi[rest[0]])
+    if shape is LowerMonus:
+        base, subs, const = rest
+        return lo[target] >= _minus(lo[base], const + sum(hi[s] for s in subs))
+    if shape is LowerMax:
+        return lo[target] >= max(lo[s] for s in rest[0])
+    if shape is LowerInf:
+        return lo[target] == INF
+    gate, floor = rest
+    return not hi[gate] < lo[floor] or lo[target] >= lo[floor]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_VALUES, _VALUES).map(sorted), min_size=4, max_size=4),
+       st.tuples(*_STEPS.values()), st.booleans())
+def test_fire_emits_exactly_while_its_step_fails_and_establishes_it(bounds, steps, rearrange):
+    # one step of each shape, each fired on its own store over four keys
+    for step in steps:
+        store = BoundStore()
+        for i, (lo, hi) in enumerate(bounds):
+            slot = store.slot(key_L(f"k{i}"))
+            store.lo_values[slot], store.hi_values[slot] = lo, hi
+        inst = ("T", (), (step,))
+        updates = fire(inst, store, rearrange)
+        assert bool(updates) != _holds(step, store.lo_values, store.hi_values, rearrange), step
+        if any([isinstance(store.apply(update), StoreConflict) for update in updates]):
+            continue  # the step cannot hold inside these intervals: a contradiction
+        assert _holds(step, store.lo_values, store.hi_values, rearrange), step
+        assert fire(inst, store, rearrange) == [], step
 
 
 # -- hand-computed values for the remaining rule families --------------------------
