@@ -94,8 +94,6 @@ def render_text(result: SaturationResult, targets: list[InvariantKey]) -> str:
         lines.append(r.hi_tree.render(1))
     if result.budget is not None:
         lines.append(f"budget exhausted ({result.budget.reason}): {result.budget.detail}")
-        if result.budget.tree is not None:
-            lines.append(result.budget.tree.render(1))
     return "\n".join(lines) + "\n"
 
 
@@ -146,7 +144,7 @@ def solve(path: Path, args, target: Optional[str], out_err):
         for message in exc.messages:
             print(f"{path.name}: {message}", file=out_err)
         return None
-    limits = Limits(max_rounds=args.max_rounds, max_finite=args.max_finite)
+    limits = Limits(max_rounds=args.max_rounds)
     return scene, parsed, saturate(elab, limits, rearrange=not args.no_rearrange)
 
 
@@ -239,7 +237,7 @@ def cmd_corpus(args, out, out_err) -> int:
 
 
 def budget(text: str) -> int:
-    """A round or value budget: a non-negative integer."""
+    """A round budget: a non-negative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
@@ -257,7 +255,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-rounds", type=budget, default=defaults.max_rounds)
-        p.add_argument("--max-finite", type=budget, default=defaults.max_finite)
         p.add_argument("--no-rearrange", action="store_true",
                        help="diagnostic: disable rearranged lower bounds")
 

@@ -10,13 +10,14 @@ makes the fixpoint independent of firing order.
 Termination rests on well-foundedness, not on a round cap.  The keys are
 fixed once ``instantiate`` has interned them, and every round after the
 first follows a round that tightened a side, so there is at most one more
-round than tightenings.  A hi is a natural or inf and only falls: it
-leaves inf at most once and then descends through the naturals.  A lo only
-rises: it jumps to inf at most once, and a finite lo above ``max_finite``
-stops the run and reports the pumping chain instead of spinning.  So each
-side of each key tightens finitely often, and every run ends at a
-fixpoint, a contradiction or the ``max_finite`` stop.  ``max_rounds`` is
-an opt-in budget, off by default.
+round than tightenings.  A hi only falls: it leaves inf at most once and
+then descends through the naturals.  A lo only rises: it jumps to inf at
+most once, and no finite lo exceeds the largest finite asserted lo (or 0),
+because every computation that writes one returns at most a lo it reads:
+``monus`` and ``ceil1`` are at most their base, ``copy`` and ``maxlo``
+copy one.  So each side of each key tightens finitely often, and every run
+ends at a fixpoint or a contradiction.  ``max_rounds`` is an opt-in
+budget, off by default.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .elaborate import ORIGIN_USER, ElaboratedScene
-from .extnat import INF, ExtNat, Interval, extnat_to_json, fmt_extnat
+from .extnat import ExtNat, Interval, extnat_to_json, fmt_extnat
 from .model import BoundStore, InvariantKey, Justification, Side, StoreConflict
 from .rules import READS, Match, fire, instantiate
 
@@ -36,7 +37,6 @@ ASSERTED = "asserted"
 
 class Limits(NamedTuple):
     max_rounds: Optional[int] = None  # no cap by default, see the module docstring
-    max_finite: int = 65_536
 
 
 class DerivationTree:
@@ -144,9 +144,8 @@ class ContradictionReport(NamedTuple):
 
 
 class BudgetReport(NamedTuple):
-    reason: str  # "max_rounds" | "max_finite"
+    reason: str  # "max_rounds"
     detail: str
-    tree: Optional[DerivationTree] = None
 
 
 class SaturationResult(NamedTuple):
@@ -255,113 +254,6 @@ class TreeBuilder:
                                    attempted_tree, opposing_tree)
 
 
-class _Run:
-    def __init__(self, elab: ElaboratedScene, limits: Limits, rearrange: bool,
-                 shuffle: Optional[random.Random]):
-        self.elab = elab
-        self.limits = limits
-        self.rearrange = rearrange
-        self.shuffle = shuffle
-        self.store = BoundStore()
-        self.trees = TreeBuilder(self.store, elab)
-        self.instances: list[Match] = []
-        self.dirty: set[int] = set()  # slots tightened in this round
-        self.rounds = 0
-        self.firings = 0
-        self.contradiction: Optional[ContradictionReport] = None
-        self.budget: Optional[BudgetReport] = None
-
-    def apply_bound(self, just: Justification) -> Optional[StoreConflict]:
-        result = self.store.apply(just)
-        if isinstance(result, StoreConflict):
-            return result
-        if result:
-            self.firings += 1
-            self.dirty.add(self.store.slots[just.key])
-            if just.side is Side.LO and INF > just.value > self.limits.max_finite:
-                self.budget = BudgetReport(
-                    reason="max_finite",
-                    detail=f"lower bound on {just.key.surface()} climbed past "
-                           f"{self.limits.max_finite}; pumping chain follows",
-                    tree=self.trees.of_entry(len(self.store.log) - 1),
-                )
-        return None
-
-    def apply_asserted(self) -> None:
-        for bound in self.elab.bounds:
-            for side in {"<=": (Side.HI,), ">=": (Side.LO,)}.get(bound.rel, (Side.LO, Side.HI)):
-                just = Justification(ASSERTED, bound.key, side, bound.value, ASSERTED)
-                result = self.store.apply(just)
-                if isinstance(result, StoreConflict):
-                    self.contradiction = self.trees.conflict_report(result)
-                    return
-
-    def run(self) -> SaturationResult:
-        self.apply_asserted()
-        if self.contradiction is None:
-            # saturation never adds facts, so one instantiation serves the run
-            self.instances = compiled = instantiate(self.elab, self.store)
-            # subscribers[slot]: the instances that read the slot, ascending
-            subscribers: list[list[int]] = [[] for _ in self.store.keys]
-            for idx, (_, _, steps) in enumerate(compiled):
-                for step in steps:
-                    for slot in READS[step[0]](step):
-                        readers = subscribers[slot]
-                        if not readers or readers[-1] != idx:  # once per instance
-                            readers.append(idx)
-            agenda = list(range(len(compiled)))
-            while agenda:
-                if self.limits.max_rounds is not None and self.rounds >= self.limits.max_rounds:
-                    self.budget = BudgetReport(
-                        reason="max_rounds",
-                        detail=f"no fixpoint after {self.limits.max_rounds} rounds",
-                    )
-                    break
-                self.rounds += 1
-                self.dirty = set()
-                if self.shuffle is not None:
-                    self.shuffle.shuffle(agenda)
-                for idx in agenda:
-                    updates = fire(compiled[idx], self.store, self.rearrange)
-                    if not updates:
-                        continue
-                    conflicts: list[StoreConflict] = []
-                    for update in updates:
-                        conflict = self.apply_bound(update)
-                        if conflict is not None:
-                            conflicts.append(conflict)
-                        if self.budget is not None:
-                            break
-                    if conflicts:
-                        # one firing can cross bounds through several
-                        # conclusions; report the smallest provenance pair
-                        reports = [self.trees.conflict_report(c) for c in conflicts]
-                        self.contradiction = min(
-                            reports,
-                            key=lambda r: r.lo_tree.size() + r.hi_tree.size(),
-                        )
-                        break
-                    if self.budget is not None:
-                        break
-                if self.contradiction is not None or self.budget is not None:
-                    break
-                scheduled: set[int] = set()
-                for slot in self.dirty:
-                    scheduled.update(subscribers[slot])
-                agenda = sorted(scheduled)
-        status = "fixpoint"
-        if self.contradiction is not None:
-            status = "contradiction"
-        elif self.budget is not None:
-            status = "budget_exhausted"
-        return SaturationResult(
-            store=self.store, status=status, rounds=self.rounds,
-            firings=self.firings, elab=self.elab, instances=self.instances,
-            trees=self.trees,
-            contradiction=self.contradiction, budget=self.budget,
-        )
-
-
 def saturate(elab: ElaboratedScene, limits: Limits = Limits(), *,
              rearrange: bool = True,
              shuffle: Optional[random.Random] = None) -> SaturationResult:
@@ -370,7 +262,77 @@ def saturate(elab: ElaboratedScene, limits: Limits = Limits(), *,
     ``shuffle`` randomizes firing order inside each round; the final store
     must not depend on it (confluence), only logs and trees may differ.
     """
-    return _Run(elab, limits, rearrange, shuffle).run()
+    store = BoundStore()
+    trees = TreeBuilder(store, elab)
+    rounds = firings = 0
+    contradiction: Optional[ContradictionReport] = None
+    budget: Optional[BudgetReport] = None
+    sides = {"<=": (Side.HI,), ">=": (Side.LO,)}  # "=" sets both
+    asserted = (Justification(ASSERTED, bound.key, side, bound.value, ASSERTED)
+                for bound in elab.bounds for side in sides.get(bound.rel, (Side.LO, Side.HI)))
+    for just in asserted:
+        result = store.apply(just)
+        if isinstance(result, StoreConflict):
+            contradiction = trees.conflict_report(result)
+            break
+    # saturation never adds facts, so one instantiation serves the run;
+    # asserted bounds in conflict leave nothing to fire
+    compiled = [] if contradiction is not None else instantiate(elab, store)
+    # subscribers[slot]: the instances that read the slot, ascending
+    subscribers: list[list[int]] = [[] for _ in store.keys]
+    for idx, (_, _, steps) in enumerate(compiled):
+        for step in steps:
+            for slot in READS[step[0]](step):
+                readers = subscribers[slot]
+                if not readers or readers[-1] != idx:  # once per instance
+                    readers.append(idx)
+    agenda = list(range(len(compiled)))
+    while agenda:
+        if limits.max_rounds is not None and rounds >= limits.max_rounds:
+            budget = BudgetReport(
+                reason="max_rounds",
+                detail=f"no fixpoint after {limits.max_rounds} rounds",
+            )
+            break
+        rounds += 1
+        dirty: set[int] = set()  # slots tightened in this round
+        conflicts: list[StoreConflict] = []
+        if shuffle is not None:
+            shuffle.shuffle(agenda)
+        for idx in agenda:
+            updates = fire(compiled[idx], store, rearrange)
+            if not updates:
+                continue
+            for update in updates:
+                result = store.apply(update)
+                if isinstance(result, StoreConflict):
+                    conflicts.append(result)
+                elif result:
+                    firings += 1
+                    dirty.add(store.slots[update.key])
+            if conflicts:
+                break
+        if conflicts:
+            # one firing can cross bounds through several conclusions;
+            # report the smallest provenance pair
+            contradiction = min(
+                (trees.conflict_report(c) for c in conflicts),
+                key=lambda r: r.lo_tree.size() + r.hi_tree.size(),
+            )
+            break
+        scheduled: set[int] = set()
+        for slot in dirty:
+            scheduled.update(subscribers[slot])
+        agenda = sorted(scheduled)
+    status = "fixpoint"
+    if contradiction is not None:
+        status = "contradiction"
+    elif budget is not None:
+        status = "budget_exhausted"
+    return SaturationResult(
+        store=store, status=status, rounds=rounds, firings=firings, elab=elab,
+        instances=compiled, trees=trees, contradiction=contradiction, budget=budget,
+    )
 
 
 def query(result: SaturationResult, key: InvariantKey) -> QueryAnswer:

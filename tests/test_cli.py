@@ -94,7 +94,7 @@ def test_budget_exit_code():
     assert "budget" in out
 
 
-@pytest.mark.parametrize("flag", ["--max-rounds", "--max-finite"])
+@pytest.mark.parametrize("flag", ["--max-rounds"])
 def test_negative_budget_is_rejected(flag, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", str(HOPF), flag, "-1"])
@@ -106,7 +106,30 @@ def test_negative_budget_is_rejected(flag, capsys):
                                   ["explain", "s.scene", "--target", "cl(X)"], ["corpus"]])
 def test_budget_flag_defaults_are_the_engine_limits(argv):
     args = build_arg_parser().parse_args(argv)
-    assert Limits(args.max_rounds, args.max_finite) == Limits()
+    assert Limits(args.max_rounds) == Limits()
+
+
+def test_the_finite_cap_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", str(HOPF), "--max-finite", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --max-finite 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, target, interval", [
+    ("space X\nbound cat(X) >= 70000\n", "cl(X)", (70000, "inf")),
+    ("space X, Y\nmap f : X -> Y\nbound cl(Y) >= 70000\nbound cl(X) <= 1\n",
+     "L(f)", (69999, "inf")),
+], ids=["cat", "compose"])
+def test_large_asserted_lower_bounds_reach_a_fixpoint(tmp_path, text, target, interval):
+    scene = tmp_path / "large.scene"
+    scene.write_text(f"collection C {{ }}\n{text}query {target}\n", encoding="utf-8")
+    code, out, err = run_cli(["check", str(scene), "--format", "json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["status"], payload["rounds"]) == ("fixpoint", 2)
+    bound = payload["bounds"][target]
+    assert (bound["lo"], bound["hi"]) == interval
 
 
 def test_unknown_query_target():
