@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .elaborate import ORIGIN_USER, ElaboratedScene
 from .extnat import ExtNat, Interval, extnat_to_json, fmt_extnat
 from .model import BoundStore, InvariantKey, Justification, Side, StoreConflict
-from .rules import READS, Match, fire, instantiate
+from .rules import Match, fire, instantiate
 
 if TYPE_CHECKING:
     import random
@@ -278,14 +278,14 @@ def saturate(elab: ElaboratedScene, limits: Limits = Limits(), *,
     # saturation never adds facts, so one instantiation serves the run;
     # asserted bounds in conflict leave nothing to fire
     compiled = [] if contradiction is not None else instantiate(elab, store)
-    # subscribers[slot]: the instances that read the slot, ascending
+    # subscribers[slot]: the instances that read the slot, ascending; a
+    # body's template lists the positions of the slots its steps read
     subscribers: list[list[int]] = [[] for _ in store.keys]
-    for idx, (_, _, steps) in enumerate(compiled):
-        for step in steps:
-            for slot in READS[step[0]](step):
-                readers = subscribers[slot]
-                if not readers or readers[-1] != idx:  # once per instance
-                    readers.append(idx)
+    for idx, (_, _, body) in enumerate(compiled):
+        for at in body[0].reads:
+            readers = subscribers[body[at]]
+            if not readers or readers[-1] != idx:  # once per instance
+                readers.append(idx)
     agenda = list(range(len(compiled)))
     while agenda:
         if limits.max_rounds is not None and rounds >= limits.max_rounds:

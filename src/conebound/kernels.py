@@ -1,0 +1,252 @@
+"""Firing: the reference evaluator of step tuples and the template kernels.
+
+``fire_steps`` evaluates an instance's step tuples, as ``Template.steps``
+builds them, shape by shape.  It is the reference: the fixpoint re-check
+(``rules.check_instance``) and the tests use it.  ``rules.fire`` runs the
+instance's template kernel instead, which ``compile_kernel`` generates
+from the template's layout on the template's first use: ``fire_steps`` on
+that layout, with the body unpacked once into ``s1``, ``s2``, ..., every
+run unrolled and the constants inlined.  A kernel names body positions
+and catalog constants only, never a key or a scene.  ``rules`` imports
+this module on the first fire or re-check, so a start that fires nothing
+compiles none of it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Union
+
+from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
+from .model import BoundStore, Justification, Premise, Side
+from .rules import (CondLower, LowerInf, LowerMax, LowerMonus, Match, Template, Unify,
+                    UpperProd, UpperSum)
+
+HI, LO = Side.HI, Side.LO
+
+
+def _emit(out: list[Justification], inst: Match, store: BoundStore, slot: int, side: Side,
+          value: ExtNat, compute: str, const: int, *groups: tuple) -> None:
+    """Append one tightening's justification.  Its premises, per (slots, side,
+    role) group, snapshot each value and log index, as later tightenings move them."""
+    keys, premises = store.keys, []
+    for slots, read, role in groups:
+        values, sources = ((store.hi_values, store.hi_sources) if read is HI
+                           else (store.lo_values, store.lo_sources))
+        premises += [Premise(keys[s], read, values[s], role, sources[s]) for s in slots]
+    out.append(Justification(inst[0], keys[slot], side, value, compute, const,
+                             tuple(premises), inst[1]))
+
+
+def fire_steps(inst: tuple, store: BoundStore, rearrange: bool = True) -> list[Justification]:
+    """The reference evaluator of (rule id, facts, steps), steps as
+    ``Template.steps`` gives them; returns only updates that would strictly
+    tighten (no-ops are dropped).
+
+    Values are read from the store's slot lists; the premises and the
+    justification are built only for a conclusion that tightens.
+    """
+    lo, hi = store.lo_values, store.hi_values
+    out: list[Justification] = []
+    for step in inst[2]:
+        shape = step[0]
+        if shape is LowerMonus:
+            _, target, base, subs, const = step
+            floor = lo[base]
+            if not floor:  # 0 monus anything is 0, and no lo is below 0
+                continue
+            total = const
+            for s in subs:
+                total += hi[s]
+            # floor monus total, where anything monus inf is 0
+            if total < floor and floor - total > lo[target]:
+                _emit(out, inst, store, target, LO, floor - total, "monus", const,
+                      ((base,), LO, "base"), (subs, HI, "add"))
+        elif shape is UpperSum:
+            _, target, adds, maxes, const, gates = step
+            if gates and any(map(hi.__getitem__, gates)):
+                continue
+            rest = const + max(map(hi.__getitem__, maxes)) if maxes else const
+            value = rest
+            for s in adds:
+                value += hi[s]
+            if value < hi[target]:
+                _emit(out, inst, store, target, HI, value, "sum", const,
+                      (adds, HI, "add"), (maxes, HI, "max"), (gates, HI, "gate"))
+            # lo(target) = 0 leaves every term at lo 0, which never tightens
+            if rearrange and lo[target]:
+                for i, term in enumerate(adds):
+                    others = adds[:i] + adds[i + 1:]
+                    value = ext_monus(lo[target], sum(map(hi.__getitem__, others), rest))
+                    if value > lo[term]:
+                        _emit(out, inst, store, term, LO, value, "monus", const,
+                              ((target,), LO, "base"), (others, HI, "add"), (maxes, HI, "max"),
+                              (gates, HI, "gate"))
+        elif shape is UpperProd:
+            _, target, left, right, minus_one = step
+            if minus_one:
+                value = ext_monus(ext_mul(hi[left] + 1, hi[right] + 1), 1)
+            else:
+                value = ext_mul(hi[left], hi[right] + 1)
+            if value < hi[target]:
+                _emit(out, inst, store, target, HI, value, "prod1" if minus_one else "prod0", 0,
+                      ((left,), HI, "left"), ((right,), HI, "right"))
+            if rearrange:
+                for factor, other in ((left, right), (right, left)):
+                    value = ext_monus(ext_ceil_div(lo[target] + 1, hi[other] + 1), 1)
+                    if value > lo[factor]:
+                        _emit(out, inst, store, factor, LO, value, "ceil1", 0,
+                              ((target,), LO, "base"), ((other,), HI, "div"))
+        elif shape is Unify:
+            _, a, b = step
+            for key, src in ((a, b), (b, a)):
+                if hi[src] < hi[key]:
+                    _emit(out, inst, store, key, HI, hi[src], "copy", 0, ((src,), HI, "copy"))
+                if lo[src] > lo[key]:
+                    _emit(out, inst, store, key, LO, lo[src], "copy", 0, ((src,), LO, "copy"))
+        elif shape is LowerMax:
+            _, target, sources = step
+            value = max(map(lo.__getitem__, sources))
+            if value > lo[target]:
+                _emit(out, inst, store, target, LO, value, "maxlo", 0, (sources, LO, "lo"))
+        elif shape is LowerInf:
+            if INF > lo[step[1]]:
+                _emit(out, inst, store, step[1], LO, INF, "inf", 0)
+        elif shape is CondLower:
+            _, target, gate, floor = step
+            if hi[gate] < lo[floor] and lo[floor] > lo[target]:
+                _emit(out, inst, store, target, LO, lo[floor], "copy", 0,
+                      ((gate,), HI, "gate"), ((floor,), LO, "base"))
+    return out
+
+
+# -- kernels --------------------------------------------------------------------
+
+
+def _plus(*terms: str) -> str:
+    return " + ".join(term for term in terms if term) or "0"
+
+
+def _his(slots: list[str]) -> str:
+    return " + ".join(f"hi[{s}]" for s in slots)
+
+
+def _max(side: str, slots: list[str]) -> str:
+    reads = ", ".join(f"{side}[{s}]" for s in slots)
+    return f"max({reads})" if len(slots) > 1 else reads
+
+
+def _emitting(target: str, side: str, value: str, compute: str, const: int,
+              *groups: tuple) -> str:
+    """The kernel's call of ``_emit``, without the groups that name no slot."""
+    args = "".join(f", (({', '.join(slots)},), {read}, {role!r})"
+                   for slots, read, role in groups if slots)
+    return f"_emit(out, inst, store, {target}, {side}, {value}, {compute!r}, {const}{args})"
+
+
+def _upper_sum(target: str, adds: list, maxes: list, const: int, gates: list) -> list[str]:
+    rest = "rest" if maxes else str(const or "")
+    lines = [f"rest = {_plus(str(const or ''), _max('hi', maxes))}"] if maxes else []
+    groups = (maxes, "HI", "max"), (gates, "HI", "gate")
+    lines += [f"value = {_plus(rest, _his(adds))}",
+              f"if value < hi[{target}]:",
+              "    " + _emitting(target, "HI", "value", "sum", const, (adds, "HI", "add"), *groups)]
+    if adds:  # lo(target) = 0 leaves every term at lo 0, which never tightens
+        lines.append(f"if rearrange and lo[{target}]:")
+    for i, term in enumerate(adds):
+        others = adds[:i] + adds[i + 1:]
+        lines += [f"    value = ext_monus(lo[{target}], {_plus(rest, _his(others))})",
+                  f"    if value > lo[{term}]:",
+                  "        " + _emitting(term, "LO", "value", "monus", const,
+                                         ([target], "LO", "base"), (others, "HI", "add"), *groups)]
+    if gates:
+        return [f"if not ({' or '.join(f'hi[{g}]' for g in gates)}):",
+                *("    " + line for line in lines)]
+    return lines
+
+
+def _upper_prod(target: str, left: str, right: str, minus_one: bool) -> list[str]:
+    value = (f"ext_monus(ext_mul(hi[{left}] + 1, hi[{right}] + 1), 1)" if minus_one
+             else f"ext_mul(hi[{left}], hi[{right}] + 1)")
+    lines = [f"value = {value}",
+             f"if value < hi[{target}]:",
+             "    " + _emitting(target, "HI", "value", "prod1" if minus_one else "prod0", 0,
+                                ([left], "HI", "left"), ([right], "HI", "right")),
+             # lo(target) = 0 bounds each factor by at most 0
+             f"if rearrange and lo[{target}]:"]
+    for factor, other in ((left, right), (right, left)):
+        lines += [f"    value = ext_monus(ext_ceil_div(lo[{target}] + 1, hi[{other}] + 1), 1)",
+                  f"    if value > lo[{factor}]:",
+                  "        " + _emitting(factor, "LO", "value", "ceil1", 0,
+                                         ([target], "LO", "base"), ([other], "HI", "div"))]
+    return lines
+
+
+def _unify(a: str, b: str) -> list[str]:
+    lines = []
+    for key, src in ((a, b), (b, a)):
+        for side, read, better in (("HI", "hi", "<"), ("LO", "lo", ">")):
+            lines += [f"if {read}[{src}] {better} {read}[{key}]:",
+                      "    " + _emitting(key, side, f"{read}[{src}]", "copy", 0,
+                                         ([src], side, "copy"))]
+    return lines
+
+
+def _lower_monus(target: str, base: str, subs: list, const: int) -> list[str]:
+    return [f"floor = lo[{base}]",
+            "if floor:",  # 0 monus anything is 0, and no lo is below 0
+            f"    total = {_plus(str(const or ''), _his(subs))}",
+            f"    if total < floor and floor - total > lo[{target}]:",
+            "        " + _emitting(target, "LO", "floor - total", "monus", const,
+                                   ([base], "LO", "base"), (subs, "HI", "add"))]
+
+
+def _lower_max(target: str, sources: list) -> list[str]:
+    return [f"value = {_max('lo', sources)}",
+            f"if value > lo[{target}]:",
+            "    " + _emitting(target, "LO", "value", "maxlo", 0, (sources, "LO", "lo"))]
+
+
+def _lower_inf(target: str) -> list[str]:
+    return [f"if INF > lo[{target}]:",
+            "    " + _emitting(target, "LO", "INF", "inf", 0)]
+
+
+def _cond_lower(target: str, gate: str, floor: str) -> list[str]:
+    return [f"if hi[{gate}] < lo[{floor}] and lo[{floor}] > lo[{target}]:",
+            "    " + _emitting(target, "LO", f"lo[{floor}]", "copy", 0,
+                               ([gate], "HI", "gate"), ([floor], "LO", "base"))]
+
+
+# Per shape, the kernel lines of one step from its fields: a slot's local
+# name, a run's list of them, or a constant.
+_KERNEL_STEPS = {UpperSum: _upper_sum, UpperProd: _upper_prod, Unify: _unify,
+                 LowerMonus: _lower_monus, LowerMax: _lower_max, LowerInf: _lower_inf,
+                 CondLower: _cond_lower}
+
+
+def kernel_source(template: Template) -> str:
+    """The Python source of ``template``'s kernel, a function ``kernel``."""
+    base = len(template.consts)
+
+    def field(item: Union[int, range]) -> object:
+        if type(item) is range:
+            return [f"s{p - base}" for p in item]
+        return template.consts[item] if item < base else f"s{item - base}"
+
+    lines = ["def kernel(inst, store, rearrange):",
+             f"    _, {''.join(f's{j}, ' for j in range(1, template.width + 1))}= inst[2]",
+             "    lo, hi = store.lo_values, store.hi_values",
+             "    out = []"]
+    for step in template.items:
+        shape, *fields = map(field, step)
+        lines += ("    " + line for line in _KERNEL_STEPS[shape](*fields))
+    return "\n".join([*lines, "    return out", ""])
+
+
+def compile_kernel(template: Template) -> Callable[..., list[Justification]]:
+    """``template``'s kernel, which takes (inst, store, rearrange) as
+    ``fire_steps`` does and returns the same updates."""
+    namespace = {"_emit": _emit, "ext_ceil_div": ext_ceil_div, "ext_monus": ext_monus,
+                 "ext_mul": ext_mul, "INF": INF, "HI": HI, "LO": LO}
+    exec(compile(kernel_source(template), "<conebound kernel>", "exec"), namespace)
+    return namespace["kernel"]

@@ -9,6 +9,8 @@ column.  Identifiers must be declared before use.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .extnat import INF, ExtNat, fmt_extnat
@@ -144,6 +146,8 @@ class _Parser:
         # the spaces of a parsed scene that an invariant is resolved against
         self.scene_spaces: tuple[str, ...] = ()
         self.maps: list[MapDecl] = []
+        # map id -> (dom, cod); resolving an invariant against a parsed
+        # scene needs only the ids, a _SceneMaps
         self.map_sigs: dict[str, tuple[str, str]] = {}
         self.facts: list[Fact] = []
         self.bounds: list[BoundDecl] = []
@@ -419,12 +423,27 @@ def parse_scene(text: str) -> Scene:
     return scene
 
 
+class _SceneMaps:
+    """The map ids of a scene, whose maps are sorted by id: a membership
+    test bisects them, so resolving an invariant copies no table."""
+
+    def __init__(self, maps: tuple[MapDecl, ...]):
+        self.maps = maps
+
+    def __contains__(self, name: str) -> bool:
+        at = bisect_left(self.maps, name, key=_MAP_ID)
+        return at < len(self.maps) and self.maps[at].id == name
+
+
+_MAP_ID = attrgetter("id")
+
+
 def parse_invariant(text: str, scene: Scene) -> InvariantKey:
     """Parse one invariant such as ``kl(X)`` or ``L(f)`` against the
     declarations of ``scene``; raises SceneParseError."""
     parser = _Parser()
     parser.scene_spaces = scene.spaces
-    parser.map_sigs = {m.id: (m.dom, m.cod) for m in scene.maps}
+    parser.map_sigs = _SceneMaps(scene.maps)
     tokens = _lex_line(text.strip(), 1, parser.errors)
     if not parser.errors:
         cursor = _Cursor(tokens)

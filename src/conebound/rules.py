@@ -28,8 +28,11 @@ K is L(f) or Lcat(f) of a map, cl, cat, kl or kit of a space; n a number.
 Each ``instantiate`` call hands the matchers a key table, ``Keys(store)``,
 whose builders return a key's slot in that store, interning the key
 there; an instance's keys are interned in the order its steps name them.
-The (rule id, facts, steps) tuple is the only compiled instance form; the
-named-tuple shapes and ``RuleInstance`` are only the decoded view.
+The (rule id, facts, body) tuple is the only compiled instance form: its
+body is ``(template, *slots)``, the step layout that every instance of
+the law shares followed by the instance's own slots.  ``fire`` runs the
+template's kernel; the step tuples of ``Template.steps``, the named-tuple
+shapes and ``RuleInstance`` are the reference and decoded views.
 
 Rule ids are stable public strings; traces and golden files show them.
 """
@@ -40,12 +43,11 @@ import re
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import model
 from .elaborate import ElaboratedScene
-from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
-from .model import BoundStore, InvariantKey, Justification, Premise, Side
+from .model import BoundStore, InvariantKey, Justification, Side
 from .scene import FACT_SCHEMAS
 
 
@@ -78,10 +80,10 @@ class Keys:
 
 # -- conclusion shapes ---------------------------------------------------------
 # A shape's field order is its step layout: a step is (shape, *fields) with
-# a slot for a key and a tuple of slots for a tuple of keys, and ``fire``
-# unpacks it.  The named tuples are the decoded view of a step.  Two
-# conclusions with equal fields compare equal whatever their class, so
-# dedup compares steps, which carry the class.
+# a slot for a key and a tuple of slots for a tuple of keys, and
+# ``kernels.fire_steps`` unpacks it.  The named tuples are the decoded view of a
+# step.  Two conclusions with equal fields compare equal whatever their
+# class, so dedup compares templates, which carry the classes.
 
 class UpperSum(NamedTuple):
     """hi(target) <= sum(adds) + max(maxes) + const.
@@ -163,19 +165,10 @@ class RuleInstance(NamedTuple):
     conclusions: tuple[Conclusion, ...]
 
 
-# For each shape, the step position of every key field in field order, and
-# whether the field holds a tuple of keys: the fields a step reads.
-_KEY_FIELDS = {
-    shape: tuple((i, hint != InvariantKey)
-                 for i, hint in enumerate(get_type_hints(shape).values(), start=1)
-                 if hint in (InvariantKey, tuple[InvariantKey, ...]))
-    for shape in Conclusion.__args__}
-
-
 Step = tuple  # (shape, *fields), see "conclusion shapes"
 
-# A matcher yields each instance as (rule id, fact indices, steps).
-Match = tuple[str, tuple[int, ...], tuple[Step, ...]]
+# A matcher yields each instance as (rule id, fact indices, (template, *slots)).
+Match = tuple[str, tuple[int, ...], tuple]
 Matcher = Callable[[ElaboratedScene, Keys], Iterator[Match]]
 
 
@@ -184,7 +177,7 @@ class Rule(NamedTuple):
 
     ``guard`` lists the collection closure flags required for soundness;
     an instance is only created when the scene's profile has them all.
-    ``matcher`` is compiled from ``law``, except for AX-MC and L61.
+    ``matcher`` is compiled from ``law``; AX-MC and L61 match by hand.
     """
 
     id: str
@@ -259,15 +252,14 @@ _LAWS = (
 )
 
 
-def _mc_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
+def _mc_items(elab: ElaboratedScene) -> Iterator:
     for i, fact in elab.facts_of("cofiber"):
         cone = elab.sig(fact.args[0])[0]
         if cone in elab.member_fact:
-            step = UpperSum, k.L(fact.args[1]), (), (), 1, ()
-            yield "AX-MC", (i, elab.member_fact[cone]), (step,)
+            yield (i, elab.member_fact[cone]), (fact.args[1],)  # j
 
 
-def _l61_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
+def _l61_items(elab: ElaboratedScene) -> Iterator:
     firsts: dict[tuple[str, str], list[str]] = {}  # (product, second) -> first factors
     for _, prod_fact in elab.facts_of("product_space"):
         prod, first, second = prod_fact.args
@@ -277,25 +269,26 @@ def _l61_match(elab: ElaboratedScene, k: Keys) -> Iterator[Match]:
         dom, cod = elab.sig(p)
         for first in firsts.get((dom, cod), ()):
             if first in elab.member_fact:
-                yield "L61", (i, elab.member_fact[first]), (
-                    (UpperSum, k.L(p), (k.cl(cod),), (), 1, ()),
-                    (UpperSum, k.Lcat(p), (k.cat(cod),), (), 1, ()),
-                )
+                yield (i, elab.member_fact[first]), (p, cod)
                 break
 
 
+# (id, guard, law, matches as (fact indices, names), steps in ``_layout``'s form)
 _BY_HAND = (
-    Rule("AX-MC", ANY, "cofiber(f, j, C) with member(dom f): L(j) <= 1", _mc_match),
-    Rule("L61", J, "projection p: A x B -> B with member(A): L(p) <= cl(B) + 1 and "
-                   "Lcat(p) <= cat(B) + 1", _l61_match),
+    ("AX-MC", ANY, "cofiber(f, j, C) with member(dom f): L(j) <= 1", _mc_items,
+     [[UpperSum, ("L", 0), [], [], 1, []]]),
+    ("L61", J, "projection p: A x B -> B with member(A): L(p) <= cl(B) + 1 and "
+               "Lcat(p) <= cat(B) + 1", _l61_items,
+     [[UpperSum, ("L", 0), [("cl", 1)], [], 1, []],
+      [UpperSum, ("Lcat", 0), [("cat", 1)], [], 1, []]]),
 )
 
 # -- the law compiler --------------------------------------------------------------
 # A law compiles to data: the function listing its matches as (fact
-# indices, names), and per instance its constants, its key references
-# (head, name position) in first-use order and an itemgetter per step over
-# (*constants, *their slots).  A tuple field is a run of slots; a run that
-# first use does not lay out repeats its keys.
+# indices, names), and per instance its template and its key references
+# (head, name position) in first-use order, whose slots follow the
+# template in the body.  A tuple field is a run of slots; a run that first
+# use does not lay out repeats its keys.
 
 _KEY_SORTS = dict(L="map", Lcat="map", cl="space", cat="space", kl="space", kit="space")
 _ANALOG = {"L": "Lcat", "cl": "cat", "kl": "kit"}
@@ -325,17 +318,13 @@ def _match(rule_id: str, items: Callable, instances: tuple, elab: ElaboratedScen
     bound = None
     for facts, names in items(elab):
         if bound is None:  # most rules match nothing in a small scene
-            bound = [(consts, [(getattr(k, head), at) for head, at in refs], getters)
-                     for consts, refs, getters in instances]
-        for consts, refs, getters in bound:
-            values = list(consts)  # plain loops: a comprehension costs a frame per instance
+            bound = [(template, [(getattr(k, head), at) for head, at in refs])
+                     for template, refs in instances]
+        for template, refs in bound:
+            body = [template]  # a plain loop: a comprehension costs a frame per instance
             for key, at in refs:
-                values.append(key(names[at]))
-            values = tuple(values)
-            steps = []
-            for get in getters:
-                steps.append(get(values))
-            yield rule_id, facts, tuple(steps)
+                body.append(key(names[at]))
+            yield rule_id, facts, tuple(body)
 
 
 def _analog(step: list) -> list:
@@ -349,21 +338,24 @@ def _analog(step: list) -> list:
                        for name, value in zip(step[0]._fields, step[1:]))]
 
 
-def _layout(steps: list[list]) -> tuple[tuple, tuple, tuple]:
-    """One instance's (constants, key references, step getters); in a step
-    a key is a tuple, a tuple of keys is a list, and the rest are constants."""
+def _layout(steps: list[list], templates: dict) -> tuple[Template, tuple]:
+    """One instance's (template, key references).  In a step a key is a
+    tuple, a tuple of keys is a list, and the rest are constants.
+    ``templates`` holds the templates made so far by their layout; an equal
+    layout reuses its template."""
     consts = list(dict.fromkeys((type(v), v) for step in steps for v in step
                                 if type(v) not in (tuple, list)))
     refs: list[tuple[str, int]] = []
     first: dict[tuple[str, int], int] = {}
+    base = len(consts) + 1  # the slots follow the template in the body
 
     def at(key: tuple[str, int]) -> int:
         if key not in first:
             first[key] = len(refs)
             refs.append(key)
-        return len(consts) + first[key]
+        return base + first[key]
 
-    getters = []
+    layout = []
     for step in steps:
         items: list = []
         for v in step:
@@ -371,24 +363,28 @@ def _layout(steps: list[list]) -> tuple[tuple, tuple, tuple]:
                 run = [at(key) for key in v]
                 start = run[0] if run else 0
                 if run != list(range(start, start + len(run))):
-                    start = len(consts) + len(refs)
+                    start = base + len(refs)
                     refs.extend(v)
-                items.append(slice(start, start + len(run)))
+                items.append(range(start, start + len(run)))
             else:
                 items.append(at(v) if type(v) is tuple else consts.index((type(v), v)))
-        getters.append(itemgetter(*items))
-    return tuple(v for _, v in consts), tuple(refs), tuple(getters)
+        layout.append(tuple(items))
+    key = tuple(consts), tuple(layout)  # typed constants: True and 1 differ
+    if key not in templates:
+        templates[key] = Template(tuple(v for _, v in consts), key[1], len(refs))
+    return templates[key], tuple(refs)
 
 
 class _LawCompiler:
     """A position in one law's tokens, which end with "", and the names its
     head binds, each to its position in a match's names and its sort."""
 
-    def __init__(self, rule_id: str, law: str):
+    def __init__(self, rule_id: str, law: str, templates: dict):
         self.rule_id = rule_id
         self.texts = (*_LAW_TOKEN_RE.findall(law), "")
         self.idx = 0
         self.names: dict[str, tuple[int, str]] = {}
+        self.templates = templates
 
     def fail(self, message: str) -> ValueError:
         text = self.texts[self.idx]
@@ -440,7 +436,8 @@ class _LawCompiler:
             instances.append(self.instance())
         if self.texts[self.idx]:
             raise self.fail("expected ';' or the end")
-        return partial(_match, self.rule_id, items, tuple(map(_layout, instances)))
+        return partial(_match, self.rule_id, items,
+                       tuple(_layout(steps, self.templates) for steps in instances))
 
     def fact_pattern(self) -> Callable:
         kind = self.texts[self.idx]
@@ -555,21 +552,27 @@ class _LawCompiler:
         return head, name[0]
 
 
-def _compile(rule_id: str, law: str) -> Matcher:
-    """The matcher that ``law`` states.  A malformed law raises ValueError
-    naming the rule and the token at fault."""
-    return _LawCompiler(rule_id, law).compile()
+def _compile(rule_id: str, law: str, templates: Optional[dict] = None) -> Matcher:
+    """The matcher that ``law`` states, sharing the layouts in ``templates``.
+    A malformed law raises ValueError naming the rule and the token at fault."""
+    return _LawCompiler(rule_id, law, {} if templates is None else templates).compile()
 
 
 _CATALOG: Optional[list[Rule]] = None
 
 
 def catalog() -> list[Rule]:
-    """All rules, sorted by id.  The list is built once and shared."""
+    """All rules, sorted by id.  The list is built once and shared, and
+    equal layouts across the whole catalog are one template."""
     global _CATALOG
     if _CATALOG is None:
-        _CATALOG = sorted([*(Rule(rule_id, guard, law, _compile(rule_id, law))
-                             for rule_id, guard, law in _LAWS), *_BY_HAND], key=lambda r: r.id)
+        templates: dict = {}
+        _CATALOG = sorted([
+            *(Rule(rule_id, guard, law, _compile(rule_id, law, templates))
+              for rule_id, guard, law in _LAWS),
+            *(Rule(rule_id, guard, law, partial(_match, rule_id, items,
+                                                (_layout(steps, templates),)))
+              for rule_id, guard, law, items, steps in _BY_HAND)], key=lambda r: r.id)
     return _CATALOG
 
 
@@ -580,10 +583,11 @@ def instantiate(elab: ElaboratedScene,
 
     One pass over the matchers, given the key table ``Keys(store)``,
     compiles every instance against ``store`` and interns each key it
-    names there: the result is the (rule id, facts, steps) matches that
-    the engine fires.  Without a store, the matchers compile against a
-    fresh one and the result is the decoded views, for callers that read
-    conclusions.
+    names there: the result is the (rule id, facts, body) matches that the
+    engine fires.  Without a store, the matchers compile against a fresh
+    one and the result is the decoded views, for callers that read
+    conclusions.  Equal instances merge: a body compares by its template,
+    one object per layout, and its slots.
     """
     target = BoundStore() if store is None else store
     flags = elab.profile.flags()
@@ -593,18 +597,10 @@ def instantiate(elab: ElaboratedScene,
     return matches if store is not None else [decode(inst, target) for inst in matches]
 
 
-# -- compiled instances and firing ---------------------------------------------
+# -- templates and their kernels ---------------------------------------------------
 
 
-def _convert_keys(step: tuple, convert: Callable) -> list:
-    """``step``, (shape, *fields), with ``convert`` applied to every key."""
-    out = list(step)
-    for i, many in _KEY_FIELDS[step[0]]:
-        out[i] = tuple(map(convert, out[i])) if many else convert(out[i])
-    return out
-
-
-# The slots a step reads, per shape: its ``_KEY_FIELDS`` in order, without a loop.
+# The slots a step reads, per shape: its key fields in order, without a loop.
 READS: dict[type, Callable[[Step], tuple[int, ...]]] = {
     UpperSum: lambda step: (step[1], *step[2], *step[3], *step[5]),
     UpperProd: itemgetter(1, 2, 3),
@@ -617,123 +613,70 @@ READS: dict[type, Callable[[Step], tuple[int, ...]]] = {
 
 
 def reads(steps: Sequence[Step]) -> tuple[int, ...]:
-    """The distinct slots that ``steps`` name, in first-appearance order;
-    the engine subscribes the instance to them."""
+    """The distinct slots that ``steps`` name, in first-appearance order."""
     return tuple(dict.fromkeys(chain.from_iterable(READS[step[0]](step) for step in steps)))
+
+
+class Template:
+    """The step layout that every instance of one law clause list shares.
+
+    An instance's body is ``(template, *slots)``.  ``items`` give each step
+    as positions in ``consts + body``: an int is a constant or a slot, a
+    range a run of slots.  ``reads`` are the body positions the steps read,
+    each once, for the engine's subscriptions.  ``fire`` is the kernel,
+    which ``kernels.compile_kernel`` makes from the items on first use.
+    """
+
+    __slots__ = ("consts", "items", "width", "getters", "reads", "fire")
+
+    def __init__(self, consts: tuple, items: tuple[tuple, ...], width: int):
+        self.consts, self.items, self.width = consts, items, width
+        self.getters = tuple(
+            itemgetter(*(slice(i.start, i.stop) if type(i) is range else i for i in step))
+            for step in items)
+        self.reads = reads(self.steps(range(width + 1)))
+        self.fire = self._compile
+
+    def steps(self, body: Sequence) -> tuple[Step, ...]:
+        """The step tuples of the instance with ``body``; given keys in
+        place of the slots, the steps' decoded fields."""
+        values = self.consts + tuple(body)
+        return tuple(get(values) for get in self.getters)
+
+    def _compile(self, inst: Match, store: BoundStore, rearrange: bool) -> list[Justification]:
+        """The template's first fire: compile its kernel, then fire that."""
+        from .kernels import compile_kernel
+
+        self.fire = compile_kernel(self)
+        return self.fire(inst, store, rearrange)
 
 
 def decode(inst: Match, store: BoundStore) -> RuleInstance:
     """The view of ``inst``, compiled against ``store``, with the store's
     keys in place of slots."""
-    rule_id, facts, steps = inst
-    key = store.keys.__getitem__
-    return RuleInstance(rule_id, facts, tuple(
-        step[0]._make(_convert_keys(step, key)[1:]) for step in steps))
+    rule_id, facts, body = inst
+    keys = store.keys
+    steps = body[0].steps((None, *map(keys.__getitem__, body[1:])))
+    return RuleInstance(rule_id, facts, tuple(step[0]._make(step[1:]) for step in steps))
 
 
-def compile_view(decoded: RuleInstance, store: BoundStore) -> Match:
-    """A decoded view compiled against ``store``, interning unseen keys
-    at their default."""
+def compile_view(decoded: RuleInstance, store: BoundStore) -> tuple:
+    """A decoded view as the (rule id, facts, steps) of ``kernels.fire_steps``,
+    compiled against ``store``, interning unseen keys at their default."""
+    def slots(field: object) -> object:
+        if type(field) is tuple:  # a tuple of keys; a key is an InvariantKey
+            return tuple(map(store.slot, field))
+        return store.slot(field) if type(field) is InvariantKey else field
+
     return decoded.rule_id, decoded.facts, tuple(
-        tuple(_convert_keys((type(c), *c), store.slot)) for c in decoded.conclusions)
-
-
-HI, LO = Side.HI, Side.LO
-
-
-def _emit(out: list[Justification], inst: Match, store: BoundStore, slot: int, side: Side,
-          value: ExtNat, compute: str, const: int, *groups: tuple) -> None:
-    """Append one tightening's justification.  Its premises, per (slots, side,
-    role) group, snapshot each value and log index, as later tightenings move them."""
-    keys, premises = store.keys, []
-    for slots, read, role in groups:
-        values, sources = ((store.hi_values, store.hi_sources) if read is HI
-                           else (store.lo_values, store.lo_sources))
-        premises += [Premise(keys[s], read, values[s], role, sources[s]) for s in slots]
-    out.append(Justification(inst[0], keys[slot], side, value, compute, const,
-                             tuple(premises), inst[1]))
+        (type(c), *map(slots, c)) for c in decoded.conclusions)
 
 
 def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justification]:
-    """Evaluate an instance compiled against ``store``; returns only updates
-    that would strictly tighten (no-ops are dropped).
-
-    Values are read from the store's slot lists; the premises and the
-    justification are built only for a conclusion that tightens.  Most
-    calls tighten nothing: common shapes come first and leave early.
-    """
-    lo, hi = store.lo_values, store.hi_values
-    out: list[Justification] = []
-    for step in inst[2]:
-        shape = step[0]
-        if shape is LowerMonus:
-            _, target, base, subs, const = step
-            floor = lo[base]
-            if not floor:  # 0 monus anything is 0, and no lo is below 0
-                continue
-            total = const
-            for s in subs:
-                total += hi[s]
-            # floor monus total, where anything monus inf is 0
-            if total < floor and floor - total > lo[target]:
-                _emit(out, inst, store, target, LO, floor - total, "monus", const,
-                      ((base,), LO, "base"), (subs, HI, "add"))
-        elif shape is UpperSum:
-            _, target, adds, maxes, const, gates = step
-            if gates and any(map(hi.__getitem__, gates)):
-                continue
-            rest = const + max(map(hi.__getitem__, maxes)) if maxes else const
-            value = rest
-            for s in adds:
-                value += hi[s]
-            if value < hi[target]:
-                _emit(out, inst, store, target, HI, value, "sum", const,
-                      (adds, HI, "add"), (maxes, HI, "max"), (gates, HI, "gate"))
-            # lo(target) = 0 leaves every term at lo 0, which never tightens
-            if rearrange and lo[target]:
-                for i, term in enumerate(adds):
-                    others = adds[:i] + adds[i + 1:]
-                    value = ext_monus(lo[target], sum(map(hi.__getitem__, others), rest))
-                    if value > lo[term]:
-                        _emit(out, inst, store, term, LO, value, "monus", const,
-                              ((target,), LO, "base"), (others, HI, "add"), (maxes, HI, "max"),
-                              (gates, HI, "gate"))
-        elif shape is UpperProd:
-            _, target, left, right, minus_one = step
-            if minus_one:
-                value = ext_monus(ext_mul(hi[left] + 1, hi[right] + 1), 1)
-            else:
-                value = ext_mul(hi[left], hi[right] + 1)
-            if value < hi[target]:
-                _emit(out, inst, store, target, HI, value, "prod1" if minus_one else "prod0", 0,
-                      ((left,), HI, "left"), ((right,), HI, "right"))
-            if rearrange:
-                for factor, other in ((left, right), (right, left)):
-                    value = ext_monus(ext_ceil_div(lo[target] + 1, hi[other] + 1), 1)
-                    if value > lo[factor]:
-                        _emit(out, inst, store, factor, LO, value, "ceil1", 0,
-                              ((target,), LO, "base"), ((other,), HI, "div"))
-        elif shape is Unify:
-            _, a, b = step
-            for key, src in ((a, b), (b, a)):
-                if hi[src] < hi[key]:
-                    _emit(out, inst, store, key, HI, hi[src], "copy", 0, ((src,), HI, "copy"))
-                if lo[src] > lo[key]:
-                    _emit(out, inst, store, key, LO, lo[src], "copy", 0, ((src,), LO, "copy"))
-        elif shape is LowerMax:
-            _, target, sources = step
-            value = max(map(lo.__getitem__, sources))
-            if value > lo[target]:
-                _emit(out, inst, store, target, LO, value, "maxlo", 0, (sources, LO, "lo"))
-        elif shape is LowerInf:
-            if INF > lo[step[1]]:
-                _emit(out, inst, store, step[1], LO, INF, "inf", 0)
-        elif shape is CondLower:
-            _, target, gate, floor = step
-            if hi[gate] < lo[floor] and lo[floor] > lo[target]:
-                _emit(out, inst, store, target, LO, lo[floor], "copy", 0,
-                      ((gate,), HI, "gate"), ((floor,), LO, "base"))
-    return out
+    """Evaluate an instance compiled against ``store`` through its
+    template's kernel; returns only updates that would strictly tighten,
+    exactly as ``kernels.fire_steps`` on the template's steps does."""
+    return inst[2][0].fire(inst, store, rearrange)
 
 
 # -- post-hoc verification -------------------------------------------------------
@@ -744,10 +687,13 @@ def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
     """Inequalities of this instance violated by the store's current values,
     which at a fixpoint must be none.  ``inst`` is a decoded view, as
     ``instantiate(elab)`` returns it, recompiled against ``store`` here:
-    unseen keys get a slot at their default.  ``elab`` is not read; it
+    unseen keys get a slot at their default, and the reference evaluator
+    ``kernels.fire_steps`` fires it.  ``elab`` is not read; it
     stays because ``perfbench/oracle.py`` passes it positionally."""
+    from .kernels import fire_steps
+
     violations = []
-    for update in fire(compile_view(inst, store), store, rearrange=rearrange):
+    for update in fire_steps(compile_view(inst, store), store, rearrange=rearrange):
         side = "upper" if update.side is Side.HI else "lower"
         violations.append(
             f"{inst.rule_id}: {side} bound {update.value} on "

@@ -11,6 +11,7 @@ from conebound.model import Kind
 from conebound.parser import (
     SceneParseError,
     _lex_line,
+    parse_invariant,
     parse_scene,
     render_scene,
     try_parse_scene,
@@ -156,6 +157,17 @@ def test_inf_bound_and_aliases():
     assert scene.bounds[0].key.map_id == "term(X)"
     assert scene.bounds[1].key.map_id == "term(X)"
     assert scene.queries[0].key.kind is Kind.CATEGORY
+
+
+def test_invariants_resolve_against_the_scenes_sorted_maps():
+    scene = parse_scene("collection C { }\nspace X, Y\nmap m : X -> Y\nmap c : Y -> X\n"
+                        "map t : X -> X\n")
+    for name in ("c", "m", "t"):  # the first, a middle and the last id
+        assert parse_invariant(f"L({name})", scene).map_id == name
+    assert parse_invariant("cl(Y)", scene).map_id == "init(Y)"
+    for name in ("a", "d", "z", "mm"):  # before, between and after the ids
+        with pytest.raises(SceneParseError, match=f"unknown map '{name}'"):
+            parse_invariant(f"Lcat({name})", scene)
 
 
 def test_point_space_is_addressable():

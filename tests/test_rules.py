@@ -1,5 +1,6 @@
 """Catalog integrity, guards, instantiation shapes, and firing semantics."""
 
+import functools
 import hashlib
 import re
 import sys
@@ -16,6 +17,7 @@ from conebound import rules
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
 from conebound.extnat import INF
+from conebound.kernels import fire_steps
 from conebound.model import (
     BoundStore,
     InvariantKey,
@@ -237,8 +239,8 @@ def _compiled_output(scene):
     keys they intern in slot order."""
     store = BoundStore()
     instances = instantiate(elaborate(scene), store)
-    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in steps])
-                for rule_id, facts, steps in instances]
+    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in body[0].steps(body)])
+                for rule_id, facts, body in instances]
     return compiled, [(key.map_id, key.kind.value) for key in store.keys]
 
 
@@ -301,9 +303,11 @@ def test_decoded_view_recompiles_to_the_rows_steps():
         store = BoundStore()
         compiled = instantiate(elaborate(scene), store)
         interned = len(store.keys)
-        for inst in compiled:
-            again = compile_view(decode(inst, store), store)
-            assert (*again, reads(again[2])) == (*inst, reads(inst[2]))
+        for rule_id, facts, body in compiled:
+            again = compile_view(decode((rule_id, facts, body), store), store)
+            assert again == (rule_id, facts, body[0].steps(body))
+            # the template's read positions name the slots that the steps read
+            assert reads(again[2]) == tuple(dict.fromkeys(body[at] for at in body[0].reads))
         assert len(store.keys) == interned  # the matchers interned every key already
 
 
@@ -540,10 +544,13 @@ def test_fire_snapshots_premise_sources():
 
 def test_read_table_names_each_shapes_key_fields():
     assert set(rules.READS) == set(Conclusion.__args__)
-    for shape, fields in rules._KEY_FIELDS.items():
+    for shape in Conclusion.__args__:
         # distinct slots in every key field, None in the others
         step, want = [shape] + [None] * len(shape._fields), []
-        for i, many in fields:
+        for i, hint in enumerate(typing.get_type_hints(shape).values(), start=1):
+            if hint not in (InvariantKey, tuple[InvariantKey, ...]):
+                continue
+            many = hint != InvariantKey
             slots = tuple(range(len(want), len(want) + (2 if many else 1)))
             step[i] = slots if many else slots[0]
             want += slots
@@ -630,12 +637,63 @@ def test_fire_emits_exactly_while_its_step_fails_and_establishes_it(bounds, step
             slot = store.slot(key_L(f"k{i}"))
             store.lo_values[slot], store.hi_values[slot] = lo, hi
         inst = ("T", (), (step,))
-        updates = fire(inst, store, rearrange)
+        updates = fire_steps(inst, store, rearrange)
         assert bool(updates) != _holds(step, store.lo_values, store.hi_values, rearrange), step
         if any([isinstance(store.apply(update), StoreConflict) for update in updates]):
             continue  # the step cannot hold inside these intervals: a contradiction
         assert _holds(step, store.lo_values, store.hi_values, rearrange), step
-        assert fire(inst, store, rearrange) == [], step
+        assert fire_steps(inst, store, rearrange) == [], step
+
+
+# -- templates and their kernels ------------------------------------------------------
+
+
+@functools.cache
+def _probe_compiled():
+    return instantiate(elaborate(parse_scene(PROBE_SCENE)), BoundStore())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.lists(st.tuples(_VALUES, _VALUES).map(sorted), min_size=4, max_size=4),
+       st.booleans())
+def test_kernels_emit_what_the_reference_evaluator_emits(data, bounds, rearrange):
+    # every rule, so every template of the catalog, instantiates on the
+    # probe scene: with random slots over four keys, aliases included, each
+    # kernel emits the reference evaluator's updates on the template's steps
+    store = BoundStore()
+    for i, (lo, hi) in enumerate(bounds):
+        slot = store.slot(key_L(f"k{i}"))
+        store.lo_values[slot], store.hi_values[slot] = lo, hi
+    for template in dict.fromkeys(body[0] for _, _, body in _probe_compiled()):
+        slots = data.draw(st.lists(_SLOT, min_size=template.width, max_size=template.width))
+        body = (template, *slots)
+        steps = template.steps(body)
+        assert fire(("T", (), body), store, rearrange) == fire_steps(
+            ("T", (), steps), store, rearrange), steps
+
+
+def test_instances_share_their_templates_and_hold_no_steps():
+    compiled = _probe_compiled()
+    objects = {}  # layout -> the template objects with that layout
+    for _, _, body in compiled:
+        template = body[0]
+        assert type(template) is rules.Template
+        # the body is the template and one slot per laid-out key, nothing else
+        assert len(body) == 1 + template.width
+        assert all(type(slot) is int for slot in body[1:])
+        layout = tuple((type(c), c) for c in template.consts), template.items
+        objects.setdefault(layout, set()).add(id(template))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(objects) < len(compiled) / 20
+
+
+def test_equal_instances_of_two_clause_lists_merge():
+    # C41-1's two clause lists lay out alike: on a pushout of f along
+    # itself their instances are equal, and one remains
+    text = ("collection C { }\nspace A, B, D\nmap f : A -> B\nmap i : B -> D\n"
+            "map d : A -> D\nfact pushout(A, f, f, i, i, d)\n")
+    ids = [inst.rule_id for inst in instantiate(elaborate(parse_scene(text)))]
+    assert ids.count("C41-1") == 1
 
 
 # -- hand-computed values for the remaining rule families --------------------------
