@@ -1,11 +1,13 @@
 """Chaotic iteration of the rule catalog to a fixpoint over the bound store.
 
 Asserted bounds are applied first.  One ``instantiate`` call then gives
-every rule instance compiled against the store's slots, and instances fire
-in deterministic order (rules by id, instances in match order).  After
-the first full pass each round re-fires, in instance order, only the
-instances that read a slot the previous round tightened; the meet lattice
-makes the fixpoint independent of firing order.
+every rule instance compiled against the store's slots, through each
+law's generated match kernel, and instances fire through their
+templates' kernels in deterministic order (rules by id, instances in
+match order).  After the first full pass each round re-fires, in
+instance order, only the instances that read a slot the previous round
+tightened; the meet lattice makes the fixpoint independent of firing
+order.
 
 Termination rests on well-foundedness, not on a round cap.  The keys are
 fixed once ``instantiate`` has interned them, and every round after the
@@ -279,13 +281,13 @@ def saturate(elab: ElaboratedScene, limits: Limits = Limits(), *,
     # asserted bounds in conflict leave nothing to fire
     compiled = [] if contradiction is not None else instantiate(elab, store)
     # subscribers[slot]: the instances that read the slot, ascending; a
-    # body's template lists the positions of the slots its steps read
+    # body's template lists the positions of the slots its steps read.  Two
+    # positions can hold one slot, so an instance can be listed twice; the
+    # round's ``scheduled`` set takes it once.
     subscribers: list[list[int]] = [[] for _ in store.keys]
     for idx, (_, _, body) in enumerate(compiled):
         for at in body[0].reads:
-            readers = subscribers[body[at]]
-            if not readers or readers[-1] != idx:  # once per instance
-                readers.append(idx)
+            subscribers[body[at]].append(idx)
     agenda = list(range(len(compiled)))
     while agenda:
         if limits.max_rounds is not None and rounds >= limits.max_rounds:

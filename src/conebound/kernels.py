@@ -1,4 +1,5 @@
-"""Firing: the reference evaluator of step tuples and the template kernels.
+"""Generated code: the template kernels that fire, the match kernels that
+instantiate, and the reference evaluator of step tuples.
 
 ``fire_steps`` evaluates an instance's step tuples, as ``Template.steps``
 builds them, shape by shape.  It is the reference: the fixpoint re-check
@@ -7,9 +8,14 @@ instance's template kernel instead, which ``compile_kernel`` generates
 from the template's layout on the template's first use: ``fire_steps`` on
 that layout, with the body unpacked once into ``s1``, ``s2``, ..., every
 run unrolled and the constants inlined.  A kernel names body positions
-and catalog constants only, never a key or a scene.  ``rules`` imports
-this module on the first fire or re-check, so a start that fires nothing
-compiles none of it.
+and catalog constants only, never a key or a scene.
+
+``compile_matcher`` does the same for a law's matcher when it first matches:
+one loop over the law's items that builds every body as a tuple display
+of key-table lookups, in the order of the law's key references.
+
+``rules`` imports this module on the first match, fire or re-check, so
+``import conebound`` and ``catalog()`` compile none of it.
 """
 
 from __future__ import annotations
@@ -18,10 +24,13 @@ from typing import Callable, Union
 
 from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
 from .model import BoundStore, Justification, Premise, Side
-from .rules import (CondLower, LowerInf, LowerMax, LowerMonus, Match, Template, Unify,
+from .rules import (CondLower, LowerInf, LowerMax, LowerMonus, Match, Matcher, Template, Unify,
                     UpperProd, UpperSum)
 
 HI, LO = Side.HI, Side.LO
+# Neither record checks its fields, so ``_emit`` builds them as plain tuples
+# of their class, without the named tuples' Python-level __new__.
+_new = tuple.__new__
 
 
 def _emit(out: list[Justification], inst: Match, store: BoundStore, slot: int, side: Side,
@@ -32,9 +41,9 @@ def _emit(out: list[Justification], inst: Match, store: BoundStore, slot: int, s
     for slots, read, role in groups:
         values, sources = ((store.hi_values, store.hi_sources) if read is HI
                            else (store.lo_values, store.lo_sources))
-        premises += [Premise(keys[s], read, values[s], role, sources[s]) for s in slots]
-    out.append(Justification(inst[0], keys[slot], side, value, compute, const,
-                             tuple(premises), inst[1]))
+        premises += [_new(Premise, (keys[s], read, values[s], role, sources[s])) for s in slots]
+    out.append(_new(Justification, (inst[0], keys[slot], side, value, compute, const,
+                                    tuple(premises), inst[1])))
 
 
 def fire_steps(inst: tuple, store: BoundStore, rearrange: bool = True) -> list[Justification]:
@@ -250,3 +259,42 @@ def compile_kernel(template: Template) -> Callable[..., list[Justification]]:
                  "ext_mul": ext_mul, "INF": INF, "HI": HI, "LO": LO}
     exec(compile(kernel_source(template), "<conebound kernel>", "exec"), namespace)
     return namespace["kernel"]
+
+
+# -- match kernels --------------------------------------------------------------
+
+
+def matcher_source(matcher: Matcher) -> str:
+    """The Python source of ``matcher``'s kernel, a function ``matcher``.
+
+    Per item it builds each instance's body as one tuple display of key
+    table lookups, ``(T0, L[n[0]], cl[n[2]], ...)``, left to right, so keys
+    are interned in the order the references name them.  An instance equal
+    to an earlier one of the same item is left out."""
+    heads = list(dict.fromkeys(head for _, refs in matcher.instances for head, _ in refs))
+    bodies = [f"(T{j}, {''.join(f'{head}[n[{at}]], ' for head, at in refs)})"
+              for j, (_, refs) in enumerate(matcher.instances)]
+    rule_id = repr(matcher.rule_id)
+    lines = ["def matcher(elab, k):",
+             f"    {', '.join(heads)}, = {', '.join(f'k.{head}' for head in heads)},"]
+    if len(bodies) == 1:
+        lines.append(f"    return [({rule_id}, facts, {bodies[0]}) for facts, n in items(elab)]")
+    else:
+        lines += ["    out = []", "    for facts, n in items(elab):",
+                  f"        b0 = {bodies[0]}", f"        out.append(({rule_id}, facts, b0))"]
+        for j, body in enumerate(bodies[1:], 1):
+            lines += [f"        b{j} = {body}",
+                      f"        if b{j} not in ({''.join(f'b{i}, ' for i in range(j))}):",
+                      f"            out.append(({rule_id}, facts, b{j}))"]
+        lines.append("    return out")
+    return "\n".join([*lines, ""])
+
+
+def compile_matcher(matcher: Matcher) -> Callable[..., list[Match]]:
+    """``matcher``'s kernel, which takes (elab, keys) and returns the
+    instances that the law data of ``matcher`` states."""
+    namespace = {"items": matcher.items,
+                 **{f"T{j}": template for j, (template, _) in enumerate(matcher.instances)}}
+    exec(compile(matcher_source(matcher), f"<conebound matcher {matcher.rule_id}>", "exec"),
+         namespace)
+    return namespace["matcher"]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import partial
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .extnat import (INF, TOP, ExtNat, Interval, as_extnat, ext_ceil_div, ext_monus, ext_mul,
@@ -91,24 +90,41 @@ class InvariantKey(NamedTuple):
         return (self.map_id, self.kind.value)
 
 
+# The key builders name every key the engine makes.  Each is one tuple
+# build: ``tuple.__new__`` skips the named tuple's Python-level __new__,
+# which instantiation would otherwise call once per new key.
+_new = tuple.__new__
+_L, _LCAT = Kind.CONE_LENGTH, Kind.CATEGORY
+
+
 def key_L(map_id: str) -> InvariantKey:
-    return InvariantKey(map_id, Kind.CONE_LENGTH)
+    return _new(InvariantKey, (map_id, _L))
 
 
 def key_Lcat(map_id: str) -> InvariantKey:
-    return InvariantKey(map_id, Kind.CATEGORY)
+    return _new(InvariantKey, (map_id, _LCAT))
+
+
+def key_cl(space: str) -> InvariantKey:
+    return _new(InvariantKey, (f"init({space})", _L))
+
+
+def key_cat(space: str) -> InvariantKey:
+    return _new(InvariantKey, (f"init({space})", _LCAT))
+
+
+def key_kl(space: str) -> InvariantKey:
+    return _new(InvariantKey, (f"term({space})", _L))
+
+
+def key_kit(space: str) -> InvariantKey:
+    return _new(InvariantKey, (f"term({space})", _LCAT))
 
 
 def alias_key(alias: str, space: str) -> InvariantKey:
     """The key a space invariant names: ``alias_key("kl", X)`` is L(term(X))."""
     head, kind = SPACE_ALIASES[alias]
-    return InvariantKey(f"{head}({space})", kind)
-
-
-key_cl = partial(alias_key, "cl")
-key_cat = partial(alias_key, "cat")
-key_kl = partial(alias_key, "kl")
-key_kit = partial(alias_key, "kit")
+    return _new(InvariantKey, (f"{head}({space})", kind))
 
 
 class Premise(NamedTuple):

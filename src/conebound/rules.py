@@ -25,14 +25,18 @@ K is L(f) or Lcat(f) of a map, cl, cat, kl or kit of a space; n a number.
                               cat, kit for L, cl, kl; gates unchanged
     ; also                    the clauses after it make a second instance
 
-Each ``instantiate`` call hands the matchers a key table, ``Keys(store)``,
-whose builders return a key's slot in that store, interning the key
-there; an instance's keys are interned in the order its steps name them.
-The (rule id, facts, body) tuple is the only compiled instance form: its
-body is ``(template, *slots)``, the step layout that every instance of
-the law shares followed by the instance's own slots.  ``fire`` runs the
-template's kernel; the step tuples of ``Template.steps``, the named-tuple
-shapes and ``RuleInstance`` are the reference and decoded views.
+A law compiles to data: a ``Matcher`` holds the function listing its
+matches and, per instance, a ``Template`` and the key references whose
+slots follow it.  Each ``instantiate`` call hands the matchers a key
+table, ``Keys(store)``, whose dicts take a name to its key's slot in that
+store, interning the key there; an instance's keys are interned in the
+order its steps name them.  The (rule id, facts, body) tuple is the only
+compiled instance form: its body is ``(template, *slots)``, the step
+layout that every instance of the law shares followed by the instance's
+own slots.  Both ends run generated code, built on first use by
+``kernels``: a matcher's kernel builds the bodies, a template's kernel
+fires them.  The step tuples of ``Template.steps``, the named-tuple shapes
+and ``RuleInstance`` are the reference and decoded views.
 
 Rule ids are stable public strings; traces and golden files show them.
 """
@@ -43,7 +47,7 @@ import re
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import model
 from .elaborate import ElaboratedScene
@@ -57,23 +61,23 @@ class _Slots(dict):
 
     def __init__(self, make: Callable[[str], InvariantKey], store: BoundStore):
         super().__init__()
-        self.make, self.store = make, store
+        self.make, self.slot = make, store.slot
 
     def __missing__(self, name: str) -> int:
-        slot = self[name] = self.store.slot(self.make(name))
+        slot = self[name] = self.slot(self.make(name))
         return slot
 
 
 class Keys:
-    """The key table of one ``instantiate`` call: six builders, each taking
-    a name to its key's slot in ``store``.  cl(X) and L(init(X)) share a
-    slot: the store holds one object per key."""
+    """The key table of one ``instantiate`` call: six ``_Slots`` dicts, each
+    taking a name to its key's slot in ``store``.  cl(X) and L(init(X))
+    share a slot: the store holds one object per key."""
 
     __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit")
 
     def __init__(self, store: BoundStore):
         self.L, self.Lcat, self.cl, self.cat, self.kl, self.kit = (
-            _Slots(make, store).__getitem__ for make in (
+            _Slots(make, store) for make in (
                 model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl,
                 model.key_kit))
 
@@ -167,9 +171,8 @@ class RuleInstance(NamedTuple):
 
 Step = tuple  # (shape, *fields), see "conclusion shapes"
 
-# A matcher yields each instance as (rule id, fact indices, (template, *slots)).
+# An instance: (rule id, fact indices, (template, *slots)).
 Match = tuple[str, tuple[int, ...], tuple]
-Matcher = Callable[[ElaboratedScene, Keys], Iterator[Match]]
 
 
 class Rule(NamedTuple):
@@ -177,7 +180,8 @@ class Rule(NamedTuple):
 
     ``guard`` lists the collection closure flags required for soundness;
     an instance is only created when the scene's profile has them all.
-    ``matcher`` is compiled from ``law``; AX-MC and L61 match by hand.
+    ``matcher`` is compiled from ``law``; AX-MC and L61 list their
+    matches by hand.
     """
 
     id: str
@@ -313,18 +317,36 @@ def _space_items(elab: ElaboratedScene) -> list:
     return [((), (space,)) for space in elab.spaces]
 
 
-def _match(rule_id: str, items: Callable, instances: tuple, elab: ElaboratedScene,
-           k: Keys) -> Iterator[Match]:
-    bound = None
-    for facts, names in items(elab):
-        if bound is None:  # most rules match nothing in a small scene
-            bound = [(template, [(getattr(k, head), at) for head, at in refs])
-                     for template, refs in instances]
-        for template, refs in bound:
-            body = [template]  # a plain loop: a comprehension costs a frame per instance
-            for key, at in refs:
-                body.append(key(names[at]))
-            yield rule_id, facts, tuple(body)
+class Matcher:
+    """One law's matcher: called with a scene and a key table, it returns
+    the law's instances, in item order and per item in instance order.
+
+    ``items`` lists the law's matches as (fact indices, names); per
+    instance, ``instances`` hold its template and its key references
+    (head, name position), whose slots follow the template in the body.
+    ``match`` is the kernel, which ``kernels.compile_matcher`` makes from
+    these on first use.
+    """
+
+    __slots__ = ("rule_id", "items", "instances", "match")
+
+    def __init__(self, rule_id: str, items: Callable[[ElaboratedScene], Iterable],
+                 instances: tuple[tuple[Template, tuple], ...]):
+        self.rule_id, self.items, self.instances = rule_id, items, instances
+        self.match = self._compile
+
+    def __call__(self, elab: ElaboratedScene, k: Keys) -> list[Match]:
+        return self.match(elab, k)
+
+    def _compile(self, elab: ElaboratedScene, k: Keys) -> list[Match]:
+        """The law's first match: compile its kernel, then run that.  Most
+        laws match nothing in a small scene, and compile nothing there."""
+        if next(iter(self.items(elab)), None) is None:
+            return []
+        from .kernels import compile_matcher
+
+        self.match = compile_matcher(self)
+        return self.match(elab, k)
 
 
 def _analog(step: list) -> list:
@@ -436,7 +458,7 @@ class _LawCompiler:
             instances.append(self.instance())
         if self.texts[self.idx]:
             raise self.fail("expected ';' or the end")
-        return partial(_match, self.rule_id, items,
+        return Matcher(self.rule_id, items,
                        tuple(_layout(steps, self.templates) for steps in instances))
 
     def fact_pattern(self) -> Callable:
@@ -570,8 +592,7 @@ def catalog() -> list[Rule]:
         _CATALOG = sorted([
             *(Rule(rule_id, guard, law, _compile(rule_id, law, templates))
               for rule_id, guard, law in _LAWS),
-            *(Rule(rule_id, guard, law, partial(_match, rule_id, items,
-                                                (_layout(steps, templates),)))
+            *(Rule(rule_id, guard, law, Matcher(rule_id, items, (_layout(steps, templates),)))
               for rule_id, guard, law, items, steps in _BY_HAND)], key=lambda r: r.id)
     return _CATALOG
 
@@ -586,14 +607,18 @@ def instantiate(elab: ElaboratedScene,
     names there: the result is the (rule id, facts, body) matches that the
     engine fires.  Without a store, the matchers compile against a fresh
     one and the result is the decoded views, for callers that read
-    conclusions.  Equal instances merge: a body compares by its template,
-    one object per layout, and its slots.
+    conclusions.  A body compares by its template, one object per layout,
+    and its slots.  No two instances are equal: two matches differ in
+    their rule, their facts or their first slot, and a match kernel drops
+    an ``also`` instance equal to an earlier one of its match.
     """
     target = BoundStore() if store is None else store
     flags = elab.profile.flags()
     k = Keys(target)
-    matches = list(dict.fromkeys(chain.from_iterable(
-        rule.matcher(elab, k) for rule in catalog() if rule.guard <= flags)))
+    matches: list[Match] = []
+    for rule in catalog():
+        if rule.guard <= flags:
+            matches += rule.matcher(elab, k)
     return matches if store is not None else [decode(inst, target) for inst in matches]
 
 

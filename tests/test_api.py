@@ -79,15 +79,27 @@ def test_all_spaces_forces_every_flag_on_every_path(build):
     assert profile.flags() == {"all_spaces", "wedges", "suspensions", "joins", "smash_ideal"}
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # structural, not timed: the two modules that made the cold start slow,
-    # and two that nothing in the package uses at run time
+def _modules_loaded_by_catalog() -> set[str]:
+    """The modules that ``import conebound`` plus ``catalog()`` load in a
+    fresh interpreter."""
     code = ("import sys\nbefore = set(sys.modules)\nsys.path.insert(0, sys.argv[1])\n"
             "import conebound\nconebound.catalog()\nprint(*sorted(set(sys.modules) - before))")
     proc = subprocess.run(
         # -S: no site hooks, so nothing but the import can load a module
         [sys.executable, "-S", "-c", code, str(Path(conebound.__file__).parents[1])],
         capture_output=True, text=True, timeout=60, check=True)
-    added = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # structural, not timed: the two modules that made the cold start slow,
+    # and two that nothing in the package uses at run time
+    added = _modules_loaded_by_catalog()
     assert "conebound.rules" in added
     assert added.isdisjoint({"dataclasses", "inspect", "threading", "random"})
+
+
+def test_catalog_loads_no_kernel_generator():
+    # match and fire kernels are generated on first use: a start that only
+    # builds the catalog compiles neither them nor the module that makes them
+    assert "conebound.kernels" not in _modules_loaded_by_catalog()

@@ -687,13 +687,51 @@ def test_instances_share_their_templates_and_hold_no_steps():
     assert len(objects) < len(compiled) / 20
 
 
+# A pushout of f along itself: C41-1's two instances of each match are equal.
+SELF_PUSHOUT = ("collection C { }\nspace A, B, D\nmap f : A -> B\nmap i : B -> D\n"
+                "map d : A -> D\nfact pushout(A, f, f, i, i, d)\n")
+
+
 def test_equal_instances_of_two_clause_lists_merge():
     # C41-1's two clause lists lay out alike: on a pushout of f along
     # itself their instances are equal, and one remains
-    text = ("collection C { }\nspace A, B, D\nmap f : A -> B\nmap i : B -> D\n"
-            "map d : A -> D\nfact pushout(A, f, f, i, i, d)\n")
-    ids = [inst.rule_id for inst in instantiate(elaborate(parse_scene(text)))]
+    ids = [inst.rule_id for inst in instantiate(elaborate(parse_scene(SELF_PUSHOUT)))]
     assert ids.count("C41-1") == 1
+
+
+def _law_matches(rule, elab, keys):
+    """A rule's instances evaluated from its law data, not its kernel:
+    items, then names, then key lookups in reference order, then the
+    equal instances merged."""
+    tables = {head: getattr(keys, head) for head in rules.Keys.__slots__}
+    return list(dict.fromkeys(
+        (rule.id, facts, (template, *(tables[head][names[at]] for head, at in refs)))
+        for facts, names in rule.matcher.items(elab) for template, refs in rule.matcher.instances))
+
+
+def _parity_scenes():
+    yield parse_scene(SELF_PUSHOUT)
+    yield from _probe_and_random_scenes()
+
+
+def test_match_kernels_build_what_their_law_data_states():
+    for scene in _parity_scenes():
+        elab = elaborate(scene)
+        flags = elab.profile.flags()
+        kernel_store, data_store = BoundStore(), BoundStore()
+        kernel_keys, data_keys = rules.Keys(kernel_store), rules.Keys(data_store)
+        for rule in catalog():
+            if rule.guard <= flags:
+                assert rule.matcher(elab, kernel_keys) == _law_matches(rule, elab, data_keys), \
+                    rule.id
+        # the kernels intern the keys in the order the law data names them
+        assert kernel_store.keys == data_store.keys
+
+
+def test_instantiate_never_returns_two_equal_matches():
+    for scene in _parity_scenes():
+        matches = instantiate(elaborate(scene), BoundStore())
+        assert len(set(matches)) == len(matches)
 
 
 # -- hand-computed values for the remaining rule families --------------------------
