@@ -13,7 +13,7 @@ from .engine import (
 from .extnat import INF, Interval, ext_ceil_div, ext_monus, ext_mul
 from .model import BoundStore, InvariantKey, Justification, Kind, Side, replay
 from .parser import ParseError, SceneParseError, parse_scene, render_scene, try_parse_scene
-from .rules import Rule, RuleInstance, catalog, check_instance, fire, instantiate
+from .rules import Rule, catalog, check_instance, fire, instantiate
 from .scene import (
     BoundDecl,
     CollectionProfile,
@@ -46,7 +46,6 @@ __all__ = [
     "QueryAnswer",
     "QueryDecl",
     "Rule",
-    "RuleInstance",
     "SaturationResult",
     "Scene",
     "SceneParseError",

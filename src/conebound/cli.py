@@ -5,13 +5,15 @@ Commands: ``check`` (saturate and report all queried bounds), ``query``
 ``corpus`` (run the bundled scenarios against their golden files).
 
 Exit codes: 0 fixpoint (and goldens match), 1 contradiction, 2 parse or
-elaboration error, 3 budget exhausted, 4 golden mismatch.
+elaboration error, 3 budget exhausted, 4 golden mismatch, 141 standard
+output closed early (the status a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -29,6 +31,7 @@ EXIT_CONTRADICTION = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_GOLDEN = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_target(text: str, scene: Scene) -> tuple[InvariantKey, Optional[Side]]:
@@ -291,7 +294,15 @@ def main(argv: Optional[list[str]] = None, out=None, out_err=None) -> int:
         "explain": cmd_explain,
         "corpus": cmd_corpus,
     }
-    return handlers[args.command](args, out, out_err)
+    try:
+        code = handlers[args.command](args, out, out_err)
+        out.flush()  # a closed reader fails here, not in the exit flush
+    except BrokenPipeError:
+        # ``conebound check X.scene | head``: the rest of the output goes to
+        # devnull, so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -280,14 +280,14 @@ def saturate(elab: ElaboratedScene, limits: Limits = Limits(), *,
     # saturation never adds facts, so one instantiation serves the run;
     # asserted bounds in conflict leave nothing to fire
     compiled = [] if contradiction is not None else instantiate(elab, store)
-    # subscribers[slot]: the instances that read the slot, ascending; a
-    # body's template lists the positions of the slots its steps read.  Two
-    # positions can hold one slot, so an instance can be listed twice; the
-    # round's ``scheduled`` set takes it once.
+    # subscribers[slot]: the instances that read the slot, ascending.  An
+    # instance reads every slot in ``body[1:]`` (see ``rules.Template``).
+    # Two positions can hold one slot, so an instance can be listed twice;
+    # the round's ``scheduled`` set takes it once.
     subscribers: list[list[int]] = [[] for _ in store.keys]
     for idx, (_, _, body) in enumerate(compiled):
-        for at in body[0].reads:
-            subscribers[body[at]].append(idx)
+        for slot in body[1:]:
+            subscribers[slot].append(idx)
     agenda = list(range(len(compiled)))
     while agenda:
         if limits.max_rounds is not None and rounds >= limits.max_rounds:

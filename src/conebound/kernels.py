@@ -2,8 +2,9 @@
 instantiate, and the reference evaluator of step tuples.
 
 ``fire_steps`` evaluates an instance's step tuples, as ``Template.steps``
-builds them, shape by shape.  It is the reference: the fixpoint re-check
-(``rules.check_instance``) and the tests use it.  ``rules.fire`` runs the
+builds them from a body of slots, shape by shape.  It is the reference:
+the fixpoint re-check (``rules.check_instance``, which maps a body of keys
+to slots first) and the tests use it.  ``rules.fire`` runs the
 instance's template kernel instead, which ``compile_kernel`` generates
 from the template's layout on the template's first use: ``fire_steps`` on
 that layout, with the body unpacked once into ``s1``, ``s2``, ..., every

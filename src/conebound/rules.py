@@ -27,16 +27,16 @@ K is L(f) or Lcat(f) of a map, cl, cat, kl or kit of a space; n a number.
 
 A law compiles to data: a ``Matcher`` holds the function listing its
 matches and, per instance, a ``Template`` and the key references whose
-slots follow it.  Each ``instantiate`` call hands the matchers a key
-table, ``Keys(store)``, whose dicts take a name to its key's slot in that
-store, interning the key there; an instance's keys are interned in the
-order its steps name them.  The (rule id, facts, body) tuple is the only
-compiled instance form: its body is ``(template, *slots)``, the step
-layout that every instance of the law shares followed by the instance's
-own slots.  Both ends run generated code, built on first use by
-``kernels``: a matcher's kernel builds the bodies, a template's kernel
-fires them.  The step tuples of ``Template.steps``, the named-tuple shapes
-and ``RuleInstance`` are the reference and decoded views.
+fields follow it.  Each ``instantiate`` call hands the matchers a key
+table, ``Keys(field)``, whose dicts take a name to its key's body field:
+its slot in a store, interning the key there, or the key itself; an
+instance's keys are interned in the order its steps name them.  The
+(rule id, facts, body) tuple is the only instance form: its body is
+``(template, *fields)``, the step layout that every instance of the law
+shares followed by the instance's own slots or keys.  Both ends run
+generated code, built on first use by ``kernels``: a matcher's kernel
+builds the bodies, a template's kernel fires them.  The step tuples of
+``Template.steps`` are the reference form.
 
 Rule ids are stable public strings; traces and golden files show them.
 """
@@ -45,9 +45,8 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import model
 from .elaborate import ElaboratedScene
@@ -56,38 +55,39 @@ from .scene import FACT_SCHEMAS
 
 
 class _Slots(dict):
-    """name -> slot in ``store`` of one key builder's keys, where a name
-    seen first interns its key."""
+    """name -> body field of one key builder's keys, where a name seen
+    first makes its key and ``field`` turns that into the field."""
 
-    def __init__(self, make: Callable[[str], InvariantKey], store: BoundStore):
+    def __init__(self, make: Callable[[str], InvariantKey],
+                 field: Callable[[InvariantKey], object]):
         super().__init__()
-        self.make, self.slot = make, store.slot
+        self.make, self.field = make, field
 
-    def __missing__(self, name: str) -> int:
-        slot = self[name] = self.slot(self.make(name))
-        return slot
+    def __missing__(self, name: str) -> object:
+        field = self[name] = self.field(self.make(name))
+        return field
 
 
 class Keys:
     """The key table of one ``instantiate`` call: six ``_Slots`` dicts, each
-    taking a name to its key's slot in ``store``.  cl(X) and L(init(X))
-    share a slot: the store holds one object per key."""
+    taking a name to its key's body field, ``field(key)``: ``store.slot``,
+    or a function that returns one object per key.  cl(X) and L(init(X))
+    are one key, so ``field`` gives them one field."""
 
     __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit")
 
-    def __init__(self, store: BoundStore):
+    def __init__(self, field: Callable[[InvariantKey], object]):
         self.L, self.Lcat, self.cl, self.cat, self.kl, self.kit = (
-            _Slots(make, store) for make in (
+            _Slots(make, field) for make in (
                 model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl,
                 model.key_kit))
 
 
 # -- conclusion shapes ---------------------------------------------------------
 # A shape's field order is its step layout: a step is (shape, *fields) with
-# a slot for a key and a tuple of slots for a tuple of keys, and
-# ``kernels.fire_steps`` unpacks it.  The named tuples are the decoded view of a
-# step.  Two conclusions with equal fields compare equal whatever their
-# class, so dedup compares templates, which carry the classes.
+# a slot (or a key) for a key and a tuple of them for a tuple of keys, and
+# ``kernels.fire_steps`` unpacks it.  The named tuples name the fields, and
+# the law compiler reads them; no step is ever built as one.
 
 class UpperSum(NamedTuple):
     """hi(target) <= sum(adds) + max(maxes) + const.
@@ -160,18 +160,9 @@ class CondLower(NamedTuple):
     floor: InvariantKey
 
 
-Conclusion = Union[UpperSum, UpperProd, Unify, LowerMonus, LowerMax, LowerInf, CondLower]
-
-
-class RuleInstance(NamedTuple):
-    rule_id: str
-    facts: tuple[int, ...]  # indices of the facts bound by the match
-    conclusions: tuple[Conclusion, ...]
-
-
 Step = tuple  # (shape, *fields), see "conclusion shapes"
 
-# An instance: (rule id, fact indices, (template, *slots)).
+# An instance: (rule id, fact indices, (template, *slots)), or keys for slots.
 Match = tuple[str, tuple[int, ...], tuple]
 
 
@@ -334,9 +325,6 @@ class Matcher:
                  instances: tuple[tuple[Template, tuple], ...]):
         self.rule_id, self.items, self.instances = rule_id, items, instances
         self.match = self._compile
-
-    def __call__(self, elab: ElaboratedScene, k: Keys) -> list[Match]:
-        return self.match(elab, k)
 
     def _compile(self, elab: ElaboratedScene, k: Keys) -> list[Match]:
         """The law's first match: compile its kernel, then run that.  Most
@@ -597,49 +585,35 @@ def catalog() -> list[Rule]:
     return _CATALOG
 
 
-def instantiate(elab: ElaboratedScene,
-                store: Optional[BoundStore] = None) -> Union[list[Match], list[RuleInstance]]:
+def instantiate(elab: ElaboratedScene, store: Optional[BoundStore] = None) -> list[Match]:
     """The distinct guard-satisfying, shape-correct rule instances, in
     deterministic order: rules by id, instances in fact/registry order.
 
-    One pass over the matchers, given the key table ``Keys(store)``,
+    One pass over the matchers, given the key table ``Keys(store.slot)``,
     compiles every instance against ``store`` and interns each key it
     names there: the result is the (rule id, facts, body) matches that the
-    engine fires.  Without a store, the matchers compile against a fresh
-    one and the result is the decoded views, for callers that read
-    conclusions.  A body compares by its template, one object per layout,
-    and its slots.  No two instances are equal: two matches differ in
-    their rule, their facts or their first slot, and a match kernel drops
-    an ``also`` instance equal to an earlier one of its match.
+    engine fires.  Without a store, each body holds its keys where the
+    slots would be, one object per key; ``store.slot`` over each body,
+    in order, compiles them as a store would have.  A body compares by its
+    template, one object per layout, and its fields.  No two instances are
+    equal: two matches differ in their rule, their facts or their first
+    field, and a match kernel drops an ``also`` instance equal to an
+    earlier one of its match.
     """
-    target = BoundStore() if store is None else store
+    if store is None:
+        keys: dict[InvariantKey, InvariantKey] = {}
+        k = Keys(lambda key: keys.setdefault(key, key))
+    else:
+        k = Keys(store.slot)
     flags = elab.profile.flags()
-    k = Keys(target)
     matches: list[Match] = []
     for rule in catalog():
         if rule.guard <= flags:
-            matches += rule.matcher(elab, k)
-    return matches if store is not None else [decode(inst, target) for inst in matches]
+            matches += rule.matcher.match(elab, k)
+    return matches
 
 
 # -- templates and their kernels ---------------------------------------------------
-
-
-# The slots a step reads, per shape: its key fields in order, without a loop.
-READS: dict[type, Callable[[Step], tuple[int, ...]]] = {
-    UpperSum: lambda step: (step[1], *step[2], *step[3], *step[5]),
-    UpperProd: itemgetter(1, 2, 3),
-    Unify: itemgetter(1, 2),
-    LowerMonus: lambda step: (step[1], step[2], *step[3]),
-    LowerMax: lambda step: (step[1], *step[2]),
-    LowerInf: lambda step: (step[1],),
-    CondLower: itemgetter(1, 2, 3),
-}
-
-
-def reads(steps: Sequence[Step]) -> tuple[int, ...]:
-    """The distinct slots that ``steps`` name, in first-appearance order."""
-    return tuple(dict.fromkeys(chain.from_iterable(READS[step[0]](step) for step in steps)))
 
 
 class Template:
@@ -647,24 +621,24 @@ class Template:
 
     An instance's body is ``(template, *slots)``.  ``items`` give each step
     as positions in ``consts + body``: an int is a constant or a slot, a
-    range a run of slots.  ``reads`` are the body positions the steps read,
-    each once, for the engine's subscriptions.  ``fire`` is the kernel,
-    which ``kernels.compile_kernel`` makes from the items on first use.
+    range a run of slots.  A step reads all its key fields and the steps
+    name every body position, so an instance reads each of its slots.
+    ``fire`` is the kernel, which ``kernels.compile_kernel`` makes from the
+    items on first use.
     """
 
-    __slots__ = ("consts", "items", "width", "getters", "reads", "fire")
+    __slots__ = ("consts", "items", "width", "getters", "fire")
 
     def __init__(self, consts: tuple, items: tuple[tuple, ...], width: int):
         self.consts, self.items, self.width = consts, items, width
         self.getters = tuple(
             itemgetter(*(slice(i.start, i.stop) if type(i) is range else i for i in step))
             for step in items)
-        self.reads = reads(self.steps(range(width + 1)))
         self.fire = self._compile
 
     def steps(self, body: Sequence) -> tuple[Step, ...]:
-        """The step tuples of the instance with ``body``; given keys in
-        place of the slots, the steps' decoded fields."""
+        """The step tuples of the instance with ``body``, with its slots or
+        keys in the key fields."""
         values = self.consts + tuple(body)
         return tuple(get(values) for get in self.getters)
 
@@ -674,27 +648,6 @@ class Template:
 
         self.fire = compile_kernel(self)
         return self.fire(inst, store, rearrange)
-
-
-def decode(inst: Match, store: BoundStore) -> RuleInstance:
-    """The view of ``inst``, compiled against ``store``, with the store's
-    keys in place of slots."""
-    rule_id, facts, body = inst
-    keys = store.keys
-    steps = body[0].steps((None, *map(keys.__getitem__, body[1:])))
-    return RuleInstance(rule_id, facts, tuple(step[0]._make(step[1:]) for step in steps))
-
-
-def compile_view(decoded: RuleInstance, store: BoundStore) -> tuple:
-    """A decoded view as the (rule id, facts, steps) of ``kernels.fire_steps``,
-    compiled against ``store``, interning unseen keys at their default."""
-    def slots(field: object) -> object:
-        if type(field) is tuple:  # a tuple of keys; a key is an InvariantKey
-            return tuple(map(store.slot, field))
-        return store.slot(field) if type(field) is InvariantKey else field
-
-    return decoded.rule_id, decoded.facts, tuple(
-        (type(c), *map(slots, c)) for c in decoded.conclusions)
 
 
 def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justification]:
@@ -707,21 +660,24 @@ def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justifi
 # -- post-hoc verification -------------------------------------------------------
 
 
-def check_instance(inst: RuleInstance, store: BoundStore, elab: ElaboratedScene,
+def check_instance(inst: Match, store: BoundStore, elab: ElaboratedScene,
                    rearrange: bool = True) -> list[str]:
     """Inequalities of this instance violated by the store's current values,
-    which at a fixpoint must be none.  ``inst`` is a decoded view, as
-    ``instantiate(elab)`` returns it, recompiled against ``store`` here:
-    unseen keys get a slot at their default, and the reference evaluator
-    ``kernels.fire_steps`` fires it.  ``elab`` is not read; it
-    stays because ``perfbench/oracle.py`` passes it positionally."""
+    which at a fixpoint must be none.  ``inst`` holds keys, as
+    ``instantiate(elab)`` returns it, and is compiled against ``store``
+    here: unseen keys get a slot at their default, and the reference
+    evaluator ``kernels.fire_steps`` fires the template's steps.  ``elab``
+    is not read; it stays because ``perfbench/oracle.py`` passes it
+    positionally."""
     from .kernels import fire_steps
 
+    rule_id, facts, body = inst
+    steps = body[0].steps((None, *map(store.slot, body[1:])))
     violations = []
-    for update in fire_steps(compile_view(inst, store), store, rearrange=rearrange):
+    for update in fire_steps((rule_id, facts, steps), store, rearrange=rearrange):
         side = "upper" if update.side is Side.HI else "lower"
         violations.append(
-            f"{inst.rule_id}: {side} bound {update.value} on "
+            f"{rule_id}: {side} bound {update.value} on "
             f"{update.key.surface()} not satisfied by {store.interval(update.key)}"
         )
     return violations

@@ -97,13 +97,13 @@ def test_03_product_grid_exact():
             result_s = saturate(elaborate(_grid_scene(m, n, wjs, assert_kl=False)))
             store = result_s.store
             emitted = None
-            for inst in instantiate(result_s.elab):
-                if inst.rule_id != "C52":
+            for rule_id, _, body in instantiate(result_s.elab):
+                if rule_id != "C52":
                     continue
-                for c in inst.conclusions:
-                    if isinstance(c, UpperSum) and c.target == key_kl("P") and c.maxes:
-                        total = sum(store.hi(k) for k in c.adds)
-                        peak = max(store.hi(k) for k in c.maxes)
+                for shape, target, *fields in body[0].steps(body):
+                    if shape is UpperSum and target == key_kl("P") and fields[1]:
+                        total = sum(store.hi(k) for k in fields[0])
+                        peak = max(store.hi(k) for k in fields[1])
                         emitted = total + peak
             assert emitted == m + n + max(m, n), (m, n)
             assert store.interval(key_kl("P")).hi == m + n, (m, n)
@@ -176,7 +176,7 @@ def test_08_guard_exhaustiveness():
     table = {rule.id: rule.guard for rule in catalog()}
     for profile in all_profiles():
         elab = elaborate(scene._replace(profile=profile))
-        fired = {inst.rule_id for inst in instantiate(elab)}
+        fired = {rule_id for rule_id, _, _ in instantiate(elab)}
         expected = {rid for rid, guard in table.items() if guard <= profile.flags()}
         assert fired == expected, profile
     print(PASS.format(num=8, name="guard table exact over all 32 profiles"))

@@ -232,3 +232,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "cl(S3) = [0, 3]" in proc.stdout
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # ``conebound check X.scene --format json | head``: the reader is gone
+    # before the command writes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conebound", "check", str(HOPF), "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=Path(conebound.__file__).parents[1],
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err == ""

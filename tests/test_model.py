@@ -11,6 +11,7 @@ from conebound.model import (
     Side,
     StoreConflict,
     key_L,
+    key_Lcat,
     key_cl,
     key_kl,
     recompute,
@@ -122,14 +123,20 @@ def test_serialize_is_stable():
 
 
 def test_interned_key_stays_default_and_is_not_serialized():
-    from conebound.rules import RuleInstance, UpperSum, compile_view, reads
+    from conebound.elaborate import elaborate
+    from conebound.parser import parse_scene
+    from conebound.rules import check_instance, instantiate
 
     store = BoundStore()
     store.apply(asserted(key_L("g"), Side.HI, 3))
-    # compiling gives every key the instance reads a slot, without a bound
-    inst = RuleInstance("REL-CL", (), (UpperSum(key_L("f"), adds=(key_cl("*"),)),))
-    _, _, steps = compile_view(inst, store)
-    assert [store.keys[slot] for slot in reads(steps)] == [key_L("f"), key_cl("*")]
+    # re-checking gives every key the instance reads a slot, without a bound:
+    # REL-CL over f and over init(*), whose L is cl(*)
+    elab = elaborate(parse_scene("collection C { }\nspace X\nmap f : X -> X\n"))
+    for rule_id, facts, body in instantiate(elab):
+        if rule_id == "REL-CL" and body[1:] in {(key_Lcat(m), key_L(m)) for m in ("f", "init(*)")}:
+            assert check_instance((rule_id, facts, body), store, elab) == []
+    assert len(store.keys) == 5
+    assert set(store.keys[1:]) == {key_Lcat("f"), key_L("f"), key_Lcat("init(*)"), key_cl("*")}
     assert store.interval(key_L("f")) == Interval(0, INF)
     assert store.interval(key_cl("*")) == Interval(0, 0)
     assert store.justification_of(key_L("f"), Side.HI) is None

@@ -30,7 +30,6 @@ from conebound.model import (
 )
 from conebound.parser import parse_scene
 from conebound.rules import (
-    Conclusion,
     CondLower,
     LowerInf,
     LowerMax,
@@ -40,11 +39,8 @@ from conebound.rules import (
     UpperSum,
     catalog,
     check_instance,
-    compile_view,
-    decode,
     fire,
     instantiate,
-    reads,
     render_rules_markdown,
 )
 
@@ -126,7 +122,7 @@ def test_rules_markdown_rows_have_three_cells(monkeypatch):
 def test_probe_scene_activates_every_rule_under_full_profile():
     scene = parse_scene(PROBE_SCENE)
     elab = elaborate(scene)
-    fired = {inst.rule_id for inst in instantiate(elab)}
+    fired = {rule_id for rule_id, _, _ in instantiate(elab)}
     assert fired == {r.id for r in catalog()}
 
 
@@ -136,7 +132,7 @@ def test_guard_filtering_wedges_only():
         name="WOnly", all_spaces=False, wedges=True, suspensions=False, joins=False,
         smash_ideal=False)
     elab = elaborate(scene._replace(profile=profile))
-    fired = {inst.rule_id for inst in instantiate(elab)}
+    fired = {rule_id for rule_id, _, _ in instantiate(elab)}
     expected = {r.id for r in catalog() if r.guard <= profile.flags()}
     assert fired == expected
     assert "T51" not in fired
@@ -159,7 +155,7 @@ def test_cofiber_with_member_instantiates_mc_and_c44():
     ))
     by_rule = {}
     for inst in instantiate(elab):
-        by_rule.setdefault(inst.rule_id, []).append(inst)
+        by_rule.setdefault(inst[0], []).append(inst)
     assert len(by_rule["AX-MC"]) == 1
     for rid in ("C44-1", "C44-2", "C44-3", "C44-4"):
         assert len(by_rule[rid]) == 1, rid
@@ -173,13 +169,13 @@ def test_pushout_yields_two_c411_instances():
         "map ib : B -> D\nmap ic : C2 -> D\nmap dg : A -> D\n"
         "fact pushout(A, f, g, ib, ic, dg)\n"
     ))
-    legs = [inst for inst in instantiate(elab) if inst.rule_id == "C41-1"]
+    legs = [inst for inst in instantiate(elab) if inst[0] == "C41-1"]
     assert len(legs) == 2
 
 
 def test_bare_scene_has_only_structural_instances():
     elab = elaborate(parse_scene("collection C { }\nspace X, Y\nmap f : X -> Y\n"))
-    ids = {inst.rule_id for inst in instantiate(elab)}
+    ids = {rule_id for rule_id, _, _ in instantiate(elab)}
     # auto-compose triangles, the L/Lcat relation, equivalence detection,
     # membership of the point, and the equiv facts on the point's maps
     assert ids == {"AX-COMP", "REL-CL", "P7-EQ", "REL-MEM", "AX-NORM"}
@@ -188,11 +184,11 @@ def test_bare_scene_has_only_structural_instances():
 def test_bare_scene_structural_instances_under_guards():
     base = "space X, Y\nmap f : X -> Y\n"
     susp = elaborate(parse_scene("collection C { suspensions }\n" + base))
-    ids = {inst.rule_id for inst in instantiate(susp)}
+    ids = {rule_id for rule_id, _, _ in instantiate(susp)}
     assert ids == {"AX-COMP", "REL-CL", "P7-EQ", "REL-MEM", "AX-NORM",
                    "C410-1", "C410-2", "C410-3", "C411"}
     everything = elaborate(parse_scene("collection C { all }\n" + base))
-    ids_all = {inst.rule_id for inst in instantiate(everything)}
+    ids_all = {rule_id for rule_id, _, _ in instantiate(everything)}
     assert "REL-ALL" in ids_all
 
 
@@ -200,38 +196,33 @@ def test_bare_scene_structural_instances_under_guards():
 
 
 def test_dedup_never_merges_instances_of_different_shapes():
-    # conclusions are named tuples, and named-tuple equality ignores the
-    # class: the engine's dedup must still keep every distinct shape
+    # steps of different shapes can hold equal fields: the engine's dedup
+    # must still keep every distinct shape
     instances = instantiate(elaborate(parse_scene(PROBE_SCENE)))
-    shaped = {(inst.rule_id, inst.facts, tuple((type(c), *c) for c in inst.conclusions))
-              for inst in instances}
+    shaped = {(rule_id, facts, body[0].steps(body)) for rule_id, facts, body in instances}
     assert len(dict.fromkeys(instances)) == len(shaped)
 
 
 def test_compiled_steps_follow_conclusion_fields():
     # every rule instantiates on the probe scene, so this covers the compile
     # of rules that random scenes never reach
+    elab = elaborate(parse_scene(PROBE_SCENE))
     store = BoundStore()
-    for inst in dict.fromkeys(instantiate(elaborate(parse_scene(PROBE_SCENE)))):
-        rule_id, facts, steps = compile_view(inst, store)
-        assert (rule_id, facts) == (inst.rule_id, inst.facts)
-        assert len(steps) == len(inst.conclusions)
-        read = []
-        for step, conclusion in zip(steps, inst.conclusions):
-            assert step[0] is type(conclusion)
-            assert len(step) == 1 + len(conclusion)
-            hints = typing.get_type_hints(type(conclusion))
-            for name, got in zip(conclusion._fields, step[1:]):
-                field = getattr(conclusion, name)
+    over_slots = instantiate(elab, store)
+    for inst, compiled in zip(instantiate(elab), over_slots, strict=True):
+        (rule_id, facts, body), (_, _, slots) = inst, compiled
+        assert body[0] is slots[0]
+        for step, got in zip(body[0].steps(body), slots[0].steps(slots), strict=True):
+            shape = step[0]
+            assert got[0] is shape and len(step) == 1 + len(shape._fields)
+            hints = typing.get_type_hints(shape)
+            for name, field, slot in zip(shape._fields, step[1:], got[1:]):
                 if hints[name] is InvariantKey:
-                    assert got == store.slots[field], (inst.rule_id, name)
-                    read.append(got)
+                    assert slot == store.slots[field], (rule_id, name)
                 elif hints[name] == tuple[InvariantKey, ...]:
-                    assert got == tuple(store.slots[k] for k in field), (inst.rule_id, name)
-                    read.extend(got)
+                    assert slot == tuple(store.slots[k] for k in field), (rule_id, name)
                 else:
-                    assert got == field and type(got) is type(field), (inst.rule_id, name)
-        assert reads(steps) == tuple(dict.fromkeys(read)), inst.rule_id
+                    assert slot == field and type(slot) is type(field), (rule_id, name)
 
 
 def _compiled_output(scene):
@@ -283,13 +274,12 @@ def test_law_lays_out_a_run_that_first_use_does_not():
     # the second step reads g then h, which first use laid out as h then g
     law = "compose(h, g, f): L(h) <= L(g) + L(f); L(f) <= L(g) + L(h) + 2"
     elab = elaborate(parse_scene("collection C { }\nspace X\nmap f : X -> X\n"))
-    store = BoundStore()
-    instances = list(rules._compile("X-RUN", law)(elab, rules.Keys(store)))
+    instances = rules._compile("X-RUN", law).match(elab, rules.Keys(lambda key: key))
     assert instances
-    for inst in instances:
-        h, g, f = (key_L(m) for m in elab.facts[inst[1][0]].args)
-        assert decode(inst, store).conclusions == (
-            UpperSum(h, (g, f)), UpperSum(f, (g, h), const=2))
+    for _, facts, body in instances:
+        h, g, f = (key_L(m) for m in elab.facts[facts[0]].args)
+        assert body[0].steps(body) == (
+            (UpperSum, h, (g, f), (), 0, ()), (UpperSum, f, (g, h), (), 2, ()))
 
 
 def _probe_and_random_scenes():
@@ -298,35 +288,19 @@ def _probe_and_random_scenes():
         yield random_scene(seed)
 
 
-def test_decoded_view_recompiles_to_the_rows_steps():
+def test_instances_over_keys_compile_to_the_instances_over_slots():
     for scene in _probe_and_random_scenes():
-        store = BoundStore()
-        compiled = instantiate(elaborate(scene), store)
-        interned = len(store.keys)
-        for rule_id, facts, body in compiled:
-            again = compile_view(decode((rule_id, facts, body), store), store)
-            assert again == (rule_id, facts, body[0].steps(body))
-            # the template's read positions name the slots that the steps read
-            assert reads(again[2]) == tuple(dict.fromkeys(body[at] for at in body[0].reads))
-        assert len(store.keys) == interned  # the matchers interned every key already
-
-
-def test_decoded_keys_are_the_stores_key_objects():
-    # cl(X) and L(init(X)) are one key: the store holds one object per
-    # distinct key, and every decoded view names exactly those objects
-    for scene in _probe_and_random_scenes():
-        store = BoundStore()
-        compiled = instantiate(elaborate(scene), store)
-        assert len(set(store.keys)) == len(store.keys)
-        named = {}
-        for inst in compiled:
-            for conclusion in decode(inst, store).conclusions:
-                for field in conclusion:
-                    for key in field if type(field) is tuple else (field,):
-                        if type(key) is InvariantKey:
-                            assert key is store.keys[store.slots[key]]
-                            named[id(key)] = key
-        assert len(named) == len(set(named.values()))
+        elab = elaborate(scene)
+        over_keys = instantiate(elab)
+        store, fresh = BoundStore(), BoundStore()
+        over_slots = instantiate(elab, store)
+        assert [(rule_id, facts, (body[0], *map(fresh.slot, body[1:])))
+                for rule_id, facts, body in over_keys] == over_slots
+        assert fresh.keys == store.keys
+        # cl(X) and L(init(X)) are one key: one object stands for it in
+        # every body, as the store holds one object per key
+        named = {id(key): key for _, _, body in over_keys for key in body[1:]}
+        assert len(named) == len(set(named.values())) == len(store.keys)
 
 
 def test_concurrent_instantiations_keep_their_own_stores():
@@ -499,10 +473,10 @@ def test_negative_no_hardie_bound_on_bare_pushout():
     elab = result.elab
     target = key_L("init(D)")
     corners = {key_L("init(B)"), key_L("init(C2)")}
-    for inst in instantiate(elab):
-        for c in inst.conclusions:
-            if isinstance(c, UpperSum) and c.target == target and c.const >= 1:
-                assert not set(c.adds) | set(c.maxes) <= corners
+    for _, _, body in instantiate(elab):
+        for shape, *fields in body[0].steps(body):
+            if shape is UpperSum and fields[0] == target and fields[3] >= 1:
+                assert not set(fields[1]) | set(fields[2]) <= corners
 
 
 def test_smash_ideal_min_bound():
@@ -540,21 +514,6 @@ def test_fire_snapshots_premise_sources():
     )
     for just in result.store.log:
         assert just.check(), just
-
-
-def test_read_table_names_each_shapes_key_fields():
-    assert set(rules.READS) == set(Conclusion.__args__)
-    for shape in Conclusion.__args__:
-        # distinct slots in every key field, None in the others
-        step, want = [shape] + [None] * len(shape._fields), []
-        for i, hint in enumerate(typing.get_type_hints(shape).values(), start=1):
-            if hint not in (InvariantKey, tuple[InvariantKey, ...]):
-                continue
-            many = hint != InvariantKey
-            slots = tuple(range(len(want), len(want) + (2 if many else 1)))
-            step[i] = slots if many else slots[0]
-            want += slots
-        assert tuple(rules.READS[shape](tuple(step))) == tuple(want), shape.__name__
 
 
 # -- fire against an independent evaluator of the seven inequalities ---------------
@@ -672,6 +631,23 @@ def test_kernels_emit_what_the_reference_evaluator_emits(data, bounds, rearrange
             ("T", (), steps), store, rearrange), steps
 
 
+def test_every_template_step_names_every_body_position():
+    # so an instance reads every slot of its body, and the engine subscribes
+    # it to ``body[1:]``; a constant is never a string
+    templates = {template for rule in catalog() for template, _ in rule.matcher.instances}
+    for template in templates:
+        body = (None, *(f"#{at}" for at in range(1, template.width + 1)))
+        named = set()
+        for shape, *fields in template.steps(body):
+            hints = typing.get_type_hints(shape)
+            for name, field in zip(shape._fields, fields):
+                if hints[name] is InvariantKey:
+                    named.add(field)
+                elif hints[name] == tuple[InvariantKey, ...]:
+                    named.update(field)
+        assert named == set(body[1:]), template.items
+
+
 def test_instances_share_their_templates_and_hold_no_steps():
     compiled = _probe_compiled()
     objects = {}  # layout -> the template objects with that layout
@@ -695,7 +671,7 @@ SELF_PUSHOUT = ("collection C { }\nspace A, B, D\nmap f : A -> B\nmap i : B -> D
 def test_equal_instances_of_two_clause_lists_merge():
     # C41-1's two clause lists lay out alike: on a pushout of f along
     # itself their instances are equal, and one remains
-    ids = [inst.rule_id for inst in instantiate(elaborate(parse_scene(SELF_PUSHOUT)))]
+    ids = [rule_id for rule_id, _, _ in instantiate(elaborate(parse_scene(SELF_PUSHOUT)))]
     assert ids.count("C41-1") == 1
 
 
@@ -719,11 +695,11 @@ def test_match_kernels_build_what_their_law_data_states():
         elab = elaborate(scene)
         flags = elab.profile.flags()
         kernel_store, data_store = BoundStore(), BoundStore()
-        kernel_keys, data_keys = rules.Keys(kernel_store), rules.Keys(data_store)
+        kernel_keys, data_keys = rules.Keys(kernel_store.slot), rules.Keys(data_store.slot)
         for rule in catalog():
             if rule.guard <= flags:
-                assert rule.matcher(elab, kernel_keys) == _law_matches(rule, elab, data_keys), \
-                    rule.id
+                want = _law_matches(rule, elab, data_keys)
+                assert rule.matcher.match(elab, kernel_keys) == want, rule.id
         # the kernels intern the keys in the order the law data names them
         assert kernel_store.keys == data_store.keys
 
@@ -935,7 +911,7 @@ def test_check_instance_on_raw_instances_reports_violations():
     store.apply(Justification("asserted", key_L("f"), Side.HI, 2, "asserted"))
     store.apply(Justification("asserted", key_Lcat("f"), Side.LO, 3, "asserted"))
     before = store.serialize()
-    violations = {inst.rule_id: check_instance(inst, store, elab)
+    violations = {inst[0]: check_instance(inst, store, elab)
                   for inst in instantiate(elab)}
     assert violations.pop("REL-CL") == [
         "REL-CL: upper bound 2 on Lcat(f) not satisfied by [3, inf]",
