@@ -404,17 +404,3 @@ def _expand(elab: ElaboratedScene, errors: list[str]) -> None:
         _expand_cert(elab, cert, errors)
     _membership_closure(elab)
     _auto_compose(elab)
-
-
-def run_expansion_passes(elab: ElaboratedScene) -> bool:
-    """Re-run the derivation steps once; True if a new fact appeared.
-
-    Exposed for the idempotence property: on an elaborated scene every
-    step is a no-op, including re-expanding certificates from scratch.
-    """
-    errors: list[str] = []
-    before = len(elab.facts)
-    _expand(elab, errors)
-    if errors:
-        raise ElaborationError(errors)
-    return len(elab.facts) != before

@@ -73,9 +73,6 @@ class DerivationTree:
     def size(self) -> int:
         return len(self.nodes())
 
-    def leaves(self) -> list["DerivationTree"]:
-        return [node for node in self.nodes() if not node.children]
-
     def render(self, indent: int = 0) -> str:
         """One line per node reached; an inner node reached twice prints
         its subtree once, tagged ``[#n]``, and later as ``(see #n)``."""

@@ -1,15 +1,14 @@
-"""Generated code: the template kernels that fire, the match kernels that
-instantiate, and the reference evaluator of step tuples.
+"""Generated code: the template kernels that fire instances and the match
+kernels that build them.
 
-``fire_steps`` evaluates an instance's step tuples, as ``Template.steps``
-builds them from a body of slots, shape by shape.  It is the reference:
-the fixpoint re-check (``rules.check_instance``, which maps a body of keys
-to slots first) and the tests use it.  ``rules.fire`` runs the
-instance's template kernel instead, which ``compile_kernel`` generates
-from the template's layout on the template's first use: ``fire_steps`` on
-that layout, with the body unpacked once into ``s1``, ``s2``, ..., every
-run unrolled and the constants inlined.  A kernel names body positions
-and catalog constants only, never a key or a scene.
+A template's kernel is the one evaluator of the seven step shapes.
+``compile_kernel`` generates it from the template's layout on the
+template's first use: the body is unpacked once into ``s1``, ``s2``, ...,
+every run is unrolled and the constants are inlined, and each step's
+lines (``_KERNEL_STEPS``, per shape) emit every bound of its inequality
+that would strictly tighten the store.  A kernel names body positions and
+catalog constants only, never a key or a scene.  ``rules.fire`` runs it
+for the engine, and ``rules.check_instance`` for the fixpoint re-check.
 
 ``compile_matcher`` does the same for a law's matcher when it first matches:
 one loop over the law's items that builds every body as a tuple display
@@ -45,88 +44,6 @@ def _emit(out: list[Justification], inst: Match, store: BoundStore, slot: int, s
         premises += [_new(Premise, (keys[s], read, values[s], role, sources[s])) for s in slots]
     out.append(_new(Justification, (inst[0], keys[slot], side, value, compute, const,
                                     tuple(premises), inst[1])))
-
-
-def fire_steps(inst: tuple, store: BoundStore, rearrange: bool = True) -> list[Justification]:
-    """The reference evaluator of (rule id, facts, steps), steps as
-    ``Template.steps`` gives them; returns only updates that would strictly
-    tighten (no-ops are dropped).
-
-    Values are read from the store's slot lists; the premises and the
-    justification are built only for a conclusion that tightens.
-    """
-    lo, hi = store.lo_values, store.hi_values
-    out: list[Justification] = []
-    for step in inst[2]:
-        shape = step[0]
-        if shape is LowerMonus:
-            _, target, base, subs, const = step
-            floor = lo[base]
-            if not floor:  # 0 monus anything is 0, and no lo is below 0
-                continue
-            total = const
-            for s in subs:
-                total += hi[s]
-            # floor monus total, where anything monus inf is 0
-            if total < floor and floor - total > lo[target]:
-                _emit(out, inst, store, target, LO, floor - total, "monus", const,
-                      ((base,), LO, "base"), (subs, HI, "add"))
-        elif shape is UpperSum:
-            _, target, adds, maxes, const, gates = step
-            if gates and any(map(hi.__getitem__, gates)):
-                continue
-            rest = const + max(map(hi.__getitem__, maxes)) if maxes else const
-            value = rest
-            for s in adds:
-                value += hi[s]
-            if value < hi[target]:
-                _emit(out, inst, store, target, HI, value, "sum", const,
-                      (adds, HI, "add"), (maxes, HI, "max"), (gates, HI, "gate"))
-            # lo(target) = 0 leaves every term at lo 0, which never tightens
-            if rearrange and lo[target]:
-                for i, term in enumerate(adds):
-                    others = adds[:i] + adds[i + 1:]
-                    value = ext_monus(lo[target], sum(map(hi.__getitem__, others), rest))
-                    if value > lo[term]:
-                        _emit(out, inst, store, term, LO, value, "monus", const,
-                              ((target,), LO, "base"), (others, HI, "add"), (maxes, HI, "max"),
-                              (gates, HI, "gate"))
-        elif shape is UpperProd:
-            _, target, left, right, minus_one = step
-            if minus_one:
-                value = ext_monus(ext_mul(hi[left] + 1, hi[right] + 1), 1)
-            else:
-                value = ext_mul(hi[left], hi[right] + 1)
-            if value < hi[target]:
-                _emit(out, inst, store, target, HI, value, "prod1" if minus_one else "prod0", 0,
-                      ((left,), HI, "left"), ((right,), HI, "right"))
-            if rearrange:
-                for factor, other in ((left, right), (right, left)):
-                    value = ext_monus(ext_ceil_div(lo[target] + 1, hi[other] + 1), 1)
-                    if value > lo[factor]:
-                        _emit(out, inst, store, factor, LO, value, "ceil1", 0,
-                              ((target,), LO, "base"), ((other,), HI, "div"))
-        elif shape is Unify:
-            _, a, b = step
-            for key, src in ((a, b), (b, a)):
-                if hi[src] < hi[key]:
-                    _emit(out, inst, store, key, HI, hi[src], "copy", 0, ((src,), HI, "copy"))
-                if lo[src] > lo[key]:
-                    _emit(out, inst, store, key, LO, lo[src], "copy", 0, ((src,), LO, "copy"))
-        elif shape is LowerMax:
-            _, target, sources = step
-            value = max(map(lo.__getitem__, sources))
-            if value > lo[target]:
-                _emit(out, inst, store, target, LO, value, "maxlo", 0, (sources, LO, "lo"))
-        elif shape is LowerInf:
-            if INF > lo[step[1]]:
-                _emit(out, inst, store, step[1], LO, INF, "inf", 0)
-        elif shape is CondLower:
-            _, target, gate, floor = step
-            if hi[gate] < lo[floor] and lo[floor] > lo[target]:
-                _emit(out, inst, store, target, LO, lo[floor], "copy", 0,
-                      ((gate,), HI, "gate"), ((floor,), LO, "base"))
-    return out
 
 
 # -- kernels --------------------------------------------------------------------
@@ -254,8 +171,8 @@ def kernel_source(template: Template) -> str:
 
 
 def compile_kernel(template: Template) -> Callable[..., list[Justification]]:
-    """``template``'s kernel, which takes (inst, store, rearrange) as
-    ``fire_steps`` does and returns the same updates."""
+    """``template``'s kernel, which takes (inst, store, rearrange) and returns
+    the updates of the instance's steps that would strictly tighten."""
     namespace = {"_emit": _emit, "ext_ceil_div": ext_ceil_div, "ext_monus": ext_monus,
                  "ext_mul": ext_mul, "INF": INF, "HI": HI, "LO": LO}
     exec(compile(kernel_source(template), "<conebound kernel>", "exec"), namespace)

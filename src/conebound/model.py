@@ -272,9 +272,6 @@ class BoundStore:
             return self.default_interval(key)
         return Interval(self.lo_values[slot], self.hi_values[slot])
 
-    def hi(self, key: InvariantKey) -> ExtNat:
-        return self.interval(key).hi
-
     def source_of(self, key: InvariantKey, side: Side) -> Optional[int]:
         """The log index of the justification behind one side, if any."""
         sources = self.lo_sources if side is Side.LO else self.hi_sources

@@ -35,8 +35,8 @@ instance's keys are interned in the order its steps name them.  The
 ``(template, *fields)``, the step layout that every instance of the law
 shares followed by the instance's own slots or keys.  Both ends run
 generated code, built on first use by ``kernels``: a matcher's kernel
-builds the bodies, a template's kernel fires them.  The step tuples of
-``Template.steps`` are the reference form.
+builds the bodies, a template's kernel fires them, and is the one
+evaluator of the steps.
 
 Rule ids are stable public strings; traces and golden files show them.
 """
@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import model
 from .elaborate import ElaboratedScene
@@ -84,10 +83,10 @@ class Keys:
 
 
 # -- conclusion shapes ---------------------------------------------------------
-# A shape's field order is its step layout: a step is (shape, *fields) with
-# a slot (or a key) for a key and a tuple of them for a tuple of keys, and
-# ``kernels.fire_steps`` unpacks it.  The named tuples name the fields, and
-# the law compiler reads them; no step is ever built as one.
+# A shape's field order is its step layout: a template's step lists the
+# shape, then per field a slot for a key, a run of slots for a tuple of keys,
+# or a constant.  The named tuples name the fields, and the law compiler
+# reads them; no step is ever built as one.
 
 class UpperSum(NamedTuple):
     """hi(target) <= sum(adds) + max(maxes) + const.
@@ -159,8 +158,6 @@ class CondLower(NamedTuple):
     gate: InvariantKey
     floor: InvariantKey
 
-
-Step = tuple  # (shape, *fields), see "conclusion shapes"
 
 # An instance: (rule id, fact indices, (template, *slots)), or keys for slots.
 Match = tuple[str, tuple[int, ...], tuple]
@@ -627,20 +624,11 @@ class Template:
     items on first use.
     """
 
-    __slots__ = ("consts", "items", "width", "getters", "fire")
+    __slots__ = ("consts", "items", "width", "fire")
 
     def __init__(self, consts: tuple, items: tuple[tuple, ...], width: int):
         self.consts, self.items, self.width = consts, items, width
-        self.getters = tuple(
-            itemgetter(*(slice(i.start, i.stop) if type(i) is range else i for i in step))
-            for step in items)
         self.fire = self._compile
-
-    def steps(self, body: Sequence) -> tuple[Step, ...]:
-        """The step tuples of the instance with ``body``, with its slots or
-        keys in the key fields."""
-        values = self.consts + tuple(body)
-        return tuple(get(values) for get in self.getters)
 
     def _compile(self, inst: Match, store: BoundStore, rearrange: bool) -> list[Justification]:
         """The template's first fire: compile its kernel, then fire that."""
@@ -652,8 +640,7 @@ class Template:
 
 def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justification]:
     """Evaluate an instance compiled against ``store`` through its
-    template's kernel; returns only updates that would strictly tighten,
-    exactly as ``kernels.fire_steps`` on the template's steps does."""
+    template's kernel; returns only updates that would strictly tighten."""
     return inst[2][0].fire(inst, store, rearrange)
 
 
@@ -663,18 +650,15 @@ def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justifi
 def check_instance(inst: Match, store: BoundStore, elab: ElaboratedScene,
                    rearrange: bool = True) -> list[str]:
     """Inequalities of this instance violated by the store's current values,
-    which at a fixpoint must be none.  ``inst`` holds keys, as
-    ``instantiate(elab)`` returns it, and is compiled against ``store``
-    here: unseen keys get a slot at their default, and the reference
-    evaluator ``kernels.fire_steps`` fires the template's steps.  ``elab``
-    is not read; it stays because ``perfbench/oracle.py`` passes it
-    positionally."""
-    from .kernels import fire_steps
-
+    which at a fixpoint must be none: the updates that firing it would
+    make.  ``inst`` holds keys, as ``instantiate(elab)`` returns it, and is
+    compiled against ``store`` here (unseen keys get a slot at their
+    default) and fired through its template's kernel, as the engine fires
+    it.  ``elab`` is not read; it stays because ``perfbench/oracle.py``
+    passes it positionally."""
     rule_id, facts, body = inst
-    steps = body[0].steps((None, *map(store.slot, body[1:])))
     violations = []
-    for update in fire_steps((rule_id, facts, steps), store, rearrange=rearrange):
+    for update in fire((rule_id, facts, (body[0], *map(store.slot, body[1:]))), store, rearrange):
         side = "upper" if update.side is Side.HI else "lower"
         violations.append(
             f"{rule_id}: {side} bound {update.value} on "

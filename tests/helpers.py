@@ -3,13 +3,15 @@
 ``probe_scene_text`` contains every fact kind and activates every catalog
 rule under the full collection profile.  ``random_scene`` grows a valid
 scene from coherent gadgets so that shape validation always passes while
-the fact mix, profile, and asserted bounds vary freely.
+the fact mix, profile, and asserted bounds vary freely.  The rest read
+the engine's records as the tests need them.
 """
 
 from __future__ import annotations
 
 import random
 
+from conebound.elaborate import ElaborationError, _expand
 from conebound.extnat import INF
 from conebound.model import InvariantKey, Kind, init_map, term_map
 from conebound.scene import (
@@ -362,3 +364,28 @@ def susp_tower_scene(n: int, seed: int = 1) -> str:
              "space " + ", ".join([f"S{i}" for i in range(n + 1)]
                                   + [f"W{i}" for i in range(1, n + 1)])]
     return "\n".join(lines + facts) + "\n"
+
+
+def step_tuples(body: tuple) -> tuple:
+    """The steps of the instance with ``body`` as ``(shape, *fields)``: each
+    item of its template read from ``consts + body``, a run as a tuple."""
+    values = body[0].consts + tuple(body)
+    return tuple(tuple(values[i.start:i.stop] if type(i) is range else values[i] for i in step)
+                 for step in body[0].items)
+
+
+def leaves(tree) -> list:
+    """The distinct nodes of a derivation tree without children."""
+    return [node for node in tree.nodes() if not node.children]
+
+
+def run_expansion_passes(elab) -> bool:
+    """Re-run the elaboration steps once; True if a new fact appeared.  On
+    an elaborated scene every step is a no-op, including re-expanding
+    certificates from scratch."""
+    errors: list[str] = []
+    before = len(elab.facts)
+    _expand(elab, errors)
+    if errors:
+        raise ElaborationError(errors)
+    return len(elab.facts) != before

@@ -7,7 +7,7 @@ engine is discrete.
 
 import random
 
-from helpers import PROBE_SCENE, all_profiles, random_scene
+from helpers import PROBE_SCENE, all_profiles, leaves, random_scene, step_tuples
 
 from conebound.cli import corpus_dir
 from conebound.elaborate import elaborate
@@ -100,10 +100,10 @@ def test_03_product_grid_exact():
             for rule_id, _, body in instantiate(result_s.elab):
                 if rule_id != "C52":
                     continue
-                for shape, target, *fields in body[0].steps(body):
+                for shape, target, *fields in step_tuples(body):
                     if shape is UpperSum and target == key_kl("P") and fields[1]:
-                        total = sum(store.hi(k) for k in fields[0])
-                        peak = max(store.hi(k) for k in fields[1])
+                        total = sum(store.interval(k).hi for k in fields[0])
+                        peak = max(store.interval(k).hi for k in fields[1])
                         emitted = total + peak
             assert emitted == m + n + max(m, n), (m, n)
             assert store.interval(key_kl("P")).hi == m + n, (m, n)
@@ -116,7 +116,7 @@ def test_04_refutation_reproduction():
     report = result.contradiction
     assert report.key == key_kl("X")
     assert report.hi_tree.rule_id == "AX-COMP"
-    labels = [leaf.label for leaf in report.hi_tree.leaves()]
+    labels = [leaf.label for leaf in leaves(report.hi_tree)]
     assert any("compose(term(X), term(Y), f)" in l for l in labels)
     print(PASS.format(num=4, name="refutation via AX-COMP auto-compose chain"))
 
@@ -139,7 +139,7 @@ def test_06_certificate_chain():
     assert result.status == "fixpoint"
     assert result.store.interval(key_kl("X")).hi == 3
     tree = explain(result, key_kl("X"), Side.HI)
-    labels = [leaf.label for leaf in tree.leaves()]
+    labels = [leaf.label for leaf in leaves(tree)]
 
     def present(fragment):
         return any(fragment in label for label in labels)

@@ -41,7 +41,7 @@ def test_saturate_instantiates_once(monkeypatch):
         "collection C { }\nspace X, Y\nmap f : X -> Y\nbound Lcat(f) = 0\n"))
     result = engine.saturate(elab)
     assert result.status == "fixpoint"
-    assert result.store.hi(model.key_L("f")) == 0
+    assert result.store.interval(model.key_L("f")).hi == 0
     assert len(calls) == 1
 
 

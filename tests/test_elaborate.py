@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from helpers import random_scene
+from helpers import random_scene, run_expansion_passes
 
 from conebound.cli import corpus_dir
-from conebound.elaborate import _CLOSURES, ElaborationError, elaborate, run_expansion_passes
+from conebound.elaborate import _CLOSURES, ElaborationError, elaborate
 from conebound.engine import saturate
 from conebound.parser import parse_scene
 from conebound.scene import FACT_SCHEMAS, Fact

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from helpers import chain_scene, random_scene, susp_tower_scene
+from helpers import chain_scene, leaves, random_scene, susp_tower_scene
 
 from conebound import engine
 from conebound.elaborate import elaborate
@@ -57,7 +57,7 @@ def test_hopf_explain_tree():
     result = run(HOPF)
     tree = explain(result, key_cl("S3"), Side.HI)
     assert tree.rule_id == "C63"
-    labels = [leaf.label for leaf in tree.leaves()]
+    labels = [leaf.label for leaf in leaves(tree)]
     assert any("cl(S2) = 1 (asserted)" in l for l in labels)
     assert any("cl(S1) = 1 (asserted)" in l for l in labels)
     assert any("fibration(p, S1)" in l for l in labels)
@@ -442,8 +442,8 @@ def test_json_node_table_lists_each_node_once():
     # one entry per distinct node: the table has no repeated entries
     assert len({json.dumps(node, sort_keys=True) for node in nodes}) == len(nodes)
     assert all("nodes" not in node for node in nodes)
-    leaves = tree.leaves()
-    assert len({id(leaf) for leaf in leaves}) == len(leaves) == 4
+    found = leaves(tree)
+    assert len({id(leaf) for leaf in found}) == len(found) == 4
 
 
 def test_unshared_tree_renders_and_serialises_as_a_plain_tree():

@@ -9,7 +9,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from helpers import PROBE_SCENE, random_scene
+from helpers import PROBE_SCENE, random_scene, step_tuples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from conebound import rules
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
 from conebound.extnat import INF
-from conebound.kernels import fire_steps
 from conebound.model import (
     BoundStore,
     InvariantKey,
@@ -199,7 +198,7 @@ def test_dedup_never_merges_instances_of_different_shapes():
     # steps of different shapes can hold equal fields: the engine's dedup
     # must still keep every distinct shape
     instances = instantiate(elaborate(parse_scene(PROBE_SCENE)))
-    shaped = {(rule_id, facts, body[0].steps(body)) for rule_id, facts, body in instances}
+    shaped = {(rule_id, facts, step_tuples(body)) for rule_id, facts, body in instances}
     assert len(dict.fromkeys(instances)) == len(shaped)
 
 
@@ -212,7 +211,7 @@ def test_compiled_steps_follow_conclusion_fields():
     for inst, compiled in zip(instantiate(elab), over_slots, strict=True):
         (rule_id, facts, body), (_, _, slots) = inst, compiled
         assert body[0] is slots[0]
-        for step, got in zip(body[0].steps(body), slots[0].steps(slots), strict=True):
+        for step, got in zip(step_tuples(body), step_tuples(slots), strict=True):
             shape = step[0]
             assert got[0] is shape and len(step) == 1 + len(shape._fields)
             hints = typing.get_type_hints(shape)
@@ -230,7 +229,7 @@ def _compiled_output(scene):
     keys they intern in slot order."""
     store = BoundStore()
     instances = instantiate(elaborate(scene), store)
-    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in body[0].steps(body)])
+    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in step_tuples(body)])
                 for rule_id, facts, body in instances]
     return compiled, [(key.map_id, key.kind.value) for key in store.keys]
 
@@ -278,7 +277,7 @@ def test_law_lays_out_a_run_that_first_use_does_not():
     assert instances
     for _, facts, body in instances:
         h, g, f = (key_L(m) for m in elab.facts[facts[0]].args)
-        assert body[0].steps(body) == (
+        assert step_tuples(body) == (
             (UpperSum, h, (g, f), (), 0, ()), (UpperSum, f, (g, h), (), 2, ()))
 
 
@@ -474,7 +473,7 @@ def test_negative_no_hardie_bound_on_bare_pushout():
     target = key_L("init(D)")
     corners = {key_L("init(B)"), key_L("init(C2)")}
     for _, _, body in instantiate(elab):
-        for shape, *fields in body[0].steps(body):
+        for shape, *fields in step_tuples(body):
             if shape is UpperSum and fields[0] == target and fields[3] >= 1:
                 assert not set(fields[1]) | set(fields[2]) <= corners
 
@@ -516,7 +515,7 @@ def test_fire_snapshots_premise_sources():
         assert just.check(), just
 
 
-# -- fire against an independent evaluator of the seven inequalities ---------------
+# -- kernels against the tests' own statement of the seven inequalities ------------
 
 _VALUES = st.sampled_from([0, 1, 2, 5, INF])
 _SLOT = st.integers(0, 3)
@@ -585,23 +584,48 @@ def _holds(step, lo, hi, rearrange):
     return not hi[gate] < lo[floor] or lo[target] >= lo[floor]
 
 
+def _store_over(bounds):
+    """A store over the four keys k0..k3, at slots 0..3, with ``bounds``."""
+    store = BoundStore()
+    for i, (lo, hi) in enumerate(bounds):
+        slot = store.slot(key_L(f"k{i}"))
+        store.lo_values[slot], store.hi_values[slot] = lo, hi
+    return store
+
+
+_ONE_STEP_TEMPLATES: dict = {}  # by layout, so equal layouts compile one kernel
+
+
+def _one_step_body(step):
+    """The body of the one-step template that ``_layout`` builds for ``step``,
+    whose fields hold slots: each slot a key reference, each tuple of them a list."""
+    shape, hints = step[0], typing.get_type_hints(step[0])
+    clause = [shape, *(("k", field) if hints[name] is InvariantKey
+                       else [("k", s) for s in field] if hints[name] == tuple[InvariantKey, ...]
+                       else field for name, field in zip(shape._fields, step[1:]))]
+    template, refs = rules._layout([clause], _ONE_STEP_TEMPLATES)
+    return (template, *(slot for _, slot in refs))
+
+
+_BOUNDS = st.lists(st.tuples(_VALUES, _VALUES).map(sorted), min_size=4, max_size=4)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.tuples(_VALUES, _VALUES).map(sorted), min_size=4, max_size=4),
-       st.tuples(*_STEPS.values()), st.booleans())
+@given(_BOUNDS, st.tuples(*_STEPS.values()), st.booleans())
 def test_fire_emits_exactly_while_its_step_fails_and_establishes_it(bounds, steps, rearrange):
-    # one step of each shape, each fired on its own store over four keys
+    # one step of each shape, each fired through its one-step template's
+    # kernel on its own store over four keys
     for step in steps:
-        store = BoundStore()
-        for i, (lo, hi) in enumerate(bounds):
-            slot = store.slot(key_L(f"k{i}"))
-            store.lo_values[slot], store.hi_values[slot] = lo, hi
-        inst = ("T", (), (step,))
-        updates = fire_steps(inst, store, rearrange)
+        store = _store_over(bounds)
+        body = _one_step_body(step)
+        assert step_tuples(body) == (step,)
+        inst = ("T", (), body)
+        updates = fire(inst, store, rearrange)
         assert bool(updates) != _holds(step, store.lo_values, store.hi_values, rearrange), step
         if any([isinstance(store.apply(update), StoreConflict) for update in updates]):
             continue  # the step cannot hold inside these intervals: a contradiction
         assert _holds(step, store.lo_values, store.hi_values, rearrange), step
-        assert fire_steps(inst, store, rearrange) == [], step
+        assert fire(inst, store, rearrange) == [], step
 
 
 # -- templates and their kernels ------------------------------------------------------
@@ -613,22 +637,34 @@ def _probe_compiled():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), st.lists(st.tuples(_VALUES, _VALUES).map(sorted), min_size=4, max_size=4),
-       st.booleans())
-def test_kernels_emit_what_the_reference_evaluator_emits(data, bounds, rearrange):
-    # every rule, so every template of the catalog, instantiates on the
-    # probe scene: with random slots over four keys, aliases included, each
-    # kernel emits the reference evaluator's updates on the template's steps
-    store = BoundStore()
-    for i, (lo, hi) in enumerate(bounds):
-        slot = store.slot(key_L(f"k{i}"))
-        store.lo_values[slot], store.hi_values[slot] = lo, hi
-    for template in dict.fromkeys(body[0] for _, _, body in _probe_compiled()):
+@given(st.data(), _BOUNDS, st.booleans())
+def test_every_catalog_kernel_emits_exactly_while_a_step_fails_and_establishes_them(
+        data, bounds, rearrange):
+    # every template of the catalog, in catalog order, on random slots over
+    # four keys, aliases included: the kernel emits nothing exactly when
+    # every step holds, and applying its updates until it emits nothing
+    # leaves every step holding, unless the steps cannot hold together
+    for template in dict.fromkeys(t for rule in catalog() for t, _ in rule.matcher.instances):
+        store = _store_over(bounds)
         slots = data.draw(st.lists(_SLOT, min_size=template.width, max_size=template.width))
-        body = (template, *slots)
-        steps = template.steps(body)
-        assert fire(("T", (), body), store, rearrange) == fire_steps(
-            ("T", (), steps), store, rearrange), steps
+        inst = ("T", (), (template, *slots))
+        steps = step_tuples(inst[2])
+
+        def holds():
+            return all(_holds(step, store.lo_values, store.hi_values, rearrange)
+                       for step in steps)
+
+        updates = fire(inst, store, rearrange)
+        assert bool(updates) != holds(), steps
+        for _ in range(100):
+            if not updates:
+                assert holds(), steps
+                break
+            if any([isinstance(store.apply(update), StoreConflict) for update in updates]):
+                break  # the steps cannot hold inside these intervals: a contradiction
+            updates = fire(inst, store, rearrange)
+        else:
+            pytest.fail(f"no fixpoint after 100 firings: {steps}")
 
 
 def test_every_template_step_names_every_body_position():
@@ -636,9 +672,9 @@ def test_every_template_step_names_every_body_position():
     # it to ``body[1:]``; a constant is never a string
     templates = {template for rule in catalog() for template, _ in rule.matcher.instances}
     for template in templates:
-        body = (None, *(f"#{at}" for at in range(1, template.width + 1)))
+        body = (template, *(f"#{at}" for at in range(1, template.width + 1)))
         named = set()
-        for shape, *fields in template.steps(body):
+        for shape, *fields in step_tuples(body):
             hints = typing.get_type_hints(shape)
             for name, field in zip(shape._fields, fields):
                 if hints[name] is InvariantKey:
@@ -911,13 +947,16 @@ def test_check_instance_on_raw_instances_reports_violations():
     store.apply(Justification("asserted", key_L("f"), Side.HI, 2, "asserted"))
     store.apply(Justification("asserted", key_Lcat("f"), Side.LO, 3, "asserted"))
     before = store.serialize()
-    violations = {inst[0]: check_instance(inst, store, elab)
-                  for inst in instantiate(elab)}
-    assert violations.pop("REL-CL") == [
+    violations = {}  # rule id -> per instance, in order, its violations
+    for inst in instantiate(elab):
+        violations.setdefault(inst[0], []).append(check_instance(inst, store, elab))
+    # only f's own REL-CL instance, the last of the seven, reads L(f) and Lcat(f)
+    assert violations.pop("REL-CL") == [[]] * 6 + [[
         "REL-CL: upper bound 2 on Lcat(f) not satisfied by [3, inf]",
         "REL-CL: lower bound 3 on L(f) not satisfied by [0, 2]",
         "REL-CL: lower bound 3 on L(f) not satisfied by [0, 2]",
-    ]
-    assert all(found == [] for found in violations.values())
+    ]]
+    assert violations == {"AX-COMP": [[]] * 2, "AX-NORM": [[]] * 2, "P7-EQ": [[]] * 7,
+                          "REL-MEM": [[]]}
     assert store.serialize() == before
     assert len(store.log) == 2
