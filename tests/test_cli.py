@@ -73,8 +73,7 @@ def test_parse_error_exit_code_and_position(tmp_path):
     bad.write_text("collection C { }\nspace X, Y\nmap f : X Y\n", encoding="utf-8")
     code, out, err = run_cli(["check", str(bad)])
     assert code == 2
-    assert "line 3" in err
-    assert "'->'" in err
+    assert err == "broken.scene: line 3, col 11: expected '->'\n"
 
 
 def test_elaboration_error_exit_code(tmp_path):
