@@ -1,9 +1,13 @@
 """Scene file parser and canonical renderer.
 
 The surface syntax is line oriented with keyword heads; '#' starts a
-comment that runs to end of line.  Parsing recovers at the next statement
-after an error and reports every diagnostic with a 1-based line and
-column.  Identifiers must be declared before use.
+comment that runs to end of line.  One regex, ``TOKEN_RE``, lexes a line
+with ``findall``: a token is a plain string whose first character tells
+its kind, and the blanks between tokens are spaces and tabs.  The rule
+catalog reads its laws with the same regex and the same ``Cursor``.
+Parsing recovers at the next statement after an error and reports every
+diagnostic with a 1-based line and column; a column is computed only for
+an error.  Identifiers must be declared before use.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from operator import attrgetter
+from string import ascii_letters, digits
 from typing import NamedTuple, Optional
 
 from .extnat import INF, ExtNat, fmt_extnat
@@ -51,91 +56,92 @@ class SceneParseError(Exception):
         self.errors = errors
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT NAT PUNCT EOL
-    text: str
-    line: int
-    col: int
+# Blanks are spaces and tabs.  Every other character is a token or part of
+# one: a name, a number, "->", "<=", ">=", or a character of its own.
+TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|<=|>=|[^ \t]")
+
+# the one-character tokens of a scene; any longer token is a name, a number,
+# "->", "<=" or ">="
+_SCENE_CHARS = frozenset(ascii_letters + digits + "_=(){}[],:*")
 
 
-# One match per token: the blanks before it, then a token, a comment, the
-# line's end or a character outside the syntax; only tokens and it are named.
-_TOKEN_RE = re.compile(
-    r"""[ \t]*
-      (?: (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<NAT>[0-9]+)
-        | (?P<PUNCT>->|<=|>=|=|[{}()\[\],:*])
-        | \#[^\n]* | \Z
-        | (?P<bad>.) )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+class _TokenError(Exception):
+    """A diagnostic at token ``idx`` of a cursor's line."""
+
+    def __init__(self, cursor: Cursor, idx: int, message: str):
+        super().__init__(message)
+        self.cursor, self.idx, self.message = cursor, idx, message
+
+    def at_line(self, line_no: int) -> ParseError:
+        return ParseError(line_no, self.cursor.column(self.idx), self.message)
 
 
-def _lex_line(text: str, line_no: int, errors: list[ParseError]) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        kind = m.lastgroup
-        if kind == "bad":
-            errors.append(ParseError(line_no, m.start(kind) + 1,
-                                     f"unexpected character {m.group(kind)!r}"))
-            return []
-        if kind is not None:
-            tokens.append(Token(kind, m.group(kind), line_no, m.start(kind) + 1))
-        pos = m.end()
-    tokens.append(Token("EOL", "", line_no, len(text) + 1))
-    return tokens
+class Cursor:
+    """A position in the tokens of one line, ``TOKEN_RE``'s matches in
+    ``code`` (by default the whole line), which end with "".
 
+    A token is a string, and its first character tells its kind: a letter
+    or "_" starts a name, a digit a number.  An error names the token at
+    fault by its index; its column is found only when it is reported.
+    """
 
-class _StatementError(Exception):
-    def __init__(self, error: ParseError):
-        super().__init__(str(error))
-        self.error = error
-
-
-class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, line: str, code: Optional[str] = None):
+        self.line = line
+        self.tokens = (*TOKEN_RE.findall(line if code is None else code), "")
         self.idx = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.idx]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.idx]
-        if tok.kind != "EOL":
+        if tok:
             self.idx += 1
         return tok
 
-    def fail(self, message: str) -> "_StatementError":
-        tok = self.peek()
-        return _StatementError(ParseError(tok.line, tok.col, message))
+    def at(self, *texts: str) -> bool:
+        """Whether the next tokens read ``texts``."""
+        return self.tokens[self.idx:self.idx + len(texts)] == texts
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == text:
-            return self.next()
-        raise self.fail(f"expected {text!r}")
+    def accept(self, *texts: str) -> bool:
+        found = self.at(*texts)
+        if found:
+            self.idx += len(texts)
+        return found
 
-    def accept_punct(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == text:
-            self.next()
-            return True
-        return False
+    def word(self, *texts: str) -> None:
+        if not self.accept(*texts):
+            raise self.fail(f"expected {' '.join(texts)!r}")
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            return self.next()
-        raise self.fail(f"expected {what}")
+    def name(self, what: str = "identifier") -> str:
+        if not self.peek().isidentifier():
+            raise self.fail(f"expected {what}")
+        return self.next()
 
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "EOL":
-            raise self.fail(f"unexpected trailing input {tok.text!r}")
+    def end(self) -> None:
+        if self.peek():
+            raise self.fail(f"unexpected trailing input {self.peek()!r}")
+
+    def fail(self, message: str, idx: Optional[int] = None) -> Exception:
+        """The error at token ``idx``, by default the next one."""
+        return _TokenError(self, self.idx if idx is None else idx, message)
+
+    def column(self, idx: int) -> int:
+        """The 1-based column of token ``idx``; the end's is past the line."""
+        if idx == len(self.tokens) - 1:
+            return len(self.line) + 1
+        return [m.start() for m in TOKEN_RE.finditer(self.line)][idx] + 1
+
+
+def _scene_cursor(line: str) -> Cursor:
+    """A cursor on one line of a scene, its comment cut off.  Raises at the
+    first token that no statement can hold: a character outside the
+    notation, or a lone "-", "<" or ">"."""
+    cur = Cursor(line, line.partition("#")[0])
+    for idx, tok in enumerate(cur.tokens):
+        if len(tok) == 1 and tok not in _SCENE_CHARS:
+            raise cur.fail(f"unexpected character {tok!r}", idx)
+    return cur
 
 
 class _Parser:
@@ -159,35 +165,33 @@ class _Parser:
     def has_space(self, name: str) -> bool:
         return name == POINT or name in self.spaces or name in self.scene_spaces
 
-    def declare_name(self, cur: _Cursor, tok: Token) -> str:
-        name = tok.text
+    def declare_name(self, cur: Cursor, what: str) -> str:
+        name = cur.peek()
         if name in RESERVED:
-            raise _StatementError(ParseError(tok.line, tok.col, f"reserved identifier {name!r}"))
+            raise cur.fail(f"reserved identifier {name!r}")
         if name in self.spaces or name in self.map_sigs:
-            raise _StatementError(ParseError(tok.line, tok.col, f"duplicate declaration {name!r}"))
+            raise cur.fail(f"duplicate declaration {name!r}")
+        return cur.name(what)
+
+    def space_ref(self, cur: Cursor) -> str:
+        if cur.accept("*"):
+            return POINT
+        name = cur.name("space name")
+        if not self.has_space(name):
+            raise cur.fail(f"unknown space {name!r}", cur.idx - 1)
         return name
 
-    def space_ref(self, cur: _Cursor) -> str:
-        tok = cur.peek()
-        if tok.kind == "PUNCT" and tok.text == "*":
-            cur.next()
-            return POINT
-        tok = cur.expect_ident("space name")
-        if not self.has_space(tok.text):
-            raise _StatementError(ParseError(tok.line, tok.col, f"unknown space {tok.text!r}"))
-        return tok.text
-
-    def map_ref(self, cur: _Cursor) -> str:
+    def map_ref(self, cur: Cursor) -> str:
         """MAPREF := IDENT | init(IDENT) | term(IDENT)."""
-        tok = cur.expect_ident("map name")
-        if tok.text in ("init", "term"):
-            cur.expect_punct("(")
+        name = cur.name("map name")
+        if name in ("init", "term"):
+            cur.word("(")
             space = self.space_ref(cur)
-            cur.expect_punct(")")
-            return init_map(space) if tok.text == "init" else term_map(space)
-        if tok.text not in self.map_sigs:
-            raise _StatementError(ParseError(tok.line, tok.col, f"unknown map {tok.text!r}"))
-        return tok.text
+            cur.word(")")
+            return init_map(space) if name == "init" else term_map(space)
+        if name not in self.map_sigs:
+            raise cur.fail(f"unknown map {name!r}", cur.idx - 1)
+        return name
 
     def sig(self, map_id: str) -> tuple[str, str]:
         got = self.map_sigs.get(map_id)
@@ -198,99 +202,82 @@ class _Parser:
         return (POINT, space) if head == "init" else (space, POINT)
 
     # -- statement parsers --------------------------------------------------
+    # Each takes the cursor past its statement keyword, token 0 of the line.
 
-    def parse_invariant(self, cur: _Cursor) -> InvariantKey:
-        tok = cur.expect_ident("invariant")
-        head = tok.text
+    def parse_invariant(self, cur: Cursor) -> InvariantKey:
+        head = cur.name("invariant")
         if head not in INVARIANT_HEADS:
-            raise _StatementError(
-                ParseError(tok.line, tok.col, f"expected one of {', '.join(INVARIANT_HEADS)}")
-            )
-        cur.expect_punct("(")
+            raise cur.fail(f"expected one of {', '.join(INVARIANT_HEADS)}", cur.idx - 1)
+        cur.word("(")
         if head in SPACE_ALIASES:
             key = alias_key(head, self.space_ref(cur))
         else:
             key = InvariantKey(self.map_ref(cur), Kind(head))
-        cur.expect_punct(")")
+        cur.word(")")
         return key
 
-    def stmt_collection(self, cur: _Cursor) -> None:
-        head = cur.peek()
-        cur.next()  # "collection"
+    def stmt_collection(self, cur: Cursor) -> None:
         if self.profile is not None:
-            raise _StatementError(
-                ParseError(head.line, head.col, "multiple collection declarations")
-            )
-        name = cur.expect_ident("collection name").text
-        cur.expect_punct("{")
-        flags = {f: False for f in FLAG_NAMES}
+            raise cur.fail("multiple collection declarations", 0)
+        name = cur.name("collection name")
+        cur.word("{")
+        flags = dict.fromkeys(FLAG_NAMES, False)
         all_spaces = False
-        if not cur.accept_punct("}"):
-            tok = cur.expect_ident("closure flag")
-            if tok.text == "all":
+        if not cur.accept("}"):
+            flag = cur.name("closure flag")
+            if flag == "all":
                 all_spaces = True
-            elif tok.text in FLAG_NAMES:
-                flags[tok.text] = True
-                while cur.accept_punct(","):
-                    tok = cur.expect_ident("closure flag")
-                    if tok.text not in FLAG_NAMES:
-                        raise _StatementError(
-                            ParseError(tok.line, tok.col, f"unknown closure flag {tok.text!r}")
-                        )
-                    flags[tok.text] = True
             else:
-                raise _StatementError(
-                    ParseError(tok.line, tok.col, f"unknown closure flag {tok.text!r}")
-                )
-            cur.expect_punct("}")
-        cur.expect_end()
+                while True:
+                    if flag not in FLAG_NAMES:
+                        raise cur.fail(f"unknown closure flag {flag!r}", cur.idx - 1)
+                    flags[flag] = True
+                    if not cur.accept(","):
+                        break
+                    flag = cur.name("closure flag")
+            cur.word("}")
+        cur.end()
         self.profile = CollectionProfile(name=name, all_spaces=all_spaces, **flags)
 
-    def stmt_space(self, cur: _Cursor) -> None:
-        cur.next()
-        while True:
-            tok = cur.expect_ident("space name")
-            name = self.declare_name(cur, tok)
-            self.spaces.add(name)
-            if not cur.accept_punct(","):
-                break
-        cur.expect_end()
+    def stmt_space(self, cur: Cursor) -> None:
+        self.spaces.add(self.declare_name(cur, "space name"))
+        while cur.accept(","):
+            self.spaces.add(self.declare_name(cur, "space name"))
+        cur.end()
 
-    def stmt_map(self, cur: _Cursor) -> None:
-        cur.next()
-        tok = cur.expect_ident("map name")
-        name = self.declare_name(cur, tok)
-        cur.expect_punct(":")
+    def stmt_map(self, cur: Cursor) -> None:
+        name = self.declare_name(cur, "map name")
+        cur.word(":")
         dom = self.space_ref(cur)
-        cur.expect_punct("->")
+        cur.word("->")
         cod = self.space_ref(cur)
-        cur.expect_end()
+        cur.end()
         self.maps.append(MapDecl(name, dom, cod))
         self.map_sigs[name] = (dom, cod)
 
-    def stmt_fact(self, cur: _Cursor) -> None:
-        cur.next()
-        head = cur.expect_ident("fact kind")
-        schema = FACT_SCHEMAS.get(head.text)
+    def stmt_fact(self, cur: Cursor) -> None:
+        kind = cur.name("fact kind")
+        schema = FACT_SCHEMAS.get(kind)
         if schema is None:
-            raise _StatementError(ParseError(head.line, head.col, f"unknown fact kind {head.text!r}"))
-        cur.expect_punct("(")
+            raise cur.fail(f"unknown fact kind {kind!r}", 1)
+        cur.word("(")
         args: list[str] = []
         for i, role in enumerate(schema):
             if i > 0:
-                cur.expect_punct(",")
+                cur.word(",")
             args.append(self.space_ref(cur) if role == "space" else self.map_ref(cur))
-        cur.expect_punct(")")
-        cur.expect_end()
-        fact = Fact(head.text, tuple(args))
-        self.check_fact_shape(fact, head)
+        cur.word(")")
+        cur.end()
+        fact = Fact(kind, tuple(args))
+        self.check_fact_shape(fact, cur)
         self.facts.append(fact)
 
-    def check_fact_shape(self, fact: Fact, head: Token) -> None:
-        """Domain/codomain consistency that is decidable within one fact."""
+    def check_fact_shape(self, fact: Fact, cur: Cursor) -> None:
+        """Domain/codomain consistency that is decidable within one fact;
+        an error sits at the fact kind, token 1."""
 
-        def bad(message: str) -> _StatementError:
-            return _StatementError(ParseError(head.line, head.col, message))
+        def bad(message: str) -> Exception:
+            return cur.fail(message, 1)
 
         k, a = fact.kind, fact.args
         if k == "compose":
@@ -329,46 +316,39 @@ class _Parser:
             if va != (a[0], a[1]):
                 raise bad(f"pushout_map vertical {a[2]} must map apex {a[0]} to apex {a[1]}")
 
-    def stmt_bound(self, cur: _Cursor) -> None:
-        cur.next()
+    def stmt_bound(self, cur: Cursor) -> None:
         key = self.parse_invariant(cur)
-        tok = cur.peek()
-        if tok.kind == "PUNCT" and tok.text in ("<=", ">=", "="):
-            cur.next()
-            rel = tok.text
-        else:
+        rel = cur.peek()
+        if rel not in ("<=", ">=", "="):
             raise cur.fail("expected one of <=, >=, =")
+        cur.next()
         tok = cur.peek()
         value: ExtNat
-        if tok.kind == "NAT":
-            cur.next()
-            value = int(tok.text)
-        elif tok.kind == "IDENT" and tok.text == "inf":
-            cur.next()
+        if tok.isdigit():
+            value = int(tok)
+        elif tok == "inf":
             value = INF
         else:
             raise cur.fail("expected natural number or 'inf'")
-        cur.expect_end()
+        cur.next()
+        cur.end()
         self.bounds.append(BoundDecl(key, rel, value))
 
-    def stmt_query(self, cur: _Cursor) -> None:
-        cur.next()
+    def stmt_query(self, cur: Cursor) -> None:
         key = self.parse_invariant(cur)
-        cur.expect_end()
+        cur.end()
         self.queries.append(QueryDecl(key))
 
-    def stmt_decomposition(self, cur: _Cursor) -> None:
-        cur.next()
+    def stmt_decomposition(self, cur: Cursor) -> None:
         target = self.parse_invariant(cur)
-        tok = cur.expect_ident()
-        if tok.text != "via":
-            raise _StatementError(ParseError(tok.line, tok.col, "expected 'via'"))
-        cur.expect_punct("[")
+        if cur.name() != "via":
+            raise cur.fail("expected 'via'", cur.idx - 1)
+        cur.word("[")
         cones = [self.space_ref(cur)]
-        while cur.accept_punct(","):
+        while cur.accept(","):
             cones.append(self.space_ref(cur))
-        cur.expect_punct("]")
-        cur.expect_end()
+        cur.word("]")
+        cur.end()
         self.certs.append(DecompositionCert(target, tuple(cones)))
 
     def parse(self, text: str) -> None:
@@ -381,21 +361,16 @@ class _Parser:
             "query": self.stmt_query,
             "decomposition": self.stmt_decomposition,
         }
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            tokens = _lex_line(raw, line_no, self.errors)
-            if not tokens or tokens[0].kind == "EOL":
-                continue
-            head = tokens[0]
-            handler = dispatch.get(head.text) if head.kind == "IDENT" else None
-            if handler is None:
-                self.errors.append(
-                    ParseError(head.line, head.col, f"expected a statement keyword, got {head.text!r}")
-                )
-                continue
+        for line_no, line in enumerate(text.splitlines(), start=1):
             try:
-                handler(_Cursor(tokens))
-            except _StatementError as exc:
-                self.errors.append(exc.error)
+                cur = _scene_cursor(line)
+                if cur.peek():
+                    handler = dispatch.get(cur.next())
+                    if handler is None:
+                        raise cur.fail(f"expected a statement keyword, got {cur.tokens[0]!r}", 0)
+                    handler(cur)
+            except _TokenError as exc:
+                self.errors.append(exc.at_line(line_no))
         if self.profile is None and not self.errors:
             self.errors.append(ParseError(1, 1, "missing collection declaration"))
 
@@ -444,16 +419,17 @@ def parse_invariant(text: str, scene: Scene) -> InvariantKey:
     parser = _Parser()
     parser.scene_spaces = scene.spaces
     parser.map_sigs = _SceneMaps(scene.maps)
-    tokens = _lex_line(text.strip(), 1, parser.errors)
-    if not parser.errors:
-        cursor = _Cursor(tokens)
-        try:
-            key = parser.parse_invariant(cursor)
-            cursor.expect_end()
-            return key
-        except _StatementError as exc:
-            parser.errors.append(exc.error)
-    raise SceneParseError(parser.errors)
+    # a target is one line: a line break ends it, as a character outside the notation
+    line, newline, _ = text.strip().partition("\n")
+    try:
+        cur = _scene_cursor(line)
+        if newline:
+            raise cur.fail(f"unexpected character {newline!r}", len(cur.tokens) - 1)
+        key = parser.parse_invariant(cur)
+        cur.end()
+        return key
+    except _TokenError as exc:
+        raise SceneParseError([exc.at_line(1)]) from None
 
 
 # -- rendering ---------------------------------------------------------------

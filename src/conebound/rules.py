@@ -25,6 +25,9 @@ K is L(f) or Lcat(f) of a map, cl, cat, kl or kit of a space; n a number.
                               cat, kit for L, cl, kl; gates unchanged
     ; also                    the clauses after it make a second instance
 
+A law is lexed by the parser's ``TOKEN_RE`` and read by a subclass of its
+``Cursor``, whose errors name the rule and the token at fault.
+
 A law compiles to data: a ``Matcher`` holds the function listing its
 matches and, per instance, a ``Template`` and the key references whose
 fields follow it.  Each ``instantiate`` call hands the matchers a key
@@ -43,13 +46,13 @@ Rule ids are stable public strings; traces and golden files show them.
 
 from __future__ import annotations
 
-import re
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import model
 from .elaborate import ElaboratedScene
 from .model import BoundStore, InvariantKey, Justification, Side
+from .parser import Cursor
 from .scene import FACT_SCHEMAS
 
 
@@ -284,8 +287,6 @@ _BY_HAND = (
 
 _KEY_SORTS = dict(L="map", Lcat="map", cl="space", cat="space", kl="space", kit="space")
 _ANALOG = {"L": "Lcat", "cl": "cat", "kl": "kit"}
-# a character outside the notation is a token of its own, which no rule accepts
-_LAW_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|<=|>=|->|\S")
 
 
 def _fact_items(kind: str, signed: tuple[int, ...], elab: ElaboratedScene) -> Iterator:
@@ -382,42 +383,28 @@ def _layout(steps: list[list], templates: dict) -> tuple[Template, tuple]:
     return templates[key], tuple(refs)
 
 
-class _LawCompiler:
-    """A position in one law's tokens, which end with "", and the names its
-    head binds, each to its position in a match's names and its sort."""
+class _LawCompiler(Cursor):
+    """A position in one law's tokens and the names its head binds, each to
+    its position in a match's names and its sort."""
 
     def __init__(self, rule_id: str, law: str, templates: dict):
+        super().__init__(law)
         self.rule_id = rule_id
-        self.texts = (*_LAW_TOKEN_RE.findall(law), "")
-        self.idx = 0
         self.names: dict[str, tuple[int, str]] = {}
         self.templates = templates
 
-    def fail(self, message: str) -> ValueError:
-        text = self.texts[self.idx]
+    def fail(self, message: str, idx: Optional[int] = None) -> ValueError:
+        text = self.tokens[self.idx if idx is None else idx]
         return ValueError(f"rule {self.rule_id}: {message}, "
                           f"at {repr(text) if text else 'the end'}")
 
-    def at(self, *texts: str) -> bool:
-        """Whether the next tokens read ``texts``."""
-        return self.texts[self.idx:self.idx + len(texts)] == texts
-
-    def accept(self, *texts: str) -> bool:
-        found = self.at(*texts)
-        self.idx += len(texts) if found else 0
-        return found
-
-    def word(self, *texts: str) -> None:
-        if not self.accept(*texts):
-            raise self.fail(f"expected {' '.join(texts)!r}")
-
     def bind(self, at: int, sort: str) -> None:
-        name = self.texts[self.idx]
+        name = self.peek()
         if not name.isidentifier() or name in self.names or name in _KEY_SORTS:
             raise self.fail("expected a new name")
         if name != "_":
             self.names[name] = at, sort
-        self.idx += 1
+        self.next()
 
     def signature(self, at: int) -> None:
         """``: A -> B``, binding A at ``at`` and B after it."""
@@ -432,7 +419,7 @@ class _LawCompiler:
             items = _space_items
         elif self.accept("any"):
             self.bind(0, "map")
-            if self.at(":") and self.texts[self.idx + 1] not in _KEY_SORTS:  # f: A -> B
+            if self.at(":") and self.tokens[self.idx + 1] not in _KEY_SORTS:  # f: A -> B
                 self.signature(1)
             items = _map_items
         else:
@@ -441,17 +428,17 @@ class _LawCompiler:
         instances = [self.instance()]
         while self.accept("also"):
             instances.append(self.instance())
-        if self.texts[self.idx]:
+        if self.peek():
             raise self.fail("expected ';' or the end")
         return Matcher(self.rule_id, items,
                        tuple(_layout(steps, self.templates) for steps in instances))
 
     def fact_pattern(self) -> Callable:
-        kind = self.texts[self.idx]
+        kind = self.peek()
         schema = FACT_SCHEMAS.get(kind)
         if schema is None:
             raise self.fail("expected a fact kind or 'any'")
-        self.idx += 1
+        self.next()
         self.word("(")
         signed: list[int] = []
         for at, role in enumerate(schema):
@@ -519,9 +506,8 @@ class _LawCompiler:
         while True:
             if self.at("max") and not maxes:
                 maxes = self.max()
-            elif self.texts[self.idx].isdigit():
-                const += int(self.texts[self.idx])
-                self.idx += 1
+            elif self.peek().isdigit():
+                const += int(self.next())
             else:
                 adds.append(self.key())
                 if len(adds) == 1 and not maxes and not const and self.accept("*"):
@@ -544,17 +530,17 @@ class _LawCompiler:
         return key
 
     def key(self) -> tuple[str, int]:
-        head = self.texts[self.idx]
+        head = self.peek()
         if head not in _KEY_SORTS:
             raise self.fail("expected an invariant")
-        self.idx += 1
+        self.next()
         self.word("(")
-        name = self.names.get(self.texts[self.idx])
+        name = self.names.get(self.peek())
         if name is None:
             raise self.fail("unbound name")
         if name[1] != _KEY_SORTS[head]:
             raise self.fail(f"{head} takes a {_KEY_SORTS[head]}")
-        self.idx += 1
+        self.next()
         self.word(")")
         return head, name[0]
 

@@ -10,7 +10,8 @@ from conebound.extnat import INF
 from conebound.model import Kind, Side
 from conebound.parser import (
     SceneParseError,
-    _lex_line,
+    _TokenError,
+    _scene_cursor,
     parse_invariant,
     parse_scene,
     render_scene,
@@ -314,25 +315,25 @@ _TOKEN_START = re.compile(r"[A-Za-z_0-9]|->|<=|>=|[=(){}\[\],:*]")
 
 @given(_LINES)
 def test_tokens_sit_at_their_columns_and_errors_at_the_first_bad_character(line):
-    errors = []
-    tokens = _lex_line(line, 7, errors)
-    if not errors:
-        *tokens, eol = tokens
-        assert (eol.kind, eol.col) == ("EOL", len(line) + 1)
-        for token in tokens:
-            assert line[token.col - 1:token.col - 1 + len(token.text)] == token.text
+    try:
+        cur = _scene_cursor(line)
+    except _TokenError as exc:
+        error = exc.at_line(7)
+    else:
+        *tokens, end = cur.tokens
+        assert (end, cur.column(len(tokens))) == ("", len(line) + 1)
+        for idx, token in enumerate(tokens):
+            col = cur.column(idx)
+            assert line[col - 1:col - 1 + len(token)] == token
         # the tokens are the line's characters up to a comment, less the blanks:
         # spaces and tabs, and no other character
-        assert "".join(token.text for token in tokens) == re.sub("[ \t]", "", line.split("#")[0])
+        assert "".join(tokens) == re.sub("[ \t]", "", line.split("#")[0])
         return
-    (error,) = errors
-    assert tokens == [] and error.line == 7
+    assert error.line == 7
     bad = error.col - 1
     assert error.message == f"unexpected character {line[bad]!r}"
     assert line[bad] not in " \t#" and not _TOKEN_START.match(line, bad)
-    prefix_errors = []
-    _lex_line(line[:bad], 7, prefix_errors)
-    assert prefix_errors == []
+    _scene_cursor(line[:bad])  # the line up to it lexes
 
 
 def test_parse_scene_raises():
