@@ -118,12 +118,12 @@ def _unify(a: str, b: str) -> list[str]:
     return lines
 
 
-def _lower_monus(target: str, base: str, subs: list, const: int) -> list[str]:
+def _lower_monus(target: str, base: str, subs: list) -> list[str]:
     return [f"floor = lo[{base}]",
             "if floor:",  # 0 monus anything is 0, and no lo is below 0
-            f"    total = {_plus(str(const or ''), _his(subs))}",
+            f"    total = {_plus(_his(subs))}",
             f"    if total < floor and floor - total > lo[{target}]:",
-            "        " + _emitting(target, "LO", "floor - total", "monus", const,
+            "        " + _emitting(target, "LO", "floor - total", "monus", 0,
                                    ([base], "LO", "base"), (subs, "HI", "add"))]
 
 

@@ -129,12 +129,11 @@ class Unify(NamedTuple):
 
 
 class LowerMonus(NamedTuple):
-    """lo(target) >= lo(base) - (sum of hi(subs) + const), truncated."""
+    """lo(target) >= lo(base) - sum of hi(subs), truncated."""
 
     target: InvariantKey
     base: InvariantKey
     subs: tuple[InvariantKey, ...] = ()
-    const: int = 0
 
 
 class LowerMax(NamedTuple):
@@ -500,7 +499,7 @@ class _LawCompiler(Cursor):
             subs = []
             while self.accept("-"):
                 subs.append(self.key())
-            return [LowerMonus, target, floor, subs, 0]
+            return [LowerMonus, target, floor, subs]
         self.word("<=")
         adds, maxes, const = [], [], 0
         while True:
