@@ -202,7 +202,7 @@ class _Parser:
         return (POINT, space) if head == "init" else (space, POINT)
 
     # -- statement parsers --------------------------------------------------
-    # Each takes the cursor past its statement keyword, token 0 of the line.
+    # A stmt_ method gets the cursor past its keyword, token 0 of the line.
 
     def parse_invariant(self, cur: Cursor) -> InvariantKey:
         head = cur.name("invariant")
@@ -352,23 +352,14 @@ class _Parser:
         self.certs.append(DecompositionCert(target, tuple(cones)))
 
     def parse(self, text: str) -> None:
-        dispatch = {
-            "collection": self.stmt_collection,
-            "space": self.stmt_space,
-            "map": self.stmt_map,
-            "fact": self.stmt_fact,
-            "bound": self.stmt_bound,
-            "query": self.stmt_query,
-            "decomposition": self.stmt_decomposition,
-        }
         for line_no, line in enumerate(text.splitlines(), start=1):
             try:
                 cur = _scene_cursor(line)
                 if cur.peek():
-                    handler = dispatch.get(cur.next())
-                    if handler is None:
-                        raise cur.fail(f"expected a statement keyword, got {cur.tokens[0]!r}", 0)
-                    handler(cur)
+                    head = cur.next()
+                    if head not in STATEMENT_HEADS:
+                        raise cur.fail(f"expected a statement keyword, got {head!r}", 0)
+                    getattr(self, "stmt_" + head)(cur)
             except _TokenError as exc:
                 self.errors.append(exc.at_line(line_no))
         if self.profile is None and not self.errors:
