@@ -186,9 +186,9 @@ def matcher_source(matcher: Matcher) -> str:
     """The Python source of ``matcher``'s kernel, a function ``matcher``.
 
     Per item it builds each instance's body as one tuple display of key
-    table lookups, ``(T0, L[n[0]], cl[n[2]], ...)``, left to right, so keys
-    are interned in the order the references name them.  An instance equal
-    to an earlier one of the same item is left out."""
+    table lookups, ``(T0, L[n[0]], cl[n[2]], ...)``, in the order of the
+    law's key references.  An instance equal to an earlier one of the same
+    item is left out."""
     heads = list(dict.fromkeys(head for _, refs in matcher.instances for head, _ in refs))
     bodies = [f"(T{j}, {''.join(f'{head}[n[{at}]], ' for head, at in refs)})"
               for j, (_, refs) in enumerate(matcher.instances)]

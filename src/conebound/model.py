@@ -90,41 +90,10 @@ class InvariantKey(NamedTuple):
         return (self.map_id, self.kind.value)
 
 
-# The key builders name every key the engine makes.  Each is one tuple
-# build: ``tuple.__new__`` skips the named tuple's Python-level __new__,
-# which instantiation would otherwise call once per new key.
-_new = tuple.__new__
-_L, _LCAT = Kind.CONE_LENGTH, Kind.CATEGORY
-
-
-def key_L(map_id: str) -> InvariantKey:
-    return _new(InvariantKey, (map_id, _L))
-
-
-def key_Lcat(map_id: str) -> InvariantKey:
-    return _new(InvariantKey, (map_id, _LCAT))
-
-
-def key_cl(space: str) -> InvariantKey:
-    return _new(InvariantKey, (f"init({space})", _L))
-
-
-def key_cat(space: str) -> InvariantKey:
-    return _new(InvariantKey, (f"init({space})", _LCAT))
-
-
-def key_kl(space: str) -> InvariantKey:
-    return _new(InvariantKey, (f"term({space})", _L))
-
-
-def key_kit(space: str) -> InvariantKey:
-    return _new(InvariantKey, (f"term({space})", _LCAT))
-
-
 def alias_key(alias: str, space: str) -> InvariantKey:
     """The key a space invariant names: ``alias_key("kl", X)`` is L(term(X))."""
     head, kind = SPACE_ALIASES[alias]
-    return _new(InvariantKey, (f"{head}({space})", kind))
+    return tuple.__new__(InvariantKey, (f"{head}({space})", kind))  # no Python-level __new__
 
 
 class Premise(NamedTuple):

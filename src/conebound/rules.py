@@ -30,10 +30,11 @@ A law is lexed by the parser's ``TOKEN_RE`` and read by a subclass of its
 
 A law compiles to data: a ``Matcher`` holds the function listing its
 matches and, per instance, a ``Template`` and the key references whose
-fields follow it.  Each ``instantiate`` call hands the matchers a key
-table, ``Keys(field)``, whose dicts take a name to its key's body field:
-its slot in a store, interning the key there, or the key itself; an
-instance's keys are interned in the order its steps name them.  The
+fields follow it.  Each ``instantiate`` call builds the scene's key
+table once, ``Keys(elab, fields)``, whose dicts take a name to its key's
+body field: its slot in a store, or the key itself.  Every key a law
+names is L or Lcat of a map of the scene, as cl, cat, kl and kit are of
+its canonical maps, so the table holds them all before any match.  The
 (rule id, facts, body) tuple is the only instance form: its body is
 ``(template, *fields)``, the step layout that every instance of the law
 shares followed by the instance's own slots or keys.  Both ends run
@@ -49,40 +50,34 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from . import model
 from .elaborate import ElaboratedScene
-from .model import BoundStore, InvariantKey, Justification, Side
+from .model import BoundStore, InvariantKey, Justification, Kind, Side, init_map, term_map
 from .parser import Cursor
 from .scene import FACT_SCHEMAS
 
 
-class _Slots(dict):
-    """name -> body field of one key builder's keys, where a name seen
-    first makes its key and ``field`` turns that into the field."""
-
-    def __init__(self, make: Callable[[str], InvariantKey],
-                 field: Callable[[InvariantKey], object]):
-        super().__init__()
-        self.make, self.field = make, field
-
-    def __missing__(self, name: str) -> object:
-        field = self[name] = self.field(self.make(name))
-        return field
+# L then Lcat: a scene's keys, per map, in this order.  Each key is one tuple
+# build: ``tuple.__new__`` skips the named tuple's Python-level __new__.
+_KINDS = (Kind.CONE_LENGTH, Kind.CATEGORY)
+_new = tuple.__new__
 
 
 class Keys:
-    """The key table of one ``instantiate`` call: six ``_Slots`` dicts, each
-    taking a name to its key's body field, ``field(key)``: ``store.slot``,
-    or a function that returns one object per key.  cl(X) and L(init(X))
-    are one key, so ``field`` gives them one field."""
+    """The key table of one ``instantiate`` call: six dicts, each taking a
+    name to its key's body field.  ``fields`` holds one field per key, for
+    L(m) and then Lcat(m) of every map m in ``elab.maps`` order; a space's
+    invariants are the fields of its canonical maps' keys, so cl(X) and
+    L(init(X)) share one field."""
 
     __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit")
 
-    def __init__(self, field: Callable[[InvariantKey], object]):
-        self.L, self.Lcat, self.cl, self.cat, self.kl, self.kit = (
-            _Slots(make, field) for make in (
-                model.key_L, model.key_Lcat, model.key_cl, model.key_cat, model.key_kl,
-                model.key_kit))
+    def __init__(self, elab: ElaboratedScene, fields: list):
+        self.L = L = dict(zip(elab.maps, fields[::2]))
+        self.Lcat = Lcat = dict(zip(elab.maps, fields[1::2]))
+        self.cl, self.cat, self.kl, self.kit = (
+            dict(zip(elab.spaces, map(table.__getitem__, ids)))
+            for ids in ([init_map(x) for x in elab.spaces], [term_map(x) for x in elab.spaces])
+            for table in (L, Lcat))
 
 
 # -- conclusion shapes ---------------------------------------------------------
@@ -571,22 +566,21 @@ def instantiate(elab: ElaboratedScene, store: Optional[BoundStore] = None) -> li
     """The distinct guard-satisfying, shape-correct rule instances, in
     deterministic order: rules by id, instances in fact/registry order.
 
-    One pass over the matchers, given the key table ``Keys(store.slot)``,
-    compiles every instance against ``store`` and interns each key it
-    names there: the result is the (rule id, facts, body) matches that the
-    engine fires.  Without a store, each body holds its keys where the
-    slots would be, one object per key; ``store.slot`` over each body,
-    in order, compiles them as a store would have.  A body compares by its
-    template, one object per layout, and its fields.  No two instances are
+    The scene's keys, L(m) and then Lcat(m) of every map m in
+    ``elab.maps`` order, are every key a law can name.  Given a store,
+    they are interned there in that order, and one pass over the matchers
+    with their slots as the key table compiles every instance against
+    ``store``: the result is the (rule id, facts, body) matches that the
+    engine fires, and ``store.keys`` maps a body's slots back to its keys.
+    Without a store the keys themselves are the fields, one object per key.
+    A body compares by its template, one object per layout, and its
+    fields.  No two instances are
     equal: two matches differ in their rule, their facts or their first
     field, and a match kernel drops an ``also`` instance equal to an
     earlier one of its match.
     """
-    if store is None:
-        keys: dict[InvariantKey, InvariantKey] = {}
-        k = Keys(lambda key: keys.setdefault(key, key))
-    else:
-        k = Keys(store.slot)
+    keys = [_new(InvariantKey, (m, kind)) for m in elab.maps for kind in _KINDS]
+    k = Keys(elab, keys if store is None else [*map(store.slot, keys)])
     flags = elab.profile.flags()
     matches: list[Match] = []
     for rule in catalog():

@@ -366,6 +366,36 @@ def susp_tower_scene(n: int, seed: int = 1) -> str:
     return "\n".join(lines + facts) + "\n"
 
 
+def key_L(map_id: str) -> InvariantKey:
+    return InvariantKey(map_id, Kind.CONE_LENGTH)
+
+
+def key_Lcat(map_id: str) -> InvariantKey:
+    return InvariantKey(map_id, Kind.CATEGORY)
+
+
+def key_cl(space: str) -> InvariantKey:
+    return key_L(init_map(space))
+
+
+def key_cat(space: str) -> InvariantKey:
+    return key_Lcat(init_map(space))
+
+
+def key_kl(space: str) -> InvariantKey:
+    return key_L(term_map(space))
+
+
+def key_kit(space: str) -> InvariantKey:
+    return key_Lcat(term_map(space))
+
+
+def key_table(elab) -> list[InvariantKey]:
+    """L(m) and then Lcat(m) of every map m of an elaborated scene, in its
+    order: the keys that ``instantiate`` interns, in their slot order."""
+    return [key(m) for m in elab.maps for key in (key_L, key_Lcat)]
+
+
 def step_tuples(body: tuple) -> tuple:
     """The steps of the instance with ``body`` as ``(shape, *fields)``: each
     item of its template read from ``consts + body``, a run as a tuple."""

@@ -7,13 +7,14 @@ engine is discrete.
 
 import random
 
-from helpers import PROBE_SCENE, all_profiles, leaves, random_scene, step_tuples
+from helpers import (PROBE_SCENE, all_profiles, key_cat, key_cl, key_kl, key_L, key_Lcat, leaves,
+                     random_scene, step_tuples)
 
 from conebound.cli import corpus_dir
 from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
 from conebound.extnat import INF, Interval
-from conebound.model import Side, key_L, key_Lcat, key_cl, key_kl, replay
+from conebound.model import Side, replay
 from conebound.parser import parse_scene, try_parse_scene
 from conebound.rules import UpperSum, catalog, check_instance, instantiate
 from conebound.scene import BoundDecl, CollectionProfile, Fact, Scene
@@ -56,7 +57,6 @@ def test_02_hopf_and_varadarajan():
     assert answer.hi_rule == "C63"
 
     vara = saturate(elaborate(corpus_scene("varadarajan.scene")))
-    from conebound.model import key_cat
 
     cat_e = query(vara, key_cat("E"))
     assert cat_e.interval.hi == 5  # (2+1)(1+1)-1

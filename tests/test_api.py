@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import key_L
 
 import conebound
 from conebound import engine, model
@@ -41,7 +42,7 @@ def test_saturate_instantiates_once(monkeypatch):
         "collection C { }\nspace X, Y\nmap f : X -> Y\nbound Lcat(f) = 0\n"))
     result = engine.saturate(elab)
     assert result.status == "fixpoint"
-    assert result.store.interval(model.key_L("f")).hi == 0
+    assert result.store.interval(key_L("f")).hi == 0
     assert len(calls) == 1
 
 

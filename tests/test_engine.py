@@ -5,13 +5,14 @@ import json
 import random
 
 import pytest
-from helpers import chain_scene, leaves, random_scene, susp_tower_scene
+from helpers import (chain_scene, key_cat, key_cl, key_kit, key_kl, key_L, key_Lcat, leaves,
+                     random_scene, susp_tower_scene)
 
 from conebound import engine
 from conebound.elaborate import elaborate
 from conebound.engine import Limits, explain, query, saturate
 from conebound.extnat import INF, Interval
-from conebound.model import Side, key_L, key_cl, key_kl, replay
+from conebound.model import Side, replay
 from conebound.parser import parse_scene
 from conebound.rules import check_instance, instantiate
 
@@ -184,7 +185,6 @@ def test_fixpoint_store_passes_posthoc_check():
 
 
 def test_derived_equiv_is_the_bound_hi_L_zero():
-    from conebound.model import key_Lcat
 
     # hi Lcat(f) = 0 makes f an equivalence, so P7-EQ zeroes L(f)
     result = run(
@@ -236,7 +236,6 @@ def test_category_certificate_bounds_kitegory():
         "query kit(X)\n"
     )
     assert result.status == "fixpoint"
-    from conebound.model import key_kit
 
     assert result.store.interval(key_kit("X")) == Interval(0, 2)
     # the cone-length side stays open: there is no final equivalence
@@ -259,7 +258,6 @@ def test_unify_rules_transfer_both_sides():
         "fact equiv_maps(f, g)\n"
         "bound Lcat(f) = 3\n"
     )
-    from conebound.model import key_Lcat
 
     assert equivalent.store.interval(key_Lcat("g")) == Interval(3, 3)
 
@@ -276,7 +274,6 @@ def test_contractible_base_cascades_through_suspension():
     assert result.status == "fixpoint"
     assert result.store.interval(key_cl("S")) == Interval(0, 0)
     assert result.store.interval(key_L("init(S)")).hi == 0
-    from conebound.model import key_cat
 
     assert result.store.interval(key_cat("S")) == Interval(0, 0)
 

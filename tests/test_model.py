@@ -1,6 +1,7 @@
 """Bound store behavior: monotone meets, provenance, replay."""
 
 import pytest
+from helpers import key_cl, key_kl, key_L, key_Lcat
 
 from conebound.extnat import INF, Interval
 from conebound.model import (
@@ -10,10 +11,6 @@ from conebound.model import (
     Premise,
     Side,
     StoreConflict,
-    key_L,
-    key_Lcat,
-    key_cl,
-    key_kl,
     recompute,
     replay,
 )
