@@ -6,8 +6,10 @@ A template's kernel is the one evaluator of the seven step shapes.
 template's first use: the body is unpacked once into ``s1``, ``s2``, ...,
 every run is unrolled and the constants are inlined, and each step's
 lines (``_KERNEL_STEPS``, per shape) emit every bound of its inequality
-that would strictly tighten the store.  A kernel names body positions and
-catalog constants only, never a key or a scene.  ``rules.fire`` runs it
+that would strictly tighten the store: each emitting site builds its
+``Justification`` and ``Premise`` records inline, with its target, side,
+compute kind and premise layout written into the code.  A kernel names
+body positions and catalog constants only, never a key or a scene.  ``rules.fire`` runs it
 for the engine, and ``rules.check_instance`` for the fixpoint re-check.
 
 ``compile_matcher`` does the same for a law's matcher when it first matches:
@@ -22,28 +24,12 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from .extnat import INF, ExtNat, ext_ceil_div, ext_monus, ext_mul
-from .model import BoundStore, Justification, Premise, Side
+from .extnat import INF, ext_ceil_div, ext_monus, ext_mul
+from .model import Justification, Premise, Side
 from .rules import (CondLower, LowerInf, LowerMax, LowerMonus, Match, Matcher, Template, Unify,
                     UpperProd, UpperSum)
 
 HI, LO = Side.HI, Side.LO
-# Neither record checks its fields, so ``_emit`` builds them as plain tuples
-# of their class, without the named tuples' Python-level __new__.
-_new = tuple.__new__
-
-
-def _emit(out: list[Justification], inst: Match, store: BoundStore, slot: int, side: Side,
-          value: ExtNat, compute: str, const: int, *groups: tuple) -> None:
-    """Append one tightening's justification.  Its premises, per (slots, side,
-    role) group, snapshot each value and log index, as later tightenings move them."""
-    keys, premises = store.keys, []
-    for slots, read, role in groups:
-        values, sources = ((store.hi_values, store.hi_sources) if read is HI
-                           else (store.lo_values, store.lo_sources))
-        premises += [_new(Premise, (keys[s], read, values[s], role, sources[s])) for s in slots]
-    out.append(_new(Justification, (inst[0], keys[slot], side, value, compute, const,
-                                    tuple(premises), inst[1])))
 
 
 # -- kernels --------------------------------------------------------------------
@@ -64,10 +50,16 @@ def _max(side: str, slots: list[str]) -> str:
 
 def _emitting(target: str, side: str, value: str, compute: str, const: int,
               *groups: tuple) -> str:
-    """The kernel's call of ``_emit``, without the groups that name no slot."""
-    args = "".join(f", (({', '.join(slots)},), {read}, {role!r})"
-                   for slots, read, role in groups if slots)
-    return f"_emit(out, inst, store, {target}, {side}, {value}, {compute!r}, {const}{args})"
+    """The kernel's line that appends one tightening's justification.  Its
+    premises, per (slots, side, role) group, snapshot each value and log
+    index, as later tightenings move them.  Neither record checks its
+    fields, so both are built as plain tuples of their class, without the
+    named tuples' Python-level __new__."""
+    premises = "".join(f"_new(Premise, (store.keys[{s}], {read}, {read.lower()}[{s}], {role!r}, "
+                       f"store.{read.lower()}_sources[{s}])), "
+                       for slots, read, role in groups for s in slots)
+    return (f"out.append(_new(Justification, (inst[0], store.keys[{target}], {side}, {value}, "
+            f"{compute!r}, {const}, ({premises}), inst[1])))")
 
 
 def _upper_sum(target: str, adds: list, maxes: list, const: int, gates: list) -> list[str]:
@@ -173,7 +165,8 @@ def kernel_source(template: Template) -> str:
 def compile_kernel(template: Template) -> Callable[..., list[Justification]]:
     """``template``'s kernel, which takes (inst, store, rearrange) and returns
     the updates of the instance's steps that would strictly tighten."""
-    namespace = {"_emit": _emit, "ext_ceil_div": ext_ceil_div, "ext_monus": ext_monus,
+    namespace = {"_new": tuple.__new__, "Justification": Justification, "Premise": Premise,
+                 "ext_ceil_div": ext_ceil_div, "ext_monus": ext_monus,
                  "ext_mul": ext_mul, "INF": INF, "HI": HI, "LO": LO}
     exec(compile(kernel_source(template), "<conebound kernel>", "exec"), namespace)
     return namespace["kernel"]
