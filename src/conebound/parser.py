@@ -1,9 +1,10 @@
 """Scene file parser and canonical renderer.
 
-The surface syntax is line oriented with keyword heads; '#' starts a
-comment that runs to end of line.  One regex, ``TOKEN_RE``, lexes a line
-with ``findall``: a token is a plain string whose first character tells
-its kind, and the blanks between tokens are spaces and tabs.  The rule
+The surface syntax is line oriented with keyword heads: a line ends at
+"\n", "\r\n" or "\r", and '#' starts a comment that runs to its end.
+One regex, ``TOKEN_RE``, lexes a line with ``findall``: a token is a
+plain string whose first character tells its kind, and the blanks
+between tokens are spaces and tabs.  The rule
 catalog reads its laws with the same regex and the same ``Cursor``.
 Parsing recovers at the next statement after an error and reports every
 diagnostic with a 1-based line and column; a column is computed only for
@@ -59,6 +60,10 @@ class SceneParseError(Exception):
 # Blanks are spaces and tabs.  Every other character is a token or part of
 # one: a name, a number, "->", "<=", ">=", or a character of its own.
 TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|<=|>=|[^ \t]")
+
+# A scene's lines end at "\n", "\r\n" or "\r"; any other separator, such as
+# "\x0b" or "\u2028", is a character outside the notation.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 # the one-character tokens of a scene; any longer token is a name, a number,
 # "->", "<=" or ">="
@@ -352,7 +357,7 @@ class _Parser:
         self.certs.append(DecompositionCert(target, tuple(cones)))
 
     def parse(self, text: str) -> None:
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
             try:
                 cur = _scene_cursor(line)
                 if cur.peek():
@@ -411,7 +416,7 @@ def parse_invariant(text: str, scene: Scene) -> InvariantKey:
     parser.scene_spaces = scene.spaces
     parser.map_sigs = _SceneMaps(scene.maps)
     # a target is one line: a line break ends it, as a character outside the notation
-    line, newline, _ = text.strip().partition("\n")
+    line, newline, _ = text.strip(" \t").partition("\n")
     try:
         cur = _scene_cursor(line)
         if newline:

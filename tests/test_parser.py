@@ -239,6 +239,14 @@ _SCENE_ERRORS = [
     ('collection C { }\nspace X\nspace X\nbound cl(X) <= banana\n',
      [(3, 7, "duplicate declaration 'X'"), (4, 16, "expected natural number or 'inf'")]),
     ('collection C { }\r\nspace X\r\nspace X $\r\n', [(3, 9, "unexpected character '$'")]),
+    ('collection C { }\rspace X\rspace X $\r', [(3, 9, "unexpected character '$'")]),
+    # only "\n", "\r\n" and "\r" end a line: other separators are characters
+    ('collection C { }\nspace X\x0bspace Y\nspace $',
+     [(2, 8, "unexpected character '\\x0b'"), (3, 7, "unexpected character '$'")]),
+    ('collection C { }\nspace X\x85\nspace $',
+     [(2, 8, "unexpected character '\\x85'"), (3, 7, "unexpected character '$'")]),
+    ('collection C { }\nspace X, Y\u2028\nspace $',
+     [(2, 11, "unexpected character '\\u2028'"), (3, 7, "unexpected character '$'")]),
 ]
 
 
@@ -253,14 +261,22 @@ def test_scene_diagnostics_are_pinned(text, errors):
 
 
 @pytest.mark.parametrize("line", ["space W # $ \xa0 é", "space W#$",
-                                  "map k : X -> Y\t# a tab, then a comment"])
+                                  "map k : X -> Y\t# a tab, then a comment", "space W # a\x0bb"])
 def test_a_comment_may_hold_any_character(line):
     scene, errors = try_parse_scene(_DECLARED + line + "\n")
     assert errors == [] and scene is not None
 
 
+def test_lines_end_at_a_newline_a_carriage_return_or_both():
+    lines = BASIC.split("\n")[:-1]
+    for breaks in (["\r\n"] * 5, ["\r"] * 5, ["\r", "\n", "\r\n", "\r", ""]):
+        text = "".join(map(str.__add__, lines, breaks))
+        assert parse_scene(text) == parse_scene(BASIC), breaks
+
+
 _INVARIANTS = [
-    ("  kl(X)  ", "kl(X)"), ("\tL(f)\t", "L(f)"), ("\xa0cl(*)\u3000", "cl(*)"),
+    ("  kl(X)  ", "kl(X)"), ("\tL(f)\t", "L(f)"),
+    ("\xa0cl(*)\u3000", [(1, 1, "unexpected character '\\xa0'")]),  # only spaces and tabs trim
     ("kl (X)", "kl(X)"), ("kl(X) # a comment", "kl(X)"),
     (" kl(X) kl(Y) ", [(1, 7, "unexpected trailing input 'kl'")]),
     ("kl(X", [(1, 5, "expected ')'")]),
@@ -270,6 +286,7 @@ _INVARIANTS = [
     ("kl(W)", [(1, 4, "unknown space 'W'")]),
     ("kl(X)\nfoo", [(1, 6, "unexpected character '\\n'")]),
     ("kl(X) # c\nfoo", [(1, 10, "unexpected character '\\n'")]),
+    ("kl(X)\n", [(1, 6, "unexpected character '\\n'")]),
 ]
 
 
