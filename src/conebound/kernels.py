@@ -9,8 +9,9 @@ lines (``_KERNEL_STEPS``, per shape) emit every bound of its inequality
 that would strictly tighten the store: each emitting site builds its
 ``Justification`` and ``Premise`` records inline, with its target, side,
 compute kind and premise layout written into the code.  A kernel names
-body positions and catalog constants only, never a key or a scene.  ``rules.fire`` runs it
-for the engine, and ``rules.check_instance`` for the fixpoint re-check.
+body positions and catalog constants only, never a key or a scene.
+``rules.fire`` runs it for the engine, and ``rules.check_instance`` for
+the fixpoint re-check.
 
 ``compile_matcher`` does the same for a law's matcher when it first matches:
 one loop over the law's items that builds every body as a tuple display

@@ -1,10 +1,10 @@
 """Scene file parser and canonical renderer.
 
-The surface syntax is line oriented with keyword heads: a line ends at
-"\n", "\r\n" or "\r", and '#' starts a comment that runs to its end.
-One regex, ``TOKEN_RE``, lexes a line with ``findall``: a token is a
-plain string whose first character tells its kind, and the blanks
-between tokens are spaces and tabs.  The rule
+The surface syntax is line oriented with keyword heads: a line ends at a
+line feed, a carriage return, or the two in that order, and '#' starts a
+comment that runs to its end.  One regex, ``TOKEN_RE``, lexes a line
+with ``findall``: a token is a plain string whose first character tells
+its kind, and the blanks between tokens are spaces and tabs.  The rule
 catalog reads its laws with the same regex and the same ``Cursor``.
 Parsing recovers at the next statement after an error and reports every
 diagnostic with a 1-based line and column; a column is computed only for

@@ -574,10 +574,9 @@ def instantiate(elab: ElaboratedScene, store: Optional[BoundStore] = None) -> li
     engine fires, and ``store.keys`` maps a body's slots back to its keys.
     Without a store the keys themselves are the fields, one object per key.
     A body compares by its template, one object per layout, and its
-    fields.  No two instances are
-    equal: two matches differ in their rule, their facts or their first
-    field, and a match kernel drops an ``also`` instance equal to an
-    earlier one of its match.
+    fields.  No two instances are equal: two matches differ in their rule,
+    their facts or their first field, and a match kernel drops an ``also``
+    instance equal to an earlier one of its match.
     """
     keys = [_new(InvariantKey, (m, kind)) for m in elab.maps for kind in _KINDS]
     k = Keys(elab, keys if store is None else [*map(store.slot, keys)])

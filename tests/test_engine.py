@@ -185,7 +185,6 @@ def test_fixpoint_store_passes_posthoc_check():
 
 
 def test_derived_equiv_is_the_bound_hi_L_zero():
-
     # hi Lcat(f) = 0 makes f an equivalence, so P7-EQ zeroes L(f)
     result = run(
         "collection C { }\nspace X, Y\nmap f : X -> Y\nbound Lcat(f) = 0\n"
