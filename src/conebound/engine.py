@@ -9,6 +9,11 @@ instance order, only the instances that read a slot the previous round
 tightened; the meet lattice makes the fixpoint independent of firing
 order.
 
+A kernel's updates are ``model.Tightening`` records, which the store
+applies and logs by slot, so saturating builds no Justification.
+Derivation trees, queries and conflict reports read ``store.log``, the
+view that builds each entry's Justification when it is read.
+
 Termination rests on well-foundedness, not on a round cap.  The keys are
 fixed once ``instantiate`` has interned them, and every round after the
 first follows a round that tightened a side, so there is at most one more
@@ -171,7 +176,8 @@ class TreeBuilder:
     """Reconstructs derivation trees from the store log and the scene's facts.
 
     Each log entry becomes one node, built once and kept: the log only
-    grows, so the nodes stay valid and later trees share them.
+    grows, so the nodes stay valid and later trees share them.  An entry's
+    Justification is built from the log only for its node, and dropped.
     """
 
     def __init__(self, store: BoundStore, elab: ElaboratedScene):
@@ -185,25 +191,40 @@ class TreeBuilder:
         return self.built[idx]
 
     def of_justification(self, just: Justification) -> DerivationTree:
-        """Build the log entries ``just`` reaches that have no node yet.
+        """The node of ``just``, with a node for every log entry it reaches
+        that has none yet, built without recursion.
 
-        A premise's source precedes its user in the log, so ascending
-        order builds every child before its parents, without recursion.
+        A premise that first reaches an entry makes the entry's node,
+        empty, and the walk fills it later from the entry read then: each
+        entry is read from the log once, and one Justification is alive at
+        a time.
         """
-        built, log = self.built, self.store.log
-        reached: set[int] = set()
-        stack = [just]
-        while stack:
-            for premise in stack.pop().premises:
-                source = premise.source
-                if source is not None and source not in built and source not in reached:
-                    reached.add(source)
-                    stack.append(log[source])
-        for idx in sorted(reached):
-            built[idx] = self.node(log[idx])
-        return self.node(just)
+        log = self.store.log
+        root = DerivationTree("")
+        todo: list[tuple[DerivationTree, int]] = []
+        self.fill(root, just, todo)
+        while todo:
+            node, idx = todo.pop()
+            self.fill(node, log[idx], todo)
+        return root
 
-    def node(self, just: Justification) -> DerivationTree:
+    def fill(self, node: DerivationTree, just: Justification,
+             todo: list[tuple[DerivationTree, int]]) -> None:
+        """Give ``node`` the fields and children of ``just``; a premise's
+        source without a node gets an empty one, and joins ``todo``."""
+        built = self.built
+        children = []
+        for p in just.premises:
+            if p.source is None:
+                # a side with no justification still holds its default value
+                children.append(self.default_leaf(p.key, p.side))
+            elif p.source in built:
+                children.append(built[p.source])
+            else:
+                built[p.source] = child = DerivationTree("")
+                todo.append((child, p.source))
+                children.append(child)
+        children += map(self.of_fact, just.facts)
         side = just.side.value
         surface = just.key.surface()
         value = fmt_extnat(just.value)
@@ -211,14 +232,8 @@ class TreeBuilder:
             label = f"{side} {surface} = {value} (asserted)"
         else:
             label = f"{side} {surface} = {value} by {just.rule_id}"
-        # a side with no justification still holds its default value
-        children = [self.built[p.source] if p.source is not None
-                    else self.default_leaf(p.key, p.side) for p in just.premises]
-        children += [self.of_fact(i) for i in just.facts]
-        return DerivationTree(
-            label=label, key=surface, side=side, value=just.value,
-            rule_id=just.rule_id, children=tuple(children),
-        )
+        node.label, node.key, node.side, node.value = label, surface, side, just.value
+        node.rule_id, node.children = just.rule_id, tuple(children)
 
     def of_fact(self, index: int) -> DerivationTree:
         origin = self.elab.origins[index]
@@ -308,7 +323,7 @@ def saturate(elab: ElaboratedScene, limits: Limits = Limits(), *,
                     conflicts.append(result)
                 elif result:
                     firings += 1
-                    dirty.add(store.slots[update.key])
+                    dirty.add(update.slot)
             if conflicts:
                 break
         if conflicts:

@@ -6,16 +6,19 @@ A template's kernel is the one evaluator of the seven step shapes.
 template's first use: the body is unpacked once into ``s1``, ``s2``, ...,
 every run is unrolled and the constants are inlined, and each step's
 lines (``_KERNEL_STEPS``, per shape) emit every bound of its inequality
-that would strictly tighten the store: each emitting site builds its
-``Justification`` and ``Premise`` records inline, with its target, side,
-compute kind and premise layout written into the code.  A kernel names
-body positions and catalog constants only, never a key or a scene.
-``rules.fire`` runs it for the engine, and ``rules.check_instance`` for
-the fixpoint re-check.
+that would strictly tighten the store.  Each emitting site appends one
+``model.Tightening``, (instance, site number, target slot, value, log
+length), and its target position, side, compute kind, const and premise
+layout go to the template's site table instead of into the code: the
+store builds a Justification from them only when its log is read.  A
+kernel names body positions and catalog constants only, never a key or
+a scene.  ``rules.fire`` runs it for the engine, and
+``rules.check_instance`` for the fixpoint re-check.
 
 ``compile_matcher`` does the same for a law's matcher when it first matches:
 one loop over the law's items that builds every body as a tuple display
-of key-table lookups, in the order of the law's key references.
+of its template's index and key-table lookups, in the order of the law's
+key references.
 
 ``rules`` imports this module on the first match, fire or re-check, so
 ``import conebound`` and ``catalog()`` compile none of it.
@@ -26,11 +29,9 @@ from __future__ import annotations
 from typing import Callable, Union
 
 from .extnat import INF, ext_ceil_div, ext_monus, ext_mul
-from .model import Justification, Premise, Side
+from .model import Side, Tightening
 from .rules import (CondLower, LowerInf, LowerMax, LowerMonus, Match, Matcher, Template, Unify,
                     UpperProd, UpperSum)
-
-HI, LO = Side.HI, Side.LO
 
 
 # -- kernels --------------------------------------------------------------------
@@ -49,92 +50,80 @@ def _max(side: str, slots: list[str]) -> str:
     return f"max({reads})" if len(slots) > 1 else reads
 
 
-def _emitting(target: str, side: str, value: str, compute: str, const: int,
-              *groups: tuple) -> str:
-    """The kernel's line that appends one tightening's justification.  Its
-    premises, per (slots, side, role) group, snapshot each value and log
-    index, as later tightenings move them.  Neither record checks its
-    fields, so both are built as plain tuples of their class, without the
-    named tuples' Python-level __new__."""
-    premises = "".join(f"_new(Premise, (store.keys[{s}], {read}, {read.lower()}[{s}], {role!r}, "
-                       f"store.{read.lower()}_sources[{s}])), "
-                       for slots, read, role in groups for s in slots)
-    return (f"out.append(_new(Justification, (inst[0], store.keys[{target}], {side}, {value}, "
-            f"{compute!r}, {const}, ({premises}), inst[1])))")
-
-
-def _upper_sum(target: str, adds: list, maxes: list, const: int, gates: list) -> list[str]:
+def _upper_sum(emit: Callable, target: str, adds: list, maxes: list, const: int,
+               gates: list) -> list[str]:
     rest = "rest" if maxes else str(const or "")
     lines = [f"rest = {_plus(str(const or ''), _max('hi', maxes))}"] if maxes else []
     groups = (maxes, "HI", "max"), (gates, "HI", "gate")
     lines += [f"value = {_plus(rest, _his(adds))}",
               f"if value < hi[{target}]:",
-              "    " + _emitting(target, "HI", "value", "sum", const, (adds, "HI", "add"), *groups)]
+              "    " + emit(target, "HI", "value", "sum", const, (adds, "HI", "add"), *groups)]
     if adds:  # lo(target) = 0 leaves every term at lo 0, which never tightens
         lines.append(f"if rearrange and lo[{target}]:")
     for i, term in enumerate(adds):
         others = adds[:i] + adds[i + 1:]
         lines += [f"    value = ext_monus(lo[{target}], {_plus(rest, _his(others))})",
                   f"    if value > lo[{term}]:",
-                  "        " + _emitting(term, "LO", "value", "monus", const,
-                                         ([target], "LO", "base"), (others, "HI", "add"), *groups)]
+                  "        " + emit(term, "LO", "value", "monus", const,
+                                    ([target], "LO", "base"), (others, "HI", "add"), *groups)]
     if gates:
         return [f"if not ({' or '.join(f'hi[{g}]' for g in gates)}):",
                 *("    " + line for line in lines)]
     return lines
 
 
-def _upper_prod(target: str, left: str, right: str, minus_one: bool) -> list[str]:
+def _upper_prod(emit: Callable, target: str, left: str, right: str,
+                minus_one: bool) -> list[str]:
     value = (f"ext_monus(ext_mul(hi[{left}] + 1, hi[{right}] + 1), 1)" if minus_one
              else f"ext_mul(hi[{left}], hi[{right}] + 1)")
     lines = [f"value = {value}",
              f"if value < hi[{target}]:",
-             "    " + _emitting(target, "HI", "value", "prod1" if minus_one else "prod0", 0,
-                                ([left], "HI", "left"), ([right], "HI", "right")),
+             "    " + emit(target, "HI", "value", "prod1" if minus_one else "prod0", 0,
+                           ([left], "HI", "left"), ([right], "HI", "right")),
              # lo(target) = 0 bounds each factor by at most 0
              f"if rearrange and lo[{target}]:"]
     for factor, other in ((left, right), (right, left)):
         lines += [f"    value = ext_monus(ext_ceil_div(lo[{target}] + 1, hi[{other}] + 1), 1)",
                   f"    if value > lo[{factor}]:",
-                  "        " + _emitting(factor, "LO", "value", "ceil1", 0,
-                                         ([target], "LO", "base"), ([other], "HI", "div"))]
+                  "        " + emit(factor, "LO", "value", "ceil1", 0,
+                                    ([target], "LO", "base"), ([other], "HI", "div"))]
     return lines
 
 
-def _unify(a: str, b: str) -> list[str]:
+def _unify(emit: Callable, a: str, b: str) -> list[str]:
     lines = []
     for key, src in ((a, b), (b, a)):
         for side, read, better in (("HI", "hi", "<"), ("LO", "lo", ">")):
             lines += [f"if {read}[{src}] {better} {read}[{key}]:",
-                      "    " + _emitting(key, side, f"{read}[{src}]", "copy", 0,
-                                         ([src], side, "copy"))]
+                      "    " + emit(key, side, f"{read}[{src}]", "copy", 0,
+                                    ([src], side, "copy"))]
     return lines
 
 
-def _lower_monus(target: str, base: str, subs: list) -> list[str]:
+def _lower_monus(emit: Callable, target: str, base: str, subs: list) -> list[str]:
     return [f"floor = lo[{base}]",
             "if floor:",  # 0 monus anything is 0, and no lo is below 0
             f"    total = {_plus(_his(subs))}",
             f"    if total < floor and floor - total > lo[{target}]:",
-            "        " + _emitting(target, "LO", "floor - total", "monus", 0,
-                                   ([base], "LO", "base"), (subs, "HI", "add"))]
+            "        " + emit(target, "LO", "floor - total", "monus", 0,
+                              ([base], "LO", "base"), (subs, "HI", "add"))]
 
 
-def _lower_max(target: str, sources: list) -> list[str]:
+def _lower_max(emit: Callable, target: str, sources: list) -> list[str]:
     return [f"value = {_max('lo', sources)}",
             f"if value > lo[{target}]:",
-            "    " + _emitting(target, "LO", "value", "maxlo", 0, (sources, "LO", "lo"))]
+            "    " + emit(target, "LO", "value", "maxlo", 0, (sources, "LO", "lo"))]
 
 
-def _lower_inf(target: str) -> list[str]:
+def _lower_inf(emit: Callable, target: str) -> list[str]:
     return [f"if INF > lo[{target}]:",
-            "    " + _emitting(target, "LO", "INF", "inf", 0)]
+            "    " + emit(target, "LO", "INF", "inf", 0)]
 
 
-def _cond_lower(target: str, gate: str, floor: str) -> list[str]:
+def _cond_lower(emit: Callable, target: str, gate: str, floor: str) -> list[str]:
     return [f"if hi[{gate}] < lo[{floor}] and lo[{floor}] > lo[{target}]:",
-            "    " + _emitting(target, "LO", f"lo[{floor}]", "copy", 0,
-                               ([gate], "HI", "gate"), ([floor], "LO", "base"))]
+            "    " + emit(target, "LO", f"lo[{floor}]", "copy", 0,
+                          ([gate], "HI", "gate"), ([floor], "LO", "base"))]
 
 
 # Per shape, the kernel lines of one step from its fields: a slot's local
@@ -144,14 +133,30 @@ _KERNEL_STEPS = {UpperSum: _upper_sum, UpperProd: _upper_prod, Unify: _unify,
                  CondLower: _cond_lower}
 
 
-def kernel_source(template: Template) -> str:
-    """The Python source of ``template``'s kernel, a function ``kernel``."""
+def kernel_source(template: Template) -> tuple[str, list[tuple]]:
+    """The Python source of ``template``'s kernel, a function ``kernel``,
+    and its site table: per emitting site, in the order of the code,
+    (target position, side, compute kind, const, premises), each premise
+    being (body position, read side, role).  A slot's local name in the
+    kernel is ``s`` followed by its body position."""
     base = len(template.consts)
+    sites: list[tuple] = []
 
     def field(item: Union[int, range]) -> object:
         if type(item) is range:
             return [f"s{p - base}" for p in item]
         return template.consts[item] if item < base else f"s{item - base}"
+
+    def emit(target: str, side: str, value: str, compute: str, const: int,
+             *groups: tuple) -> str:
+        """The kernel's line that appends one tightening: the site's
+        number, slot and value.  Each premise group (slots, read, role)
+        lists the slots whose ``read`` side the computation read."""
+        sites.append((int(target[1:]), Side[side], compute, const,
+                      tuple((int(s[1:]), Side[read], role)
+                            for slots, read, role in groups for s in slots)))
+        return (f"out.append(_new(Tightening, (inst, {len(sites) - 1}, {target}, {value}, "
+                "len(store.entries))))")
 
     lines = ["def kernel(inst, store, rearrange):",
              f"    _, {''.join(f's{j}, ' for j in range(1, template.width + 1))}= inst[2]",
@@ -159,18 +164,20 @@ def kernel_source(template: Template) -> str:
              "    out = []"]
     for step in template.items:
         shape, *fields = map(field, step)
-        lines += ("    " + line for line in _KERNEL_STEPS[shape](*fields))
-    return "\n".join([*lines, "    return out", ""])
+        lines += ("    " + line for line in _KERNEL_STEPS[shape](emit, *fields))
+    return "\n".join([*lines, "    return out", ""]), sites
 
 
-def compile_kernel(template: Template) -> Callable[..., list[Justification]]:
+def compile_kernel(template: Template) -> tuple[Callable[..., list[Tightening]], list[tuple]]:
     """``template``'s kernel, which takes (inst, store, rearrange) and returns
-    the updates of the instance's steps that would strictly tighten."""
-    namespace = {"_new": tuple.__new__, "Justification": Justification, "Premise": Premise,
+    the updates of the instance's steps that would strictly tighten, and
+    the site table that those updates number their sites in."""
+    source, sites = kernel_source(template)
+    namespace = {"_new": tuple.__new__, "Tightening": Tightening,
                  "ext_ceil_div": ext_ceil_div, "ext_monus": ext_monus,
-                 "ext_mul": ext_mul, "INF": INF, "HI": HI, "LO": LO}
-    exec(compile(kernel_source(template), "<conebound kernel>", "exec"), namespace)
-    return namespace["kernel"]
+                 "ext_mul": ext_mul, "INF": INF}
+    exec(compile(source, "<conebound kernel>", "exec"), namespace)
+    return namespace["kernel"], sites
 
 
 # -- match kernels --------------------------------------------------------------
@@ -179,13 +186,13 @@ def compile_kernel(template: Template) -> Callable[..., list[Justification]]:
 def matcher_source(matcher: Matcher) -> str:
     """The Python source of ``matcher``'s kernel, a function ``matcher``.
 
-    Per item it builds each instance's body as one tuple display of key
-    table lookups, ``(T0, L[n[0]], cl[n[2]], ...)``, in the order of the
-    law's key references.  An instance equal to an earlier one of the same
-    item is left out."""
+    Per item it builds each instance's body as one tuple display of its
+    template's index and key table lookups, ``(7, L[n[0]], cl[n[2]], ...)``,
+    in the order of the law's key references.  An instance equal to an
+    earlier one of the same item is left out."""
     heads = list(dict.fromkeys(head for _, refs in matcher.instances for head, _ in refs))
-    bodies = [f"(T{j}, {''.join(f'{head}[n[{at}]], ' for head, at in refs)})"
-              for j, (_, refs) in enumerate(matcher.instances)]
+    bodies = [f"({template}, {''.join(f'{head}[n[{at}]], ' for head, at in refs)})"
+              for template, refs in matcher.instances]
     rule_id = repr(matcher.rule_id)
     lines = ["def matcher(elab, k):",
              f"    {', '.join(heads)}, = {', '.join(f'k.{head}' for head in heads)},"]
@@ -205,8 +212,7 @@ def matcher_source(matcher: Matcher) -> str:
 def compile_matcher(matcher: Matcher) -> Callable[..., list[Match]]:
     """``matcher``'s kernel, which takes (elab, keys) and returns the
     instances that the law data of ``matcher`` states."""
-    namespace = {"items": matcher.items,
-                 **{f"T{j}": template for j, (template, _) in enumerate(matcher.instances)}}
+    namespace = {"items": matcher.items}
     exec(compile(matcher_source(matcher), f"<conebound matcher {matcher.rule_id}>", "exec"),
          namespace)
     return namespace["matcher"]

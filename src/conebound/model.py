@@ -11,13 +11,18 @@ where init(X): * -> X and term(X): X -> * always exist.  The store only
 ever tightens: a lower bound never decreases and an upper bound never
 increases across a run, and every tightening carries a Justification
 recording the rule, the premise snapshots, and the facts it used.
+
+A rule's tightening is logged as a ``Tightening``, a few ints beside its
+instance, and its Justification is built only when ``BoundStore.log``
+is read: the premise snapshots are found again from the log itself.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Union
+from collections.abc import Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .extnat import (INF, TOP, ExtNat, Interval, as_extnat, ext_ceil_div, ext_monus, ext_mul,
                      extnat_to_json)
@@ -183,6 +188,35 @@ class Justification(NamedTuple):
         return recompute(self.compute, self.const, self.premises) == self.value
 
 
+# The template table: every step layout that ``rules`` compiles, by the
+# index that an instance body holds first.  It only grows, so an index
+# stays valid for the life of the process.  A template's ``sites`` list
+# the emitting sites of its kernel, each as (target position, side,
+# compute kind, const, premises), a premise being (body position, read
+# side, role): the layout that ``BoundStore.justify`` rebuilds a
+# Tightening's Justification from.
+TEMPLATES: list = []
+
+
+class Tightening(NamedTuple):
+    """One update that a rule's kernel emits, as the store logs it.
+
+    ``site`` numbers the emitting site in the site table of the instance's
+    template, ``slot`` is the target's slot, and ``start`` the log's length
+    when the ``fire`` call began: every premise was read at that length.
+    """
+
+    inst: tuple  # the instance: (rule id, facts, body)
+    site: int
+    slot: int
+    value: ExtNat
+    start: int
+
+    @property
+    def rule_id(self) -> str:
+        return self.inst[0]
+
+
 class StoreConflict:
     """A failed meet: the attempted justification crossed the other side."""
 
@@ -194,6 +228,7 @@ class StoreConflict:
         self.opposing_source = opposing_source
 
 
+_new = tuple.__new__  # a record checks no field: skip the named tuple's Python-level __new__
 _POINT_MAPS = frozenset((init_map(POINT), term_map(POINT)))
 _EXACT = Interval(0, 0)
 
@@ -207,6 +242,14 @@ class BoundStore:
     (``rules.fire``).  The canonical maps of the point are
     exact by definition, so their keys default to [0, 0]; everything else
     defaults to the unconstrained [0, inf].
+
+    ``entries`` holds each tightening in order, an asserted Justification
+    or a rule's Tightening, and ``prior`` per entry the log index of the
+    previous value of its side of its slot, None for the default.
+    Following ``prior`` from a side's current source back below a fire
+    call's ``start`` finds what that call read, so ``log`` builds every
+    Justification on demand, with the premises it had when it fired.  This
+    holds while every value in the lists came from an entry or a default.
     """
 
     def __init__(self) -> None:
@@ -216,7 +259,14 @@ class BoundStore:
         self.hi_values: list[ExtNat] = []
         self.lo_sources: list[Optional[int]] = []
         self.hi_sources: list[Optional[int]] = []
-        self.log: list[Justification] = []
+        self.entries: list[Union[Justification, Tightening]] = []
+        self.prior: list[Optional[int]] = []
+
+    @property
+    def log(self) -> Log:
+        # a new view per read: a view kept on the store would make a cycle,
+        # and free the store only at a cyclic collection
+        return Log(self)
 
     @staticmethod
     def default_interval(key: InvariantKey) -> Interval:
@@ -251,30 +301,61 @@ class BoundStore:
         idx = self.source_of(key, side)
         return self.log[idx] if idx is not None else None
 
-    def apply(self, just: Justification) -> Union[bool, StoreConflict]:
-        """Meet one side with a justified value.
+    def apply(self, update: Union[Justification, Tightening]) -> Union[bool, StoreConflict]:
+        """Meet one side with a justified value: a Justification by its
+        key, or a rule's Tightening by its slot and its site's side.
 
         Returns True if the store tightened, False for a no-op, or a
         StoreConflict when the new bound crosses the opposite side.
         """
-        slot = self.slot(just.key)
-        lo, hi = self.lo_values[slot], self.hi_values[slot]
-        if just.side is Side.HI:
-            if just.value >= hi:
-                return False
-            if just.value < lo:
-                return StoreConflict(just.key, Interval(lo, hi), just, self.lo_sources[slot])
-            self.hi_values[slot] = as_extnat(just.value)
-            self.hi_sources[slot] = len(self.log)
+        if type(update) is Tightening:
+            inst, site, slot, value, _ = update
+            side = TEMPLATES[inst[2][0]].sites[site][1]
         else:
-            if just.value <= lo:
+            slot, side, value = self.slot(update.key), update.side, update.value
+        lo, hi = self.lo_values[slot], self.hi_values[slot]
+        if side is Side.HI:
+            if value >= hi:
                 return False
-            if just.value > hi:
-                return StoreConflict(just.key, Interval(lo, hi), just, self.hi_sources[slot])
-            self.lo_values[slot] = as_extnat(just.value)
-            self.lo_sources[slot] = len(self.log)
-        self.log.append(just)
+            if value < lo:
+                return StoreConflict(self.keys[slot], Interval(lo, hi), self.justify(update),
+                                     self.lo_sources[slot])
+            self.hi_values[slot] = as_extnat(value)
+            self.prior.append(self.hi_sources[slot])
+            self.hi_sources[slot] = len(self.entries)
+        else:
+            if value <= lo:
+                return False
+            if value > hi:
+                return StoreConflict(self.keys[slot], Interval(lo, hi), self.justify(update),
+                                     self.hi_sources[slot])
+            self.lo_values[slot] = as_extnat(value)
+            self.prior.append(self.lo_sources[slot])
+            self.lo_sources[slot] = len(self.entries)
+        self.entries.append(update)
         return True
+
+    def justify(self, update: Union[Justification, Tightening]) -> Justification:
+        """``update`` as a Justification.  A Tightening's premises are what
+        its fire call read: per read side of a slot, the entry behind it at
+        ``start``, found from the side's current source through ``prior``,
+        or the default."""
+        if type(update) is not Tightening:
+            return update
+        (rule_id, facts, body), site, slot, value, start = update
+        _, side, compute, const, reads = TEMPLATES[body[0]].sites[site]
+        keys, entries, prior = self.keys, self.entries, self.prior
+        premises = []
+        for at, read, role in reads:
+            source = (self.lo_sources if read is Side.LO else self.hi_sources)[body[at]]
+            while source is not None and source >= start:
+                source = prior[source]
+            key = keys[body[at]]
+            was = (entries[source].value if source is not None
+                   else self.default_interval(key).side(read.value))
+            premises.append(_new(Premise, (key, read, was, role, source)))
+        return _new(Justification, (rule_id, keys[slot], side, value, compute, const,
+                                    tuple(premises), facts))
 
     def serialize(self) -> str:
         """Canonical JSON of all non-default intervals, for byte comparison.
@@ -292,6 +373,23 @@ class BoundStore:
             for k, slot in tightened
         }
         return json.dumps(payload, separators=(",", ":"))
+
+
+class Log(Sequence):
+    """A store's tightening log, read only: entry ``i`` is built as its
+    Justification when it is read, and none is kept."""
+
+    def __init__(self, store: BoundStore):
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store.entries)
+
+    def __getitem__(self, idx: int) -> Justification:
+        return self._store.justify(self._store.entries[idx])
+
+    def __iter__(self) -> Iterator[Justification]:
+        return map(self._store.justify, self._store.entries)
 
 
 def replay(log: Iterable[Justification]) -> BoundStore:

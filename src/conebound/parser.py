@@ -109,10 +109,13 @@ class Cursor:
         return self.tokens[self.idx:self.idx + len(texts)] == texts
 
     def accept(self, *texts: str) -> bool:
-        found = self.at(*texts)
-        if found:
-            self.idx += len(texts)
-        return found
+        # ``at`` inlined: word, key and bound call this once per token
+        idx = self.idx
+        end = idx + len(texts)
+        if self.tokens[idx:end] != texts:
+            return False
+        self.idx = end
+        return True
 
     def word(self, *texts: str) -> None:
         if not self.accept(*texts):

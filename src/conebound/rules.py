@@ -29,18 +29,20 @@ A law is lexed by the parser's ``TOKEN_RE`` and read by a subclass of its
 ``Cursor``, whose errors name the rule and the token at fault.
 
 A law compiles to data: a ``Matcher`` holds the function listing its
-matches and, per instance, a ``Template`` and the key references whose
-fields follow it.  Each ``instantiate`` call builds the scene's key
-table once, ``Keys(elab, fields)``, whose dicts take a name to its key's
-body field: its slot in a store, or the key itself.  Every key a law
+matches and, per instance, a ``Template``'s index and the key references
+whose fields follow it.  Each ``instantiate`` call builds the scene's
+key table once, ``Keys(elab, fields)``, whose dicts take a name to its
+key's body field: its slot in a store, or the key itself.  Every key a law
 names is L or Lcat of a map of the scene, as cl, cat, kl and kit are of
 its canonical maps, so the table holds them all before any match.  The
 (rule id, facts, body) tuple is the only instance form: its body is
-``(template, *fields)``, the step layout that every instance of the law
-shares followed by the instance's own slots or keys.  Both ends run
-generated code, built on first use by ``kernels``: a matcher's kernel
-builds the bodies, a template's kernel fires them, and is the one
-evaluator of the steps.
+``(template, *fields)``, the index in ``model.TEMPLATES`` of the step
+layout that every instance of the law shares, followed by the
+instance's own slots or keys.  Over slots a body holds only ints, and a
+match only strs and ints, so the cyclic collector stops tracking them.
+Both ends run generated code, built on first use by ``kernels``: a
+matcher's kernel builds the bodies, a template's kernel fires them, and
+is the one evaluator of the steps.
 
 Rule ids are stable public strings; traces and golden files show them.
 """
@@ -51,7 +53,8 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .elaborate import ElaboratedScene
-from .model import BoundStore, InvariantKey, Justification, Kind, Side, init_map, term_map
+from .model import (TEMPLATES, BoundStore, InvariantKey, Kind, Side, Tightening, init_map,
+                    term_map)
 from .parser import Cursor
 from .scene import FACT_SCHEMAS
 
@@ -156,7 +159,7 @@ class CondLower(NamedTuple):
     floor: InvariantKey
 
 
-# An instance: (rule id, fact indices, (template, *slots)), or keys for slots.
+# An instance: (rule id, fact indices, (template index, *slots)), or keys for slots.
 Match = tuple[str, tuple[int, ...], tuple]
 
 
@@ -305,8 +308,9 @@ class Matcher:
     the law's instances, in item order and per item in instance order.
 
     ``items`` lists the law's matches as (fact indices, names); per
-    instance, ``instances`` hold its template and its key references
-    (head, name position), whose slots follow the template in the body.
+    instance, ``instances`` hold its template's index and its key
+    references (head, name position), whose slots follow the index in the
+    body.
     ``match`` is the kernel, which ``kernels.compile_matcher`` makes from
     these on first use.
     """
@@ -314,7 +318,7 @@ class Matcher:
     __slots__ = ("rule_id", "items", "instances", "match")
 
     def __init__(self, rule_id: str, items: Callable[[ElaboratedScene], Iterable],
-                 instances: tuple[tuple[Template, tuple], ...]):
+                 instances: tuple[tuple[int, tuple], ...]):
         self.rule_id, self.items, self.instances = rule_id, items, instances
         self.match = self._compile
 
@@ -340,11 +344,12 @@ def _analog(step: list) -> list:
                        for name, value in zip(step[0]._fields, step[1:]))]
 
 
-def _layout(steps: list[list], templates: dict) -> tuple[Template, tuple]:
-    """One instance's (template, key references).  In a step a key is a
-    tuple, a tuple of keys is a list, and the rest are constants.
-    ``templates`` holds the templates made so far by their layout; an equal
-    layout reuses its template."""
+def _layout(steps: list[list], templates: dict) -> tuple[int, tuple]:
+    """One instance's (template index, key references).  In a step a key
+    is a tuple, a tuple of keys is a list, and the rest are constants.
+    ``templates`` holds the indices of the templates made so far by their
+    layout; an equal layout reuses its template, and a new one joins the
+    template table."""
     consts = list(dict.fromkeys((type(v), v) for step in steps for v in step
                                 if type(v) not in (tuple, list)))
     refs: list[tuple[str, int]] = []
@@ -373,7 +378,8 @@ def _layout(steps: list[list], templates: dict) -> tuple[Template, tuple]:
         layout.append(tuple(items))
     key = tuple(consts), tuple(layout)  # typed constants: True and 1 differ
     if key not in templates:
-        templates[key] = Template(tuple(v for _, v in consts), key[1], len(refs))
+        templates[key] = len(TEMPLATES)
+        TEMPLATES.append(Template(tuple(v for _, v in consts), key[1], len(refs)))
     return templates[key], tuple(refs)
 
 
@@ -573,7 +579,7 @@ def instantiate(elab: ElaboratedScene, store: Optional[BoundStore] = None) -> li
     ``store``: the result is the (rule id, facts, body) matches that the
     engine fires, and ``store.keys`` maps a body's slots back to its keys.
     Without a store the keys themselves are the fields, one object per key.
-    A body compares by its template, one object per layout, and its
+    A body compares by its template's index, one per layout, and its
     fields.  No two instances are equal: two matches differ in their rule,
     their facts or their first field, and a match kernel drops an ``also``
     instance equal to an earlier one of its match.
@@ -594,32 +600,35 @@ def instantiate(elab: ElaboratedScene, store: Optional[BoundStore] = None) -> li
 class Template:
     """The step layout that every instance of one law clause list shares.
 
-    An instance's body is ``(template, *slots)``.  ``items`` give each step
-    as positions in ``consts + body``: an int is a constant or a slot, a
-    range a run of slots.  A step reads all its key fields and the steps
-    name every body position, so an instance reads each of its slots.
-    ``fire`` is the kernel, which ``kernels.compile_kernel`` makes from the
-    items on first use.
+    An instance's body is ``(index, *slots)``, the index being the
+    template's in ``TEMPLATES``.  ``items`` give each step as positions in
+    ``consts + body``: an int is a constant or a slot, a range a run of
+    slots.  A step reads all its key fields and the steps name every body
+    position, so an instance reads each of its slots.  ``fire`` is the
+    kernel, which ``kernels.compile_kernel`` makes from the items on first
+    use, together with ``sites``, the table its Tightenings number their
+    emitting sites in.
     """
 
-    __slots__ = ("consts", "items", "width", "fire")
+    __slots__ = ("consts", "items", "width", "fire", "sites")
 
     def __init__(self, consts: tuple, items: tuple[tuple, ...], width: int):
         self.consts, self.items, self.width = consts, items, width
         self.fire = self._compile
+        self.sites: list[tuple] = []
 
-    def _compile(self, inst: Match, store: BoundStore, rearrange: bool) -> list[Justification]:
+    def _compile(self, inst: Match, store: BoundStore, rearrange: bool) -> list[Tightening]:
         """The template's first fire: compile its kernel, then fire that."""
         from .kernels import compile_kernel
 
-        self.fire = compile_kernel(self)
+        self.fire, self.sites = compile_kernel(self)
         return self.fire(inst, store, rearrange)
 
 
-def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Justification]:
+def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Tightening]:
     """Evaluate an instance compiled against ``store`` through its
     template's kernel; returns only updates that would strictly tighten."""
-    return inst[2][0].fire(inst, store, rearrange)
+    return TEMPLATES[inst[2][0]].fire(inst, store, rearrange)
 
 
 # -- post-hoc verification -------------------------------------------------------
@@ -636,7 +645,8 @@ def check_instance(inst: Match, store: BoundStore, elab: ElaboratedScene,
     passes it positionally."""
     rule_id, facts, body = inst
     violations = []
-    for update in fire((rule_id, facts, (body[0], *map(store.slot, body[1:]))), store, rearrange):
+    compiled = (rule_id, facts, (body[0], *map(store.slot, body[1:])))
+    for update in map(store.justify, fire(compiled, store, rearrange)):
         side = "upper" if update.side is Side.HI else "lower"
         violations.append(
             f"{rule_id}: {side} bound {update.value} on "

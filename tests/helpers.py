@@ -13,7 +13,7 @@ import random
 
 from conebound.elaborate import ElaborationError, _expand
 from conebound.extnat import INF
-from conebound.model import InvariantKey, Kind, init_map, term_map
+from conebound.model import TEMPLATES, InvariantKey, Kind, init_map, term_map
 from conebound.scene import (
     BoundDecl,
     CollectionProfile,
@@ -399,9 +399,10 @@ def key_table(elab) -> list[InvariantKey]:
 def step_tuples(body: tuple) -> tuple:
     """The steps of the instance with ``body`` as ``(shape, *fields)``: each
     item of its template read from ``consts + body``, a run as a tuple."""
-    values = body[0].consts + tuple(body)
+    template = TEMPLATES[body[0]]
+    values = template.consts + tuple(body)
     return tuple(tuple(values[i.start:i.stop] if type(i) is range else values[i] for i in step)
-                 for step in body[0].items)
+                 for step in template.items)
 
 
 def leaves(tree) -> list:

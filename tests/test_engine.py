@@ -1,5 +1,6 @@
 """Saturation behavior: fixpoints, contradictions, budgets, provenance."""
 
+import gc
 import hashlib
 import json
 import random
@@ -12,7 +13,7 @@ from conebound import engine
 from conebound.elaborate import elaborate
 from conebound.engine import Limits, explain, query, saturate
 from conebound.extnat import INF, Interval
-from conebound.model import Side, replay
+from conebound.model import Premise, Side, replay
 from conebound.parser import parse_scene
 from conebound.rules import check_instance, instantiate
 
@@ -150,6 +151,16 @@ def test_runs_end_without_pumping_a_lower_bound():
                 if just.side is Side.LO and just.value != INF:
                     assert just.value <= cap, (seed, rearrange, just)
     assert asserting == 117
+
+
+def test_saturation_builds_no_premise():
+    # a rule's tightening is logged as ints beside its instance; the store
+    # builds premises only when its log is read
+    result = run(chain_scene(400))
+    gc.collect()
+    assert len(result.store.log) == 2405
+    assert not [obj for obj in gc.get_objects() if type(obj) is Premise]
+    assert sum(len(just.premises) for just in result.store.log) == 3496
 
 
 def test_replay_reconstructs_final_store():

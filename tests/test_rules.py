@@ -1,6 +1,7 @@
 """Catalog integrity, guards, instantiation shapes, and firing semantics."""
 
 import functools
+import gc
 import hashlib
 import re
 import sys
@@ -9,8 +10,8 @@ import typing
 from pathlib import Path
 
 import pytest
-from helpers import (PROBE_SCENE, key_kl, key_L, key_Lcat, key_table, random_scene,
-                     step_tuples)
+from helpers import (PROBE_SCENE, chain_scene, key_kl, key_L, key_Lcat, key_table,
+                     random_scene, step_tuples)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from conebound.elaborate import elaborate
 from conebound.engine import explain, query, saturate
 from conebound.extnat import INF
 from conebound.model import (
+    TEMPLATES,
     BoundStore,
     InvariantKey,
     Justification,
@@ -208,7 +210,7 @@ def test_compiled_steps_follow_conclusion_fields():
     over_slots = instantiate(elab, store)
     for inst, compiled in zip(instantiate(elab), over_slots, strict=True):
         (rule_id, facts, body), (_, _, slots) = inst, compiled
-        assert body[0] is slots[0]
+        assert body[0] == slots[0] and type(TEMPLATES[body[0]]) is rules.Template
         for step, got in zip(step_tuples(body), step_tuples(slots), strict=True):
             shape = step[0]
             assert got[0] is shape and len(step) == 1 + len(shape._fields)
@@ -648,10 +650,11 @@ def test_every_catalog_kernel_emits_exactly_while_a_step_fails_and_establishes_t
     # four keys, aliases included: the kernel emits nothing exactly when
     # every step holds, and applying its updates until it emits nothing
     # leaves every step holding, unless the steps cannot hold together
-    for template in dict.fromkeys(t for rule in catalog() for t, _ in rule.matcher.instances):
+    for index in dict.fromkeys(t for rule in catalog() for t, _ in rule.matcher.instances):
         store = _store_over(bounds)
-        slots = data.draw(st.lists(_SLOT, min_size=template.width, max_size=template.width))
-        inst = ("T", (), (template, *slots))
+        width = TEMPLATES[index].width
+        slots = data.draw(st.lists(_SLOT, min_size=width, max_size=width))
+        inst = ("T", (), (index, *slots))
         steps = step_tuples(inst[2])
 
         def holds():
@@ -674,9 +677,10 @@ def test_every_catalog_kernel_emits_exactly_while_a_step_fails_and_establishes_t
 def test_every_template_step_names_every_body_position():
     # so an instance reads every slot of its body, and the engine subscribes
     # it to ``body[1:]``; a constant is never a string
-    templates = {template for rule in catalog() for template, _ in rule.matcher.instances}
-    for template in templates:
-        body = (template, *(f"#{at}" for at in range(1, template.width + 1)))
+    indices = {index for rule in catalog() for index, _ in rule.matcher.instances}
+    for index in indices:
+        template = TEMPLATES[index]
+        body = (index, *(f"#{at}" for at in range(1, template.width + 1)))
         named = set()
         for shape, *fields in step_tuples(body):
             hints = typing.get_type_hints(shape)
@@ -692,15 +696,31 @@ def test_instances_share_their_templates_and_hold_no_steps():
     compiled = _probe_compiled()
     objects = {}  # layout -> the template objects with that layout
     for _, _, body in compiled:
-        template = body[0]
+        # the body is the template's index and one slot per laid-out key,
+        # nothing else
+        assert all(type(field) is int for field in body)
+        template = TEMPLATES[body[0]]
         assert type(template) is rules.Template
-        # the body is the template and one slot per laid-out key, nothing else
         assert len(body) == 1 + template.width
-        assert all(type(slot) is int for slot in body[1:])
         layout = tuple((type(c), c) for c in template.consts), template.items
-        objects.setdefault(layout, set()).add(id(template))
+        objects.setdefault(layout, set()).add(body[0])
     assert all(len(ids) == 1 for ids in objects.values())
     assert len(objects) < len(compiled) / 20
+
+
+def test_the_collector_drops_compiled_instances():
+    # a compiled body holds only ints and a match only a str and int
+    # tuples, so once a collection has seen them CPython stops tracking both.
+    # A collection untracks a tuple whose items it has already untracked,
+    # and it can reach a match before the match's body: hence two.
+    for text in (PROBE_SCENE, chain_scene(60)):
+        instances = saturate(elaborate(parse_scene(text))).instances
+        gc.collect()
+        gc.collect()
+        assert instances
+        for inst in instances:
+            assert not gc.is_tracked(inst[2]), inst
+            assert not gc.is_tracked(inst), inst
 
 
 # A pushout of f along itself: C41-1's two instances of each match are equal.
