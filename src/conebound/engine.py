@@ -40,6 +40,7 @@ if TYPE_CHECKING:
     import random
 
 ASSERTED = "asserted"
+CUT_DEPTH = 32  # levels of a text explanation below a block's first line
 
 
 class Limits(NamedTuple):
@@ -79,21 +80,28 @@ class DerivationTree:
         return len(self.nodes())
 
     def render(self, indent: int = 0) -> str:
-        """One line per node reached; an inner node reached twice prints
-        its subtree once, tagged ``[#n]``, and later as ``(see #n)``."""
+        """One line per node reached, two spaces deeper per level.  An inner
+        node reached twice prints its subtree once, tagged ``[#n]``, then as
+        ``(see #n)``; one ``CUT_DEPTH`` levels below its block's first line
+        prints as ``(see #n)``, its subtree following as a block at ``indent``."""
         lines: list[str] = []
         first: dict[int, int] = {}  # inner node -> index of its first line
         repeats: list[tuple[int, int]] = []  # (line index, inner node)
-        stack = [(self, indent)]
-        while stack:
-            node, depth = stack.pop()
-            if node.children:
-                if id(node) in first:
-                    repeats.append((len(lines), id(node)))
-                else:
-                    first[id(node)] = len(lines)
-                    stack += [(child, depth + 1) for child in node.children[::-1]]
-            lines.append("  " * depth + node.label)
+        blocks = [self]
+        for root in blocks:  # grows while read
+            stack = [(root, indent)]
+            while stack:
+                node, depth = stack.pop()
+                if node.children:
+                    if node is root or id(node) not in first and depth - indent < CUT_DEPTH:
+                        first[id(node)] = len(lines)
+                        stack += [(child, depth + 1) for child in node.children[::-1]]
+                    else:
+                        repeats.append((len(lines), id(node)))
+                        if id(node) not in first:
+                            first[id(node)] = -1  # until its block prints
+                            blocks.append(node)
+                lines.append("  " * depth + node.label)
         if repeats:
             shared = sorted({first[node] for _, node in repeats})
             numbers = {at: n for n, at in enumerate(shared, 1)}
@@ -228,10 +236,8 @@ class TreeBuilder:
         side = just.side.value
         surface = just.key.surface()
         value = fmt_extnat(just.value)
-        if just.rule_id == ASSERTED:
-            label = f"{side} {surface} = {value} (asserted)"
-        else:
-            label = f"{side} {surface} = {value} by {just.rule_id}"
+        how = "(asserted)" if just.rule_id == ASSERTED else f"by {just.rule_id}"
+        label = f"{side} {surface} = {value} {how}"
         node.label, node.key, node.side, node.value = label, surface, side, just.value
         node.rule_id, node.children = just.rule_id, tuple(children)
 
@@ -249,18 +255,14 @@ class TreeBuilder:
             key=surface, side=side.value, value=value,
         )
 
-    def side_tree(self, key: InvariantKey, side: Side) -> DerivationTree:
-        idx = self.store.source_of(key, side)
+    def side_tree(self, key: InvariantKey, side: Side, idx: Optional[int]) -> DerivationTree:
         return self.default_leaf(key, side) if idx is None else self.of_entry(idx)
 
     def conflict_report(self, conflict: StoreConflict) -> ContradictionReport:
         attempted = conflict.attempted
         attempted_tree = self.of_justification(attempted)
-        if conflict.opposing_source is not None:
-            opposing_tree = self.of_entry(conflict.opposing_source)
-        else:
-            opposing_side = Side.LO if attempted.side is Side.HI else Side.HI
-            opposing_tree = self.default_leaf(attempted.key, opposing_side)
+        opposing_side = Side.LO if attempted.side is Side.HI else Side.HI
+        opposing_tree = self.side_tree(attempted.key, opposing_side, conflict.opposing_source)
         if attempted.side is Side.HI:
             return ContradictionReport(attempted.key, conflict.current.lo, attempted.value,
                                        opposing_tree, attempted_tree)
@@ -355,10 +357,8 @@ def query(result: SaturationResult, key: InvariantKey) -> QueryAnswer:
         raise KeyError(f"unknown invariant target {key.surface()}")
 
     def classify(side: Side) -> str:
-        just = result.store.justification_of(key, side)
-        if just is None:
-            return "default"
-        return just.rule_id
+        idx = result.store.source_of(key, side)
+        return "default" if idx is None else result.store.entries[idx].rule_id
 
     return QueryAnswer(
         key=key,
@@ -376,4 +376,4 @@ def explain(result: SaturationResult, key: InvariantKey, side: Side) -> Derivati
     """
     if key.map_id not in result.elab.maps:
         raise KeyError(f"unknown invariant target {key.surface()}")
-    return result.trees.side_tree(key, side)
+    return result.trees.side_tree(key, side, result.store.source_of(key, side))

@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import io
 import json
 import random
+import re
 
 import pytest
 from helpers import (chain_scene, key_cat, key_cl, key_kit, key_kl, key_L, key_Lcat, leaves,
@@ -484,7 +486,11 @@ def test_deep_chain_explains_at_the_default_recursion_limit(deep_chain, default_
     assert tree.value == 1501
     # each of the 1500 steps adds its node, its asserted L(f) and its fact
     assert tree.size() == 4501
-    assert tree.render().count("\n") == 4500
+    # one line per node plus a reference line per cut: the steps at depths
+    # 32, 64, ..., 1472 start blocks of their own
+    text = tree.render()
+    assert text.count(" (see #") == 1499 // engine.CUT_DEPTH == 46
+    assert text.count("\n") == 4500 + 46
     payload = tree.to_json()
     assert len(payload["nodes"]) == 4500
     assert json.loads(json.dumps(payload))["value"] == 1501
@@ -500,8 +506,90 @@ def test_reprs_of_deep_and_shared_trees_stay_short(deep_chain, default_recursion
     deep = run(chain_scene(1500) + "bound cl(X1500) >= 2000\n").contradiction
     assert (deep.key, deep.lo_tree.size(), deep.hi_tree.size()) == (key_cl("X799"), 2104, 2398)
     for tree in (deep.lo_tree, deep.hi_tree):
-        assert len(tree.render().splitlines()) == tree.size()  # nothing shared
+        # nothing shared, so each reference line is a cut
+        text = tree.render()
+        assert len(text.splitlines()) == tree.size() + text.count(" (see #")
         assert len(json.loads(json.dumps(tree.to_json()))["nodes"]) + 1 == tree.size()
     for obj in (chain_tree, _tower_tree(15), report, deep):
         assert len(repr(obj)) < 1000
 
+
+def test_shallow_text_explanations_are_pinned():
+    # digests of the text before deep derivations were cut into blocks;
+    # no tree here is CUT_DEPTH levels deep, so none may change
+    from conebound.cli import corpus_dir, main
+
+    tower = run(_product_tower_scene(15) + "bound kl(P0) = 1\n")
+    texts = {key.surface(): explain(tower, key, Side.HI).render()
+             for key in (key_cl("P15"), key_kl("P15"))}
+    for name in ("problem78", "example74"):  # a fixpoint and a contradiction
+        out = io.StringIO()
+        main(["explain", str(corpus_dir() / f"{name}.scene"), "--target", "kl(X)"],
+             out=out, out_err=io.StringIO())
+        texts[name] = out.getvalue()
+    assert {name: hashlib.sha256(text.encode()).hexdigest()[:16]
+            for name, text in texts.items()} == {
+        "cl(P15)": "75dc6337e288bfb2",
+        "kl(P15)": "5401ff3656b223b8",
+        "problem78": "500259b44701cdea",
+        "example74": "faaed3e9783cb62a",
+    }
+
+
+def test_text_explanations_stay_linear_in_tree_size():
+    per_node = []
+    for n in (1000, 4000):
+        tree = explain(run(chain_scene(n)), key_cl(f"X{n}"), Side.HI)
+        per_node.append(len(tree.render().encode()) / tree.size())
+    assert max(per_node) < 100
+    assert max(per_node) / min(per_node) < 1.05
+
+
+_LINE = re.compile(r"( *)(.*?)(?: \[#(\d+)\]| \(see #(\d+)\))?")
+
+
+def _rebuild(text):
+    """The DAG a rendered tree describes, and its number of blocks after
+    the first: a line's children are the lines one level deeper below it,
+    a ``(see #n)`` line stands for the line tagged ``[#n]``, and leaves
+    with equal labels are one leaf."""
+    items, tagged, roots, path = [], {}, [], []  # item: (node, child items, see n)
+    for line in text.splitlines():
+        spaces, label, tag, ref = _LINE.fullmatch(line).groups()
+        del path[len(spaces) // 2:]
+        item = (engine.DerivationTree(label), [], ref)
+        (path[-1][1] if path else roots).append(item)
+        path.append(item)
+        items.append(item)
+        if tag:
+            assert tag not in tagged, line
+            tagged[tag] = item
+    # every (see #n) resolves to exactly one [#n], numbered in text order,
+    # and every block after the first is one of them
+    assert list(tagged) == [str(n) for n in range(1, len(tagged) + 1)]
+    assert {ref for _, _, ref in items if ref} == set(tagged)
+    assert not any(kids for _, kids, ref in items if ref)
+    assert all(root in tagged.values() for root in roots[1:])
+    leaf: dict[str, engine.DerivationTree] = {}
+
+    def resolve(item):
+        node, kids, _ = tagged[item[2]] if item[2] else item
+        return node if kids else leaf.setdefault(node.label, node)
+
+    for node, kids, _ in items:
+        node.children = tuple(map(resolve, kids))
+    return roots[0][0], len(roots) - 1
+
+
+def _shape(tree):
+    nodes = tree.nodes()
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return [(node.label, [index[id(child)] for child in node.children]) for node in nodes]
+
+
+def test_rendered_text_rebuilds_the_derivation_dag(deep_chain):
+    for tree, blocks in ((explain(deep_chain, key_cl("X1500"), Side.HI), 46),
+                         (_tower_tree(15), 0), (_tower_tree(40), 1)):
+        rebuilt, cut = _rebuild(tree.render())
+        assert cut == blocks
+        assert _shape(rebuilt) == _shape(tree)
