@@ -126,7 +126,7 @@ def solve(path: Path, args, target: Optional[str], out_err):
     """
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=out_err)
         return None
     scene, errors = try_parse_scene(text)

@@ -79,8 +79,9 @@ class ElaboratedScene:
             return
         self.spaces.append(space)
         self._space_set.add(space)
-        self.maps[init_map(space)] = MapDecl(init_map(space), POINT, space)
-        self.maps[term_map(space)] = MapDecl(term_map(space), space, POINT)
+        init, term = init_map(space), term_map(space)
+        self.maps[init] = MapDecl(init, POINT, space)
+        self.maps[term] = MapDecl(term, space, POINT)
 
     def add_map(self, decl: MapDecl) -> None:
         existing = self.maps.get(decl.id)

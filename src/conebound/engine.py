@@ -295,12 +295,12 @@ def saturate(elab: ElaboratedScene, limits: Limits = Limits(), *,
     # asserted bounds in conflict leave nothing to fire
     compiled = [] if contradiction is not None else instantiate(elab, store)
     # subscribers[slot]: the instances that read the slot, ascending.  An
-    # instance reads every slot in ``body[1:]`` (see ``rules.Template``).
+    # instance reads every slot in ``inst[3:]`` (see ``rules.Template``).
     # Two positions can hold one slot, so an instance can be listed twice;
     # the round's ``scheduled`` set takes it once.
     subscribers: list[list[int]] = [[] for _ in store.keys]
-    for idx, (_, _, body) in enumerate(compiled):
-        for slot in body[1:]:
+    for idx, inst in enumerate(compiled):
+        for slot in inst[3:]:
             subscribers[slot].append(idx)
     agenda = list(range(len(compiled)))
     while agenda:

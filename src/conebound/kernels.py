@@ -3,22 +3,22 @@ kernels that build them.
 
 A template's kernel is the one evaluator of the seven step shapes.
 ``compile_kernel`` generates it from the template's layout on the
-template's first use: the body is unpacked once into ``s1``, ``s2``, ...,
-every run is unrolled and the constants are inlined, and each step's
+template's first use: the instance is unpacked once into ``s3``, ``s4``,
+..., every run is unrolled and the constants are inlined, and each step's
 lines (``_KERNEL_STEPS``, per shape) emit every bound of its inequality
 that would strictly tighten the store.  Each emitting site appends one
 ``model.Tightening``, (instance, site number, target slot, value, log
 length), and its target position, side, compute kind, const and premise
 layout go to the template's site table instead of into the code: the
 store builds a Justification from them only when its log is read.  A
-kernel names body positions and catalog constants only, never a key or
-a scene.  ``rules.fire`` runs it for the engine, and
+kernel names instance positions and catalog constants only, never a key
+or a scene.  ``rules.fire`` runs it for the engine, and
 ``rules.check_instance`` for the fixpoint re-check.
 
 ``compile_matcher`` does the same for a law's matcher when it first matches:
-one loop over the law's items that builds every body as a tuple display
-of its template's index and key-table lookups, in the order of the law's
-key references.
+one loop over the law's items that builds every instance as one tuple
+display of its rule id, facts, template index and key-table lookups, in
+the order of the law's key references.
 
 ``rules`` imports this module on the first match, fire or re-check, so
 ``import conebound`` and ``catalog()`` compile none of it.
@@ -137,15 +137,16 @@ def kernel_source(template: Template) -> tuple[str, list[tuple]]:
     """The Python source of ``template``'s kernel, a function ``kernel``,
     and its site table: per emitting site, in the order of the code,
     (target position, side, compute kind, const, premises), each premise
-    being (body position, read side, role).  A slot's local name in the
-    kernel is ``s`` followed by its body position."""
-    base = len(template.consts)
+    being (instance position, read side, role).  A slot's local name in
+    the kernel is ``s`` followed by its instance position."""
+    consts = template.consts
+    shift = 2 - len(consts)  # from a position in consts + inst[2:] to one in inst
     sites: list[tuple] = []
 
     def field(item: Union[int, range]) -> object:
         if type(item) is range:
-            return [f"s{p - base}" for p in item]
-        return template.consts[item] if item < base else f"s{item - base}"
+            return [f"s{p + shift}" for p in item]
+        return consts[item] if item < len(consts) else f"s{item + shift}"
 
     def emit(target: str, side: str, value: str, compute: str, const: int,
              *groups: tuple) -> str:
@@ -159,7 +160,7 @@ def kernel_source(template: Template) -> tuple[str, list[tuple]]:
                 "len(store.entries))))")
 
     lines = ["def kernel(inst, store, rearrange):",
-             f"    _, {''.join(f's{j}, ' for j in range(1, template.width + 1))}= inst[2]",
+             f"    _, _, _, {''.join(f's{j}, ' for j in range(3, template.width + 3))}= inst",
              "    lo, hi = store.lo_values, store.hi_values",
              "    out = []"]
     for step in template.items:
@@ -186,25 +187,28 @@ def compile_kernel(template: Template) -> tuple[Callable[..., list[Tightening]],
 def matcher_source(matcher: Matcher) -> str:
     """The Python source of ``matcher``'s kernel, a function ``matcher``.
 
-    Per item it builds each instance's body as one tuple display of its
-    template's index and key table lookups, ``(7, L[n[0]], cl[n[2]], ...)``,
-    in the order of the law's key references.  An instance equal to an
-    earlier one of the same item is left out."""
+    Per item it builds each instance as one tuple display of its rule id,
+    its facts, shared through ``k.facts``, its template's index and key
+    table lookups, ``('C44-3', facts, 7, L[n[0]], cl[n[2]], ...)``, in the
+    order of the law's key references.  An instance equal to an earlier
+    one of the same item is left out."""
     heads = list(dict.fromkeys(head for _, refs in matcher.instances for head, _ in refs))
-    bodies = [f"({template}, {''.join(f'{head}[n[{at}]], ' for head, at in refs)})"
-              for template, refs in matcher.instances]
     rule_id = repr(matcher.rule_id)
+    fields = [f"{template}, {''.join(f'{head}[n[{at}]], ' for head, at in refs)}"
+              for template, refs in matcher.instances]
     lines = ["def matcher(elab, k):",
-             f"    {', '.join(heads)}, = {', '.join(f'k.{head}' for head in heads)},"]
-    if len(bodies) == 1:
-        lines.append(f"    return [({rule_id}, facts, {bodies[0]}) for facts, n in items(elab)]")
+             f"    share, {', '.join(heads)}, = k.facts.setdefault, "
+             f"{', '.join(f'k.{head}' for head in heads)},"]
+    if len(fields) == 1:
+        lines.append(f"    return [({rule_id}, share(facts, facts), {fields[0]}) "
+                     "for facts, n in items(elab)]")
     else:
         lines += ["    out = []", "    for facts, n in items(elab):",
-                  f"        b0 = {bodies[0]}", f"        out.append(({rule_id}, facts, b0))"]
-        for j, body in enumerate(bodies[1:], 1):
-            lines += [f"        b{j} = {body}",
-                      f"        if b{j} not in ({''.join(f'b{i}, ' for i in range(j))}):",
-                      f"            out.append(({rule_id}, facts, b{j}))"]
+                  "        facts = share(facts, facts)"]
+        for j, field in enumerate(fields):
+            lines += [f"        i{j} = ({rule_id}, facts, {field})",
+                      f"        if i{j} not in ({''.join(f'i{i}, ' for i in range(j))}):",
+                      f"            out.append(i{j})"]
         lines.append("    return out")
     return "\n".join([*lines, ""])
 

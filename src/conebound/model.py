@@ -189,12 +189,12 @@ class Justification(NamedTuple):
 
 
 # The template table: every step layout that ``rules`` compiles, by the
-# index that an instance body holds first.  It only grows, so an index
-# stays valid for the life of the process.  A template's ``sites`` list
-# the emitting sites of its kernel, each as (target position, side,
-# compute kind, const, premises), a premise being (body position, read
-# side, role): the layout that ``BoundStore.justify`` rebuilds a
-# Tightening's Justification from.
+# index that an instance holds third, after its rule id and facts.  It
+# only grows, so an index stays valid for the life of the process.  A
+# template's ``sites`` list the emitting sites of its kernel, each as
+# (target position, side, compute kind, const, premises), a premise being
+# (instance position, read side, role): the layout that
+# ``BoundStore.justify`` rebuilds a Tightening's Justification from.
 TEMPLATES: list = []
 
 
@@ -206,7 +206,7 @@ class Tightening(NamedTuple):
     when the ``fire`` call began: every premise was read at that length.
     """
 
-    inst: tuple  # the instance: (rule id, facts, body)
+    inst: tuple  # the instance: (rule id, facts, template index, *slots)
     site: int
     slot: int
     value: ExtNat
@@ -310,7 +310,7 @@ class BoundStore:
         """
         if type(update) is Tightening:
             inst, site, slot, value, _ = update
-            side = TEMPLATES[inst[2][0]].sites[site][1]
+            side = TEMPLATES[inst[2]].sites[site][1]
         else:
             slot, side, value = self.slot(update.key), update.side, update.value
         lo, hi = self.lo_values[slot], self.hi_values[slot]
@@ -342,20 +342,20 @@ class BoundStore:
         or the default."""
         if type(update) is not Tightening:
             return update
-        (rule_id, facts, body), site, slot, value, start = update
-        _, side, compute, const, reads = TEMPLATES[body[0]].sites[site]
+        inst, site, slot, value, start = update
+        _, side, compute, const, reads = TEMPLATES[inst[2]].sites[site]
         keys, entries, prior = self.keys, self.entries, self.prior
         premises = []
         for at, read, role in reads:
-            source = (self.lo_sources if read is Side.LO else self.hi_sources)[body[at]]
+            source = (self.lo_sources if read is Side.LO else self.hi_sources)[inst[at]]
             while source is not None and source >= start:
                 source = prior[source]
-            key = keys[body[at]]
+            key = keys[inst[at]]
             was = (entries[source].value if source is not None
                    else self.default_interval(key).side(read.value))
             premises.append(_new(Premise, (key, read, was, role, source)))
-        return _new(Justification, (rule_id, keys[slot], side, value, compute, const,
-                                    tuple(premises), facts))
+        return _new(Justification, (inst[0], keys[slot], side, value, compute, const,
+                                    tuple(premises), inst[1]))
 
     def serialize(self) -> str:
         """Canonical JSON of all non-default intervals, for byte comparison.

@@ -32,17 +32,17 @@ A law compiles to data: a ``Matcher`` holds the function listing its
 matches and, per instance, a ``Template``'s index and the key references
 whose fields follow it.  Each ``instantiate`` call builds the scene's
 key table once, ``Keys(elab, fields)``, whose dicts take a name to its
-key's body field: its slot in a store, or the key itself.  Every key a law
+key's field: its slot in a store, or the key itself.  Every key a law
 names is L or Lcat of a map of the scene, as cl, cat, kl and kit are of
 its canonical maps, so the table holds them all before any match.  The
-(rule id, facts, body) tuple is the only instance form: its body is
-``(template, *fields)``, the index in ``model.TEMPLATES`` of the step
-layout that every instance of the law shares, followed by the
-instance's own slots or keys.  Over slots a body holds only ints, and a
-match only strs and ints, so the cyclic collector stops tracking them.
-Both ends run generated code, built on first use by ``kernels``: a
-matcher's kernel builds the bodies, a template's kernel fires them, and
-is the one evaluator of the steps.
+flat tuple ``(rule id, facts, template, *fields)`` is the only instance
+form: ``template`` is the index in ``model.TEMPLATES`` of the step layout
+that every instance of the law shares, and the instance's own slots or
+keys follow it.  Over slots an instance holds only a str, a tuple of
+ints and ints, so the cyclic collector stops tracking it.  Both ends run
+generated code, built on first use by ``kernels``: a matcher's kernel
+builds the instances, a template's kernel fires them, and is the one
+evaluator of the steps.
 
 Rule ids are stable public strings; traces and golden files show them.
 """
@@ -67,14 +67,16 @@ _new = tuple.__new__
 
 class Keys:
     """The key table of one ``instantiate`` call: six dicts, each taking a
-    name to its key's body field.  ``fields`` holds one field per key, for
-    L(m) and then Lcat(m) of every map m in ``elab.maps`` order; a space's
-    invariants are the fields of its canonical maps' keys, so cl(X) and
-    L(init(X)) share one field."""
+    name to its key's instance field.  ``fields`` holds one field per key,
+    for L(m) and then Lcat(m) of every map m in ``elab.maps`` order; a
+    space's invariants are the fields of its canonical maps' keys, so cl(X)
+    and L(init(X)) share one field.  ``facts`` interns the facts tuples of
+    the call's instances: AX-COMP and C410-3 match the same compose facts."""
 
-    __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit")
+    __slots__ = ("L", "Lcat", "cl", "cat", "kl", "kit", "facts")
 
     def __init__(self, elab: ElaboratedScene, fields: list):
+        self.facts: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.L = L = dict(zip(elab.maps, fields[::2]))
         self.Lcat = Lcat = dict(zip(elab.maps, fields[1::2]))
         self.cl, self.cat, self.kl, self.kit = (
@@ -159,8 +161,8 @@ class CondLower(NamedTuple):
     floor: InvariantKey
 
 
-# An instance: (rule id, fact indices, (template index, *slots)), or keys for slots.
-Match = tuple[str, tuple[int, ...], tuple]
+# An instance: (rule id, fact indices, template index, *slots), or keys for slots.
+Match = tuple
 
 
 class Rule(NamedTuple):
@@ -279,8 +281,8 @@ _BY_HAND = (
 # A law compiles to data: the function listing its matches as (fact
 # indices, names), and per instance its template and its key references
 # (head, name position) in first-use order, whose slots follow the
-# template in the body.  A tuple field is a run of slots; a run that first
-# use does not lay out repeats its keys.
+# template in the instance.  A tuple field is a run of slots; a run that
+# first use does not lay out repeats its keys.
 
 _KEY_SORTS = dict(L="map", Lcat="map", cl="space", cat="space", kl="space", kit="space")
 _ANALOG = {"L": "Lcat", "cl": "cat", "kl": "kit"}
@@ -310,7 +312,7 @@ class Matcher:
     ``items`` lists the law's matches as (fact indices, names); per
     instance, ``instances`` hold its template's index and its key
     references (head, name position), whose slots follow the index in the
-    body.
+    instance.
     ``match`` is the kernel, which ``kernels.compile_matcher`` makes from
     these on first use.
     """
@@ -354,7 +356,7 @@ def _layout(steps: list[list], templates: dict) -> tuple[int, tuple]:
                                 if type(v) not in (tuple, list)))
     refs: list[tuple[str, int]] = []
     first: dict[tuple[str, int], int] = {}
-    base = len(consts) + 1  # the slots follow the template in the body
+    base = len(consts) + 1  # the slots follow the template in the instance
 
     def at(key: tuple[str, int]) -> int:
         if key not in first:
@@ -576,13 +578,14 @@ def instantiate(elab: ElaboratedScene, store: Optional[BoundStore] = None) -> li
     ``elab.maps`` order, are every key a law can name.  Given a store,
     they are interned there in that order, and one pass over the matchers
     with their slots as the key table compiles every instance against
-    ``store``: the result is the (rule id, facts, body) matches that the
-    engine fires, and ``store.keys`` maps a body's slots back to its keys.
-    Without a store the keys themselves are the fields, one object per key.
-    A body compares by its template's index, one per layout, and its
-    fields.  No two instances are equal: two matches differ in their rule,
-    their facts or their first field, and a match kernel drops an ``also``
-    instance equal to an earlier one of its match.
+    ``store``: the result is the (rule id, facts, template, *slots)
+    instances that the engine fires, and ``store.keys`` maps an instance's
+    slots back to its keys.  Without a store the keys themselves are the
+    fields, one object per key.  Past its facts an instance compares by its
+    template's index, one per layout, and its fields.  No two instances are
+    equal: two matches differ in their rule, their facts or their first
+    field, and a match kernel drops an ``also`` instance equal to an
+    earlier one of its match.
     """
     keys = [_new(InvariantKey, (m, kind)) for m in elab.maps for kind in _KINDS]
     k = Keys(elab, keys if store is None else [*map(store.slot, keys)])
@@ -600,11 +603,11 @@ def instantiate(elab: ElaboratedScene, store: Optional[BoundStore] = None) -> li
 class Template:
     """The step layout that every instance of one law clause list shares.
 
-    An instance's body is ``(index, *slots)``, the index being the
-    template's in ``TEMPLATES``.  ``items`` give each step as positions in
-    ``consts + body``: an int is a constant or a slot, a range a run of
-    slots.  A step reads all its key fields and the steps name every body
-    position, so an instance reads each of its slots.  ``fire`` is the
+    An instance is ``(rule id, facts, index, *slots)``, the index being
+    the template's in ``TEMPLATES``.  ``items`` give each step as positions
+    in ``consts + inst[2:]``: an int is a constant or a slot, a range a run
+    of slots.  A step reads all its key fields and the steps name every
+    slot position, so an instance reads each of its slots.  ``fire`` is the
     kernel, which ``kernels.compile_kernel`` makes from the items on first
     use, together with ``sites``, the table its Tightenings number their
     emitting sites in.
@@ -628,7 +631,7 @@ class Template:
 def fire(inst: Match, store: BoundStore, rearrange: bool = True) -> list[Tightening]:
     """Evaluate an instance compiled against ``store`` through its
     template's kernel; returns only updates that would strictly tighten."""
-    return TEMPLATES[inst[2][0]].fire(inst, store, rearrange)
+    return TEMPLATES[inst[2]].fire(inst, store, rearrange)
 
 
 # -- post-hoc verification -------------------------------------------------------
@@ -643,13 +646,12 @@ def check_instance(inst: Match, store: BoundStore, elab: ElaboratedScene,
     default) and fired through its template's kernel, as the engine fires
     it.  ``elab`` is not read; it stays because ``perfbench/oracle.py``
     passes it positionally."""
-    rule_id, facts, body = inst
     violations = []
-    compiled = (rule_id, facts, (body[0], *map(store.slot, body[1:])))
+    compiled = (*inst[:3], *map(store.slot, inst[3:]))
     for update in map(store.justify, fire(compiled, store, rearrange)):
         side = "upper" if update.side is Side.HI else "lower"
         violations.append(
-            f"{rule_id}: {side} bound {update.value} on "
+            f"{inst[0]}: {side} bound {update.value} on "
             f"{update.key.surface()} not satisfied by {store.interval(update.key)}"
         )
     return violations

@@ -396,11 +396,11 @@ def key_table(elab) -> list[InvariantKey]:
     return [key(m) for m in elab.maps for key in (key_L, key_Lcat)]
 
 
-def step_tuples(body: tuple) -> tuple:
-    """The steps of the instance with ``body`` as ``(shape, *fields)``: each
-    item of its template read from ``consts + body``, a run as a tuple."""
-    template = TEMPLATES[body[0]]
-    values = template.consts + tuple(body)
+def step_tuples(inst: tuple) -> tuple:
+    """The steps of instance ``inst`` as ``(shape, *fields)``: each item of
+    its template read from ``consts + inst[2:]``, a run as a tuple."""
+    template = TEMPLATES[inst[2]]
+    values = template.consts + tuple(inst[2:])
     return tuple(tuple(values[i.start:i.stop] if type(i) is range else values[i] for i in step)
                  for step in template.items)
 

@@ -97,10 +97,10 @@ def test_03_product_grid_exact():
             result_s = saturate(elaborate(_grid_scene(m, n, wjs, assert_kl=False)))
             store = result_s.store
             emitted = None
-            for rule_id, _, body in instantiate(result_s.elab):
-                if rule_id != "C52":
+            for inst in instantiate(result_s.elab):
+                if inst[0] != "C52":
                     continue
-                for shape, target, *fields in step_tuples(body):
+                for shape, target, *fields in step_tuples(inst):
                     if shape is UpperSum and target == key_kl("P") and fields[1]:
                         total = sum(store.interval(k).hi for k in fields[0])
                         peak = max(store.interval(k).hi for k in fields[1])
@@ -176,7 +176,7 @@ def test_08_guard_exhaustiveness():
     table = {rule.id: rule.guard for rule in catalog()}
     for profile in all_profiles():
         elab = elaborate(scene._replace(profile=profile))
-        fired = {rule_id for rule_id, _, _ in instantiate(elab)}
+        fired = {inst[0] for inst in instantiate(elab)}
         expected = {rid for rid, guard in table.items() if guard <= profile.flags()}
         assert fired == expected, profile
     print(PASS.format(num=8, name="guard table exact over all 32 profiles"))

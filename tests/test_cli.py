@@ -76,6 +76,16 @@ def test_parse_error_exit_code_and_position(tmp_path):
     assert err == "broken.scene: line 3, col 11: expected '->'\n"
 
 
+@pytest.mark.parametrize("argv", [["check"], ["query", "--target", "cl(X)"],
+                                  ["explain", "--target", "cl(X)"]], ids=lambda argv: argv[0])
+def test_undecodable_scene_is_a_read_error(tmp_path, argv):
+    bad = tmp_path / "latin1.scene"
+    bad.write_bytes(b"space X\xff\n")
+    code, out, err = run_cli([argv[0], str(bad), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{bad}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
 def test_elaboration_error_exit_code(tmp_path):
     bad = tmp_path / "badcert.scene"
     bad.write_text(

@@ -129,9 +129,9 @@ def test_interned_key_stays_default_and_is_not_serialized():
     # re-checking gives every key the instance reads a slot, without a bound:
     # REL-CL over f and over init(*), whose L is cl(*)
     elab = elaborate(parse_scene("collection C { }\nspace X\nmap f : X -> X\n"))
-    for rule_id, facts, body in instantiate(elab):
-        if rule_id == "REL-CL" and body[1:] in {(key_Lcat(m), key_L(m)) for m in ("f", "init(*)")}:
-            assert check_instance((rule_id, facts, body), store, elab) == []
+    for inst in instantiate(elab):
+        if inst[0] == "REL-CL" and inst[3:] in {(key_Lcat(m), key_L(m)) for m in ("f", "init(*)")}:
+            assert check_instance(inst, store, elab) == []
     assert len(store.keys) == 5
     assert set(store.keys[1:]) == {key_Lcat("f"), key_L("f"), key_Lcat("init(*)"), key_cl("*")}
     assert store.interval(key_L("f")) == Interval(0, INF)

@@ -121,7 +121,7 @@ def test_rules_markdown_rows_have_three_cells(monkeypatch):
 def test_probe_scene_activates_every_rule_under_full_profile():
     scene = parse_scene(PROBE_SCENE)
     elab = elaborate(scene)
-    fired = {rule_id for rule_id, _, _ in instantiate(elab)}
+    fired = {inst[0] for inst in instantiate(elab)}
     assert fired == {r.id for r in catalog()}
 
 
@@ -131,7 +131,7 @@ def test_guard_filtering_wedges_only():
         name="WOnly", all_spaces=False, wedges=True, suspensions=False, joins=False,
         smash_ideal=False)
     elab = elaborate(scene._replace(profile=profile))
-    fired = {rule_id for rule_id, _, _ in instantiate(elab)}
+    fired = {inst[0] for inst in instantiate(elab)}
     expected = {r.id for r in catalog() if r.guard <= profile.flags()}
     assert fired == expected
     assert "T51" not in fired
@@ -174,7 +174,7 @@ def test_pushout_yields_two_c411_instances():
 
 def test_bare_scene_has_only_structural_instances():
     elab = elaborate(parse_scene("collection C { }\nspace X, Y\nmap f : X -> Y\n"))
-    ids = {rule_id for rule_id, _, _ in instantiate(elab)}
+    ids = {inst[0] for inst in instantiate(elab)}
     # auto-compose triangles, the L/Lcat relation, equivalence detection,
     # membership of the point, and the equiv facts on the point's maps
     assert ids == {"AX-COMP", "REL-CL", "P7-EQ", "REL-MEM", "AX-NORM"}
@@ -183,11 +183,11 @@ def test_bare_scene_has_only_structural_instances():
 def test_bare_scene_structural_instances_under_guards():
     base = "space X, Y\nmap f : X -> Y\n"
     susp = elaborate(parse_scene("collection C { suspensions }\n" + base))
-    ids = {rule_id for rule_id, _, _ in instantiate(susp)}
+    ids = {inst[0] for inst in instantiate(susp)}
     assert ids == {"AX-COMP", "REL-CL", "P7-EQ", "REL-MEM", "AX-NORM",
                    "C410-1", "C410-2", "C410-3", "C411"}
     everything = elaborate(parse_scene("collection C { all }\n" + base))
-    ids_all = {rule_id for rule_id, _, _ in instantiate(everything)}
+    ids_all = {inst[0] for inst in instantiate(everything)}
     assert "REL-ALL" in ids_all
 
 
@@ -198,7 +198,7 @@ def test_dedup_never_merges_instances_of_different_shapes():
     # steps of different shapes can hold equal fields: the engine's dedup
     # must still keep every distinct shape
     instances = instantiate(elaborate(parse_scene(PROBE_SCENE)))
-    shaped = {(rule_id, facts, step_tuples(body)) for rule_id, facts, body in instances}
+    shaped = {(*inst[:2], step_tuples(inst)) for inst in instances}
     assert len(dict.fromkeys(instances)) == len(shaped)
 
 
@@ -209,9 +209,9 @@ def test_compiled_steps_follow_conclusion_fields():
     store = BoundStore()
     over_slots = instantiate(elab, store)
     for inst, compiled in zip(instantiate(elab), over_slots, strict=True):
-        (rule_id, facts, body), (_, _, slots) = inst, compiled
-        assert body[0] == slots[0] and type(TEMPLATES[body[0]]) is rules.Template
-        for step, got in zip(step_tuples(body), step_tuples(slots), strict=True):
+        rule_id = inst[0]
+        assert inst[2] == compiled[2] and type(TEMPLATES[inst[2]]) is rules.Template
+        for step, got in zip(step_tuples(inst), step_tuples(compiled), strict=True):
             shape = step[0]
             assert got[0] is shape and len(step) == 1 + len(shape._fields)
             hints = typing.get_type_hints(shape)
@@ -229,8 +229,8 @@ def _compiled_output(scene):
     keys they intern in slot order."""
     store = BoundStore()
     instances = instantiate(elaborate(scene), store)
-    compiled = [(rule_id, facts, [(step[0].__name__, *step[1:]) for step in step_tuples(body)])
-                for rule_id, facts, body in instances]
+    compiled = [(*inst[:2], [(step[0].__name__, *step[1:]) for step in step_tuples(inst)])
+                for inst in instances]
     return compiled, [(key.map_id, key.kind.value) for key in store.keys]
 
 
@@ -280,9 +280,9 @@ def test_law_lays_out_a_run_that_first_use_does_not():
     elab = elaborate(parse_scene("collection C { }\nspace X\nmap f : X -> X\n"))
     instances = rules._compile("X-RUN", law).match(elab, rules.Keys(elab, key_table(elab)))
     assert instances
-    for _, facts, body in instances:
-        h, g, f = (key_L(m) for m in elab.facts[facts[0]].args)
-        assert step_tuples(body) == (
+    for inst in instances:
+        h, g, f = (key_L(m) for m in elab.facts[inst[1][0]].args)
+        assert step_tuples(inst) == (
             (UpperSum, h, (g, f), (), 0, ()), (UpperSum, f, (g, h), (), 2, ()))
 
 
@@ -300,11 +300,11 @@ def test_instances_over_keys_compile_to_the_instances_over_slots():
         over_slots = instantiate(elab, store)
         # a fresh store interns the scene's key table, map by map, L then Lcat
         assert store.keys == key_table(elab)
-        assert [(rule_id, facts, (body[0], *map(store.keys.__getitem__, body[1:])))
-                for rule_id, facts, body in over_slots] == over_keys
+        assert [(*inst[:3], *map(store.keys.__getitem__, inst[3:]))
+                for inst in over_slots] == over_keys
         # cl(X) and L(init(X)) are one key: one object stands for it in
-        # every body, as the store holds one object per key
-        named = {id(key): key for _, _, body in over_keys for key in body[1:]}
+        # every instance, as the store holds one object per key
+        named = {id(key): key for inst in over_keys for key in inst[3:]}
         assert len(named) == len(set(named.values())) == len(store.keys)
 
 
@@ -478,8 +478,8 @@ def test_negative_no_hardie_bound_on_bare_pushout():
     elab = result.elab
     target = key_L("init(D)")
     corners = {key_L("init(B)"), key_L("init(C2)")}
-    for _, _, body in instantiate(elab):
-        for shape, *fields in step_tuples(body):
+    for inst in instantiate(elab):
+        for shape, *fields in step_tuples(inst):
             if shape is UpperSum and fields[0] == target and fields[3] >= 1:
                 assert not set(fields[1]) | set(fields[2]) <= corners
 
@@ -602,15 +602,16 @@ def _store_over(bounds):
 _ONE_STEP_TEMPLATES: dict = {}  # by layout, so equal layouts compile one kernel
 
 
-def _one_step_body(step):
-    """The body of the one-step template that ``_layout`` builds for ``step``,
-    whose fields hold slots: each slot a key reference, each tuple of them a list."""
+def _one_step_inst(step):
+    """An instance of the one-step template that ``_layout`` builds for
+    ``step``, whose fields hold slots: each slot a key reference, each tuple
+    of them a list."""
     shape, hints = step[0], typing.get_type_hints(step[0])
     clause = [shape, *(("k", field) if hints[name] is InvariantKey
                        else [("k", s) for s in field] if hints[name] == tuple[InvariantKey, ...]
                        else field for name, field in zip(shape._fields, step[1:]))]
     template, refs = rules._layout([clause], _ONE_STEP_TEMPLATES)
-    return (template, *(slot for _, slot in refs))
+    return ("T", (), template, *(slot for _, slot in refs))
 
 
 _BOUNDS = st.lists(st.tuples(_VALUES, _VALUES).map(sorted), min_size=4, max_size=4)
@@ -623,9 +624,8 @@ def test_fire_emits_exactly_while_its_step_fails_and_establishes_it(bounds, step
     # kernel on its own store over four keys
     for step in steps:
         store = _store_over(bounds)
-        body = _one_step_body(step)
-        assert step_tuples(body) == (step,)
-        inst = ("T", (), body)
+        inst = _one_step_inst(step)
+        assert step_tuples(inst) == (step,)
         updates = fire(inst, store, rearrange)
         assert bool(updates) != _holds(step, store.lo_values, store.hi_values, rearrange), step
         if any([isinstance(store.apply(update), StoreConflict) for update in updates]):
@@ -654,8 +654,8 @@ def test_every_catalog_kernel_emits_exactly_while_a_step_fails_and_establishes_t
         store = _store_over(bounds)
         width = TEMPLATES[index].width
         slots = data.draw(st.lists(_SLOT, min_size=width, max_size=width))
-        inst = ("T", (), (index, *slots))
-        steps = step_tuples(inst[2])
+        inst = ("T", (), index, *slots)
+        steps = step_tuples(inst)
 
         def holds():
             return all(_holds(step, store.lo_values, store.hi_values, rearrange)
@@ -675,51 +675,95 @@ def test_every_catalog_kernel_emits_exactly_while_a_step_fails_and_establishes_t
 
 
 def test_every_template_step_names_every_body_position():
-    # so an instance reads every slot of its body, and the engine subscribes
-    # it to ``body[1:]``; a constant is never a string
+    # so an instance reads every one of its slots, and the engine subscribes
+    # it to ``inst[3:]``; a constant is never a string
     indices = {index for rule in catalog() for index, _ in rule.matcher.instances}
     for index in indices:
         template = TEMPLATES[index]
-        body = (index, *(f"#{at}" for at in range(1, template.width + 1)))
+        inst = ("T", (), index, *(f"#{at}" for at in range(3, template.width + 3)))
         named = set()
-        for shape, *fields in step_tuples(body):
+        for shape, *fields in step_tuples(inst):
             hints = typing.get_type_hints(shape)
             for name, field in zip(shape._fields, fields):
                 if hints[name] is InvariantKey:
                     named.add(field)
                 elif hints[name] == tuple[InvariantKey, ...]:
                     named.update(field)
-        assert named == set(body[1:]), template.items
+        assert named == set(inst[3:]), template.items
+
+
+# The allowed site shapes, per compute kind (see ``model.recompute``): how
+# the value it writes moves as each role's read value rises, +1 or -1 (a
+# rising gate turns the bound off: an upper bound to inf, a lower one to
+# 0), and the roles of which a finite lower bound it writes is at most
+# the read (``monus`` and ``ceil1`` at most their base, ``copy`` its
+# source, ``maxlo`` the largest lo).  ``inf`` writes no finite value.
+_SITE_SHAPES = {
+    "sum": ({"add": 1, "max": 1, "gate": 1}, ()),
+    "monus": ({"base": 1, "add": -1, "max": -1, "gate": -1}, ("base",)),
+    "prod1": ({"left": 1, "right": 1}, ()),
+    "prod0": ({"left": 1, "right": 1}, ()),
+    "ceil1": ({"base": 1, "div": -1}, ("base",)),
+    "copy": ({"copy": 1, "base": 1, "gate": -1}, ("copy", "base")),
+    "maxlo": ({"lo": 1}, ("lo",)),
+    "inf": ({}, ()),
+}
+
+
+def test_every_catalog_site_fits_an_allowed_shape():
+    # The termination argument of the engine's docstring, confluence and a
+    # hi-then-lo stratification rest on three properties of every site of
+    # every template, derived here from its shape: each write tightens as
+    # each read tightens (monotone: a hi falls, a lo rises), no hi site
+    # reads a lo, and a finite lo written is at most a lo read.  Sites name
+    # instance positions, and between them every slot's position.
+    from conebound.kernels import kernel_source
+
+    for index in dict.fromkeys(t for rule in catalog() for t, _ in rule.matcher.instances):
+        template = TEMPLATES[index]
+        _, sites = kernel_source(template)
+        positions = set()
+        for target, side, compute, _, reads in sites:
+            signs, bounded_by = _SITE_SHAPES[compute]
+            positions.add(target)
+            for at, read, role in reads:
+                positions.add(at)
+                assert signs[role] == (1 if read is side else -1), (index, compute, role, read)
+                assert side is Side.LO or read is Side.HI, (index, compute, role)
+            if side is Side.LO and compute != "inf":
+                assert any(read is Side.LO and role in bounded_by for _, read, role in reads), (
+                    index, compute, reads)
+        assert positions == set(range(3, 3 + template.width)), (index, sites)
 
 
 def test_instances_share_their_templates_and_hold_no_steps():
     compiled = _probe_compiled()
     objects = {}  # layout -> the template objects with that layout
-    for _, _, body in compiled:
-        # the body is the template's index and one slot per laid-out key,
-        # nothing else
-        assert all(type(field) is int for field in body)
-        template = TEMPLATES[body[0]]
+    for inst in compiled:
+        # past its rule id and facts, an instance is the template's index and
+        # one slot per laid-out key, nothing else
+        assert all(type(field) is int for field in inst[2:])
+        template = TEMPLATES[inst[2]]
         assert type(template) is rules.Template
-        assert len(body) == 1 + template.width
+        assert len(inst) == 3 + template.width
         layout = tuple((type(c), c) for c in template.consts), template.items
-        objects.setdefault(layout, set()).add(body[0])
+        objects.setdefault(layout, set()).add(inst[2])
     assert all(len(ids) == 1 for ids in objects.values())
     assert len(objects) < len(compiled) / 20
 
 
 def test_the_collector_drops_compiled_instances():
-    # a compiled body holds only ints and a match only a str and int
-    # tuples, so once a collection has seen them CPython stops tracking both.
+    # a compiled instance holds only a str, its facts, a tuple of ints, and
+    # ints, so once a collection has seen them CPython stops tracking both.
     # A collection untracks a tuple whose items it has already untracked,
-    # and it can reach a match before the match's body: hence two.
+    # and it can reach an instance before its facts: hence two.
     for text in (PROBE_SCENE, chain_scene(60)):
         instances = saturate(elaborate(parse_scene(text))).instances
         gc.collect()
         gc.collect()
         assert instances
         for inst in instances:
-            assert not gc.is_tracked(inst[2]), inst
+            assert not gc.is_tracked(inst[1]), inst
             assert not gc.is_tracked(inst), inst
 
 
@@ -731,7 +775,7 @@ SELF_PUSHOUT = ("collection C { }\nspace A, B, D\nmap f : A -> B\nmap i : B -> D
 def test_equal_instances_of_two_clause_lists_merge():
     # C41-1's two clause lists lay out alike: on a pushout of f along
     # itself their instances are equal, and one remains
-    ids = [rule_id for rule_id, _, _ in instantiate(elaborate(parse_scene(SELF_PUSHOUT)))]
+    ids = [inst[0] for inst in instantiate(elaborate(parse_scene(SELF_PUSHOUT)))]
     assert ids.count("C41-1") == 1
 
 
@@ -741,7 +785,7 @@ def _law_matches(rule, elab, keys):
     equal instances merged."""
     tables = {head: getattr(keys, head) for head in rules.Keys.__slots__}
     return list(dict.fromkeys(
-        (rule.id, facts, (template, *(tables[head][names[at]] for head, at in refs)))
+        (rule.id, facts, template, *(tables[head][names[at]] for head, at in refs))
         for facts, names in rule.matcher.items(elab) for template, refs in rule.matcher.instances))
 
 
